@@ -14,8 +14,8 @@
 ///
 /// The design target is near-linear scaling: on a single hot path there is
 /// no shared mutable cache line — allocation is the only serialised step.
-/// The recorded `cores` field qualifies the numbers: on a 1-core host the
-/// threads time-slice and throughput cannot exceed 1x.
+/// The recorded `cores` field qualifies the numbers: with more threads
+/// than cores the threads time-slice and throughput stops scaling.
 ///
 /// `--contend` switches to the contended-allocation mode (DESIGN.md §12):
 /// every op allocates a small internal object directly through the runtime
@@ -24,9 +24,8 @@
 /// per-thread allocation caches off (every allocation serialises on the
 /// heap's mutex: the pre-substrate baseline) and on. The recorded
 /// `alloc_mode` and `cores` fields qualify each series; the spin knob
-/// (`--spin N`) makes the result falsifiable on a 1-core host: as spin
-/// grows the op mix stops being allocation-bound and the two modes must
-/// converge to 1x.
+/// (`--spin N`) makes the result falsifiable: as spin grows the op mix
+/// stops being allocation-bound and the two modes must converge to 1x.
 ///
 /// `--json <path>` (or CHAMELEON_BENCH_JSON) writes the BENCH_mt.json
 /// perf-trajectory record; `--quick` shrinks the run for sanitizer CI.
@@ -35,7 +34,6 @@
 
 #include "collections/CollectionRuntime.h"
 #include "collections/Handles.h"
-#include "collections/Internals.h"
 #include "runtime/ThreadCache.h"
 #include "support/Format.h"
 #include "support/SplitMix64.h"
@@ -264,25 +262,6 @@ double contendThroughput(unsigned Threads, const BenchParams &P,
   return static_cast<double>(P.OpsPerThread) * Threads / Seconds;
 }
 
-/// Per-op cost of the bench harness minus the heap: object construction
-/// and destruction alone (the part of every op that runs outside any lock
-/// in both modes). Used to bound the locked path's serialized section.
-double harnessNsPerOp(uint64_t Ops) {
-  RuntimeConfig Config;
-  CollectionRuntime RT(Config);
-  auto T0 = std::chrono::steady_clock::now();
-  for (uint64_t Op = 0; Op < Ops; ++Op) {
-    auto Obj = std::make_unique<DataObject>(
-        1, RT.heap().model().objectBytes(2, 16), 2);
-    (void)Obj;
-  }
-  auto T1 = std::chrono::steady_clock::now();
-  return std::chrono::duration_cast<
-             std::chrono::duration<double, std::nano>>(T1 - T0)
-             .count() /
-         static_cast<double>(Ops);
-}
-
 int runContend(const BenchParams &P, int argc, char **argv) {
   std::printf("== micro: contended allocation (thread caches A/B) ==\n\n");
   unsigned Cores = std::thread::hardware_concurrency();
@@ -301,16 +280,13 @@ int runContend(const BenchParams &P, int argc, char **argv) {
   Json.field("ops_per_thread", P.OpsPerThread);
   Json.field("spin_per_op", static_cast<uint64_t>(P.SpinPerOp));
 
-  double Cached1 = 0, Locked1 = 0, Cached8 = 0, Locked8 = 0;
+  double Cached8 = 0, Locked8 = 0;
   TextTable Table(
       {"threads", "locked Mallocs/s", "cached Mallocs/s", "cached/locked"});
   for (unsigned Threads : {1u, 2u, 4u, 8u}) {
     double Cached = contendThroughput(Threads, P, /*Cached=*/true);
     double Locked = contendThroughput(Threads, P, /*Cached=*/false);
-    if (Threads == 1) {
-      Cached1 = Cached;
-      Locked1 = Locked;
-    } else if (Threads == 8) {
+    if (Threads == 8) {
       Cached8 = Cached;
       Locked8 = Locked;
     }
@@ -327,40 +303,6 @@ int runContend(const BenchParams &P, int argc, char **argv) {
   std::printf("%s\n", Table.render().c_str());
   Json.field("measured_cached_vs_locked_8t", Cached8 / Locked8);
 
-  // The measured ratio is only meaningful when cores >= threads. On an
-  // oversubscribed host threads time-slice, locks are (measurably) never
-  // observed held, and the ratio degenerates to the ratio of *uncontended*
-  // per-op costs — the serialisation the caches remove cannot cost
-  // anything when nothing runs concurrently. Record the ingredients of
-  // the parallel-host projection alongside the raw series: the locked
-  // path runs everything but object construction inside a global mutex,
-  // so its aggregate throughput is capped at one allocation per
-  // serialized-section length no matter the core count, while the cached
-  // path's per-op cost has no lock in it.
-  const double HarnessNs = harnessNsPerOp(P.OpsPerThread);
-  const double LockedNs = 1e9 / Locked1;
-  const double CachedNs = 1e9 / Cached1;
-  const double SerialNs = LockedNs - HarnessNs;
-  const double ProjLocked8 = 1e9 / SerialNs;
-  const double ProjCached8 = 8.0 * (1e9 / CachedNs);
-  Json.field("serial_ns_per_alloc", SerialNs);
-  Json.field("uncontended_ns_per_alloc_cached", CachedNs);
-  Json.field("uncontended_ns_per_alloc_locked", LockedNs);
-  Json.field("projected_8core_locked_allocs_per_sec", ProjLocked8);
-  Json.field("projected_8core_cached_allocs_per_sec", ProjCached8);
-  Json.field("projected_8core_cached_vs_locked_8t",
-             ProjCached8 / ProjLocked8);
-
-  std::printf("uncontended cost: locked %.0f ns/alloc, cached %.0f "
-              "ns/alloc (harness %.0f ns)\n",
-              LockedNs, CachedNs, HarnessNs);
-  std::printf("serialized section (locked mode): ~%.0f ns/alloc -> caps "
-              "locked throughput at\n%.1f Mallocs/s on any core count; "
-              "8 cached threads on >=8 cores project to\n%.1f Mallocs/s "
-              "(%.1fx). Measured 8-thread ratio on this %u-core host: "
-              "%.2fx.\n",
-              SerialNs, ProjLocked8 / 1e6, ProjCached8 / 1e6,
-              ProjCached8 / ProjLocked8, Cores, Cached8 / Locked8);
   std::printf("falsifiability: raise --spin to drown allocation in mutator "
               "work and every\nratio above collapses toward 1x.\n");
 

@@ -27,7 +27,7 @@
 /// site is the same single relaxed load as a trace site, and an armed
 /// ledger record / HDR observe each get a ns/call figure so the §16.4
 /// cost table stays honest. `--json <path>` (or CHAMELEON_BENCH_JSON)
-/// writes the BENCH_obs.json perf-trajectory record; `--quick` shrinks
+/// writes the bench/BENCH_obs.json perf-trajectory record; `--quick` shrinks
 /// the run for sanitizer CI.
 ///
 //===----------------------------------------------------------------------===//

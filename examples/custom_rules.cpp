@@ -13,7 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Chameleon.h"
-#include "rules/Diagnostics.h"
+#include "support/Diagnostics.h"
 
 #include <cstdio>
 
@@ -51,7 +51,7 @@ int main() {
       HashSet : maxSize < 9 -> ArraySet
     )");
     std::printf("diagnostics for a malformed rule file:\n%s\n",
-                rules::formatDiagnostics(Bad.Diags).c_str());
+                formatDiagnostics(Bad.Diags).c_str());
     std::printf("rules that still parsed: %zu\n\n", Engine.rules().size());
   }
 
@@ -72,7 +72,7 @@ int main() {
   )");
   if (!P.succeeded()) {
     std::printf("unexpected diagnostics:\n%s",
-                rules::formatDiagnostics(P.Diags).c_str());
+                formatDiagnostics(P.Diags).c_str());
     return 1;
   }
 

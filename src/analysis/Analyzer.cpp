@@ -7,7 +7,6 @@
 #include "analysis/Analyzer.h"
 
 #include "analysis/Extractor.h"
-#include "obs/Json.h"
 
 #include <algorithm>
 #include <filesystem>
@@ -37,7 +36,7 @@ bool isFixturePath(const fs::path &P) {
 
 /// Expands files and directories into the sorted, de-duplicated file list.
 std::vector<std::string> collectFiles(const std::vector<std::string> &Inputs,
-                                      std::vector<CheckDiag> &IoDiags) {
+                                      std::vector<Diagnostic> &IoDiags) {
   std::vector<std::string> Files;
   for (const std::string &In : Inputs) {
     std::error_code EC;
@@ -53,7 +52,7 @@ std::vector<std::string> collectFiles(const std::vector<std::string> &Inputs,
     } else if (fs::is_regular_file(In, EC)) {
       Files.push_back(fs::path(In).generic_string());
     } else {
-      IoDiags.push_back({In, 0, 0, CheckSeverity::Error, "check-io",
+      IoDiags.push_back({In, 0, 0, Severity::Error, "check-io",
                          "no such file or directory", In});
     }
   }
@@ -75,27 +74,21 @@ std::string stripPrefix(std::string Path, const std::string &Prefix) {
 
 /// True when a `cham-checker-ok(D.ID)` comment sits on D's line or the
 /// line above it.
-bool isSuppressed(const CheckDiag &D, const std::vector<Suppression> &Sups) {
+bool isSuppressed(const Diagnostic &D, const std::vector<Suppression> &Sups) {
   for (const Suppression &S : Sups)
     if (S.ID == D.ID && (S.Line == D.Line || S.Line + 1 == D.Line))
       return true;
   return false;
 }
 
-const char *sevName(CheckSeverity S) {
-  return S == CheckSeverity::Error     ? "error"
-         : S == CheckSeverity::Warning ? "warning"
-                                       : "note";
-}
-
 } // namespace
 
-std::vector<CheckDiag> analyzeModel(TreeModel &Model) {
+std::vector<Diagnostic> analyzeModel(TreeModel &Model) {
   FunctionIndex Index(Model);
-  std::vector<CheckDiag> Raw;
+  std::vector<Diagnostic> Raw;
   runAllChecks(Model, Index, Raw);
-  std::vector<CheckDiag> Kept;
-  for (CheckDiag &D : Raw) {
+  std::vector<Diagnostic> Kept;
+  for (Diagnostic &D : Raw) {
     const std::vector<Suppression> *Sups = nullptr;
     for (const FileModel &FM : Model.Files)
       if (FM.File == D.File) {
@@ -111,14 +104,14 @@ std::vector<CheckDiag> analyzeModel(TreeModel &Model) {
 
 AnalysisResult analyze(const AnalyzerOptions &Opts) {
   AnalysisResult R;
-  std::vector<CheckDiag> Raw;
+  std::vector<Diagnostic> Raw;
   std::vector<std::string> Files = collectFiles(Opts.Inputs, Raw);
 
   for (const std::string &F : Files) {
     std::ifstream In(F, std::ios::binary);
     if (!In) {
       Raw.push_back({stripPrefix(F, Opts.RelativeTo), 0, 0,
-                     CheckSeverity::Error, "check-io", "cannot read file",
+                     Severity::Error, "check-io", "cannot read file",
                      F});
       continue;
     }
@@ -130,38 +123,20 @@ AnalysisResult analyze(const AnalyzerOptions &Opts) {
     ++R.FilesAnalyzed;
   }
 
-  std::vector<CheckDiag> Checked = analyzeModel(R.Model);
+  std::vector<Diagnostic> Checked = analyzeModel(R.Model);
   Raw.insert(Raw.end(), std::make_move_iterator(Checked.begin()),
              std::make_move_iterator(Checked.end()));
 
-  for (CheckDiag &D : Raw) {
+  for (Diagnostic &D : Raw) {
     if (Opts.Base.contains(D))
       R.Baselined.push_back(std::move(D));
     else
       R.Diags.push_back(std::move(D));
   }
-  sortCheckDiags(R.Diags);
-  sortCheckDiags(R.Baselined);
+  sortDiagnostics(R.Diags);
+  sortDiagnostics(R.Baselined);
   R.StaleBaselineKeys = staleBaselineKeys(Opts.Base, R.Baselined);
   return R;
-}
-
-std::string checkDiagsToJson(const std::vector<CheckDiag> &Diags) {
-  std::string Out = "[";
-  bool First = true;
-  for (const CheckDiag &D : Diags) {
-    if (!First)
-      Out += ",";
-    First = false;
-    Out += "\n  {\"file\": \"" + obs::json::escape(D.File) +
-           "\", \"line\": " + std::to_string(D.Line) +
-           ", \"col\": " + std::to_string(D.Col) + ", \"severity\": \"" +
-           sevName(D.Sev) + "\", \"id\": \"" + obs::json::escape(D.ID) +
-           "\", \"message\": \"" + obs::json::escape(D.Message) +
-           "\", \"subject\": \"" + obs::json::escape(D.Subject) + "\"}";
-  }
-  Out += First ? "]\n" : "\n]\n";
-  return Out;
 }
 
 } // namespace chameleon::analysis

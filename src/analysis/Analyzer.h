@@ -19,8 +19,8 @@
 
 #include "analysis/Baseline.h"
 #include "analysis/Checks.h"
-#include "analysis/Diagnostics.h"
 #include "analysis/Model.h"
+#include "support/Diagnostics.h"
 
 #include <string>
 #include <vector>
@@ -42,9 +42,9 @@ struct AnalyzerOptions {
 struct AnalysisResult {
   TreeModel Model;
   /// Findings after suppression comments and the baseline, sorted.
-  std::vector<CheckDiag> Diags;
+  std::vector<Diagnostic> Diags;
   /// Findings waived by the baseline, sorted (for --list-baselined).
-  std::vector<CheckDiag> Baselined;
+  std::vector<Diagnostic> Baselined;
   /// Baseline keys that matched nothing — stale entries to delete.
   std::vector<std::string> StaleBaselineKeys;
   /// Files that could not be read (reported as errors in Diags too).
@@ -60,12 +60,7 @@ AnalysisResult analyze(const AnalyzerOptions &Opts);
 /// `cham-checker-ok` waivers (no baseline, no sorting). Builds the
 /// FunctionIndex as a side effect, so the model's computed may-safepoint /
 /// may-allocate flags are filled in. Exposed for the fixture tests.
-std::vector<CheckDiag> analyzeModel(TreeModel &Model);
-
-/// Renders \p Diags as a JSON array (one object per finding with file,
-/// line, col, severity, id, message, subject keys) — the `--json` format
-/// shared with chameleon-rulelint.
-std::string checkDiagsToJson(const std::vector<CheckDiag> &Diags);
+std::vector<Diagnostic> analyzeModel(TreeModel &Model);
 
 } // namespace chameleon::analysis
 

@@ -29,10 +29,10 @@ Baseline parseBaseline(const std::string &Text) {
   return B;
 }
 
-std::string renderBaseline(const std::vector<CheckDiag> &Diags) {
+std::string renderBaseline(const std::vector<Diagnostic> &Diags) {
   std::set<std::string> Keys;
-  for (const CheckDiag &D : Diags)
-    Keys.insert(D.baselineKey());
+  for (const Diagnostic &D : Diags)
+    Keys.insert(baselineKey(D));
   std::string Out =
       "# chameleon-checker baseline: findings the tree knowingly carries.\n"
       "# One `check-id|file|subject` key per line; regenerate with\n"
@@ -46,10 +46,10 @@ std::string renderBaseline(const std::vector<CheckDiag> &Diags) {
 }
 
 std::vector<std::string>
-staleBaselineKeys(const Baseline &B, const std::vector<CheckDiag> &Diags) {
+staleBaselineKeys(const Baseline &B, const std::vector<Diagnostic> &Diags) {
   std::set<std::string> Live;
-  for (const CheckDiag &D : Diags)
-    Live.insert(D.baselineKey());
+  for (const Diagnostic &D : Diags)
+    Live.insert(baselineKey(D));
   std::vector<std::string> Stale;
   for (const std::string &K : B.Keys)
     if (!Live.count(K))

@@ -20,7 +20,7 @@
 #ifndef CHAMELEON_ANALYSIS_BASELINE_H
 #define CHAMELEON_ANALYSIS_BASELINE_H
 
-#include "analysis/Diagnostics.h"
+#include "support/Diagnostics.h"
 
 #include <set>
 #include <string>
@@ -28,11 +28,16 @@
 
 namespace chameleon::analysis {
 
+/// A finding's position-independent fingerprint: "id|file|subject".
+inline std::string baselineKey(const Diagnostic &D) {
+  return D.ID + "|" + D.File + "|" + D.Subject;
+}
+
 struct Baseline {
   std::set<std::string> Keys;
 
-  bool contains(const CheckDiag &D) const {
-    return Keys.count(D.baselineKey()) != 0;
+  bool contains(const Diagnostic &D) const {
+    return Keys.count(baselineKey(D)) != 0;
   }
 };
 
@@ -41,12 +46,12 @@ Baseline parseBaseline(const std::string &Text);
 
 /// Renders \p Diags as baseline text: a header comment plus one sorted,
 /// de-duplicated key per line.
-std::string renderBaseline(const std::vector<CheckDiag> &Diags);
+std::string renderBaseline(const std::vector<Diagnostic> &Diags);
 
 /// Keys in \p B matched by no diagnostic in \p Diags — stale entries that
 /// should be deleted from the file.
-std::vector<std::string> staleBaselineKeys(const Baseline &B,
-                                           const std::vector<CheckDiag> &Diags);
+std::vector<std::string>
+staleBaselineKeys(const Baseline &B, const std::vector<Diagnostic> &Diags);
 
 } // namespace chameleon::analysis
 

@@ -19,11 +19,11 @@ namespace {
 //===----------------------------------------------------------------------===//
 
 void checkSafepointReach(const FunctionDef &F, const FunctionIndex &Index,
-                         std::vector<CheckDiag> &Out) {
+                         std::vector<Diagnostic> &Out) {
   if (!F.NoSafepointAnnot)
     return;
   if (F.HasFaultGcSite) {
-    Out.push_back({F.File, F.Line, F.Col, CheckSeverity::Warning,
+    Out.push_back({F.File, F.Line, F.Col, Severity::Warning,
                    "check-safepoint-reach",
                    "no-safepoint function '" + F.qualifiedName() +
                        "' contains a CHAM_FAULT_GC site, which can force a "
@@ -42,7 +42,7 @@ void checkSafepointReach(const FunctionDef &F, const FunctionIndex &Index,
                       "'";
     if (!Via.empty())
       Msg += " (" + Via + ")";
-    Out.push_back({F.File, C.Line, C.Col, CheckSeverity::Warning,
+    Out.push_back({F.File, C.Line, C.Col, Severity::Warning,
                    "check-safepoint-reach", std::move(Msg),
                    F.qualifiedName()});
     return; // first offending call per function keeps the report readable
@@ -50,7 +50,7 @@ void checkSafepointReach(const FunctionDef &F, const FunctionIndex &Index,
 }
 
 void checkRawAcrossSafepoint(const FunctionDef &F, const FunctionIndex &Index,
-                             std::vector<CheckDiag> &Out) {
+                             std::vector<Diagnostic> &Out) {
   for (const RawRefLocal &R : F.RawRefs) {
     if (R.Uses.empty())
       continue;
@@ -68,7 +68,7 @@ void checkRawAcrossSafepoint(const FunctionDef &F, const FunctionIndex &Index,
       if (!After)
         continue;
       Out.push_back(
-          {F.File, R.Line, R.Col, CheckSeverity::Warning,
+          {F.File, R.Line, R.Col, Severity::Warning,
            "check-raw-across-safepoint",
            "raw heap reference '" + R.Name + "' is live across "
            "may-safepoint call to '" + C.Callee + "' (line " +
@@ -124,7 +124,7 @@ std::string lockLabel(const LockMember *M, const std::string &FallbackName) {
 }
 
 void checkLockRank(const FunctionDef &F, const LockIndex &Locks,
-                   std::vector<CheckDiag> &Out) {
+                   std::vector<Diagnostic> &Out) {
   for (const LockAcquire &A : F.Locks) {
     const LockMember *MA = Locks.resolve(F, A.LockName);
     if (!MA || MA->Rank < 0)
@@ -137,7 +137,7 @@ void checkLockRank(const FunctionDef &F, const LockIndex &Locks,
         continue;
       if (MB->Rank < MA->Rank)
         continue;
-      Out.push_back({F.File, B.Line, B.Col, CheckSeverity::Warning,
+      Out.push_back({F.File, B.Line, B.Col, Severity::Warning,
                      "check-lock-rank",
                      "acquiring " + lockLabel(MB, B.LockName) +
                          " while holding " + lockLabel(MA, A.LockName) +
@@ -150,7 +150,7 @@ void checkLockRank(const FunctionDef &F, const LockIndex &Locks,
 
 void checkAllocUnderSpinLock(const FunctionDef &F, const FunctionIndex &Index,
                              const LockIndex &Locks,
-                             std::vector<CheckDiag> &Out) {
+                             std::vector<Diagnostic> &Out) {
   for (const LockAcquire &L : F.Locks) {
     const LockMember *M = Locks.resolve(F, L.LockName);
     // A resolved member decides; otherwise only a SpinLockGuard acquisition
@@ -162,7 +162,7 @@ void checkAllocUnderSpinLock(const FunctionDef &F, const FunctionIndex &Index,
     for (const AllocSite &A : F.Allocs) {
       if (A.Seq <= L.Seq || A.Seq >= L.ReleaseSeq)
         continue;
-      Out.push_back({F.File, A.Line, A.Col, CheckSeverity::Warning,
+      Out.push_back({F.File, A.Line, A.Col, Severity::Warning,
                      "check-alloc-under-spinlock",
                      "heap allocation while holding spinlock " +
                          lockLabel(M, L.LockName) +
@@ -175,7 +175,7 @@ void checkAllocUnderSpinLock(const FunctionDef &F, const FunctionIndex &Index,
         continue;
       if (!Index.callMayAllocate(F, C))
         continue;
-      Out.push_back({F.File, C.Line, C.Col, CheckSeverity::Warning,
+      Out.push_back({F.File, C.Line, C.Col, Severity::Warning,
                      "check-alloc-under-spinlock",
                      "call to '" + C.Callee + "' may allocate while holding "
                      "spinlock " + lockLabel(M, L.LockName) +
@@ -209,7 +209,7 @@ const std::set<std::string> &metricLayers() {
   return Layers;
 }
 
-void checkMetricNames(const TreeModel &Model, std::vector<CheckDiag> &Out) {
+void checkMetricNames(const TreeModel &Model, std::vector<Diagnostic> &Out) {
   for (const FileModel &FM : Model.Files)
     for (const MetricSite &M : FM.Metrics) {
       const std::string &N = M.MetricName;
@@ -231,7 +231,7 @@ void checkMetricNames(const TreeModel &Model, std::vector<CheckDiag> &Out) {
       }
       if (Ok)
         continue;
-      Out.push_back({M.File, M.Line, M.Col, CheckSeverity::Warning,
+      Out.push_back({M.File, M.Line, M.Col, Severity::Warning,
                      "check-metric-name",
                      "metric name '" + N + "' does not match the "
                      "'cham.<layer>.<name>' convention (known layers: "
@@ -241,7 +241,7 @@ void checkMetricNames(const TreeModel &Model, std::vector<CheckDiag> &Out) {
     }
 }
 
-void checkMetricDups(const TreeModel &Model, std::vector<CheckDiag> &Out) {
+void checkMetricDups(const TreeModel &Model, std::vector<Diagnostic> &Out) {
   std::map<std::string, std::vector<const MetricSite *>> ByName;
   for (const FileModel &FM : Model.Files)
     for (const MetricSite &M : FM.Metrics)
@@ -256,7 +256,7 @@ void checkMetricDups(const TreeModel &Model, std::vector<CheckDiag> &Out) {
                               ? " with conflicting kind '" + M->Kind +
                                     "' (first is '" + First->Kind + "')"
                               : "";
-      Out.push_back({M->File, M->Line, M->Col, CheckSeverity::Warning,
+      Out.push_back({M->File, M->Line, M->Col, Severity::Warning,
                      "check-metric-dup",
                      "metric '" + Name + "' is already registered at " +
                          First->File + ":" + std::to_string(First->Line) +
@@ -266,7 +266,7 @@ void checkMetricDups(const TreeModel &Model, std::vector<CheckDiag> &Out) {
   }
 }
 
-void checkFaultTagDups(const TreeModel &Model, std::vector<CheckDiag> &Out) {
+void checkFaultTagDups(const TreeModel &Model, std::vector<Diagnostic> &Out) {
   std::map<std::string, std::vector<const FaultSite *>> ByTag;
   for (const FileModel &FM : Model.Files)
     for (const FaultSite &S : FM.FaultSites)
@@ -277,7 +277,7 @@ void checkFaultTagDups(const TreeModel &Model, std::vector<CheckDiag> &Out) {
     const FaultSite *First = Sites.front();
     for (size_t I = 1; I < Sites.size(); ++I) {
       const FaultSite *S = Sites[I];
-      Out.push_back({S->File, S->Line, S->Col, CheckSeverity::Warning,
+      Out.push_back({S->File, S->Line, S->Col, Severity::Warning,
                      "check-fault-tag-dup",
                      "fault tag '" + Tag + "' is already used at " +
                          First->File + ":" + std::to_string(First->Line) +
@@ -291,7 +291,7 @@ void checkFaultTagDups(const TreeModel &Model, std::vector<CheckDiag> &Out) {
 } // namespace
 
 void checkGcSafety(const TreeModel &Model, const FunctionIndex &Index,
-                   std::vector<CheckDiag> &Out) {
+                   std::vector<Diagnostic> &Out) {
   for (const FileModel &FM : Model.Files)
     for (const FunctionDef &F : FM.Functions) {
       checkSafepointReach(F, Index, Out);
@@ -300,7 +300,7 @@ void checkGcSafety(const TreeModel &Model, const FunctionIndex &Index,
 }
 
 void checkLockDiscipline(const TreeModel &Model, const FunctionIndex &Index,
-                         std::vector<CheckDiag> &Out) {
+                         std::vector<Diagnostic> &Out) {
   LockIndex Locks(Model);
   for (const FileModel &FM : Model.Files)
     for (const FunctionDef &F : FM.Functions) {
@@ -309,14 +309,14 @@ void checkLockDiscipline(const TreeModel &Model, const FunctionIndex &Index,
     }
 }
 
-void checkProjectLints(const TreeModel &Model, std::vector<CheckDiag> &Out) {
+void checkProjectLints(const TreeModel &Model, std::vector<Diagnostic> &Out) {
   checkMetricNames(Model, Out);
   checkMetricDups(Model, Out);
   checkFaultTagDups(Model, Out);
 }
 
 void runAllChecks(const TreeModel &Model, const FunctionIndex &Index,
-                  std::vector<CheckDiag> &Out) {
+                  std::vector<Diagnostic> &Out) {
   checkGcSafety(Model, Index, Out);
   checkLockDiscipline(Model, Index, Out);
   checkProjectLints(Model, Out);

@@ -41,8 +41,8 @@
 #define CHAMELEON_ANALYSIS_CHECKS_H
 
 #include "analysis/CallGraph.h"
-#include "analysis/Diagnostics.h"
 #include "analysis/Model.h"
+#include "support/Diagnostics.h"
 
 #include <vector>
 
@@ -52,14 +52,14 @@ namespace chameleon::analysis {
 /// already be computed) and appends the findings, unsorted and
 /// unsuppressed — the Analyzer applies waivers and the baseline.
 void runAllChecks(const TreeModel &Model, const FunctionIndex &Index,
-                  std::vector<CheckDiag> &Out);
+                  std::vector<Diagnostic> &Out);
 
 /// Individual families, exposed for the golden-fixture tests.
 void checkGcSafety(const TreeModel &Model, const FunctionIndex &Index,
-                   std::vector<CheckDiag> &Out);
+                   std::vector<Diagnostic> &Out);
 void checkLockDiscipline(const TreeModel &Model, const FunctionIndex &Index,
-                         std::vector<CheckDiag> &Out);
-void checkProjectLints(const TreeModel &Model, std::vector<CheckDiag> &Out);
+                         std::vector<Diagnostic> &Out);
+void checkProjectLints(const TreeModel &Model, std::vector<Diagnostic> &Out);
 
 } // namespace chameleon::analysis
 

@@ -90,12 +90,10 @@ private:
         continue;
       }
       // CHAM_METRIC_COUNTER(Var, "name") and friends.
-      const char *MacroKind = T.Text == "CHAM_METRIC_COUNTER"   ? "counter"
+      const char *MacroKind = T.Text == "CHAM_METRIC_COUNTER" ? "counter"
                               : T.Text == "CHAM_METRIC_GAUGE"   ? "gauge"
-                              : T.Text == "CHAM_METRIC_HISTOGRAM"
-                                  ? "histogram"
-                              : T.Text == "CHAM_METRIC_HDR" ? "hdr"
-                                                            : nullptr;
+                              : T.Text == "CHAM_METRIC_HDR"     ? "hdr"
+                                                                : nullptr;
       if (MacroKind && tok(I + 1).isPunct('(') &&
           tok(I + 2).is(CxxTokKind::Ident) && tok(I + 3).isPunct(',') &&
           tok(I + 4).is(CxxTokKind::String)) {
@@ -106,7 +104,6 @@ private:
       // obs::Counter Var{"name"} / Counter Var("name") member metrics.
       const char *CtorKind = T.Text == "Counter"        ? "counter"
                              : T.Text == "Gauge"        ? "gauge"
-                             : T.Text == "Histogram"    ? "histogram"
                              : T.Text == "HdrHistogram" ? "hdr"
                                                         : nullptr;
       if (CtorKind && tok(I + 1).is(CxxTokKind::Ident) &&

@@ -143,10 +143,10 @@ struct LockMember {
 };
 
 /// A telemetry metric registration site (CHAM_METRIC_* macro or a
-/// Counter/Gauge/Histogram member with a literal name).
+/// Counter/Gauge/HdrHistogram member with a literal name).
 struct MetricSite {
   std::string MetricName;
-  std::string Kind; ///< "counter", "gauge", or "histogram".
+  std::string Kind; ///< "counter", "gauge", or "hdr".
   std::string File;
   unsigned Line = 0;
   unsigned Col = 0;

@@ -6,6 +6,8 @@
 
 #include "apps/TraceFormat.h"
 
+#include "support/Wire.h"
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,18 +35,6 @@ constexpr uint64_t MaxOpsPerTask = 1u << 22;
 constexpr uint64_t MaxTasks = 1u << 26;
 constexpr size_t MaxHeaderBytes = 4u << 20;
 
-constexpr uint64_t FnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t FnvPrime = 0x100000001b3ULL;
-
-uint64_t fnv1a(uint64_t H, const void *Data, size_t Len) {
-  const uint8_t *P = static_cast<const uint8_t *>(Data);
-  for (size_t I = 0; I < Len; ++I) {
-    H ^= P[I];
-    H *= FnvPrime;
-  }
-  return H;
-}
-
 uint64_t fnvU64(uint64_t H, uint64_t V) {
   uint8_t Buf[8];
   for (int I = 0; I < 8; ++I)
@@ -56,82 +46,6 @@ uint64_t fnvStr(uint64_t H, const std::string &S) {
   H = fnvU64(H, S.size());
   return fnv1a(H, S.data(), S.size());
 }
-
-void putVarint(std::string &Out, uint64_t V) {
-  while (V >= 0x80) {
-    Out.push_back(static_cast<char>((V & 0x7F) | 0x80));
-    V >>= 7;
-  }
-  Out.push_back(static_cast<char>(V));
-}
-
-uint64_t zigzag(int64_t V) {
-  return (static_cast<uint64_t>(V) << 1) ^ static_cast<uint64_t>(V >> 63);
-}
-
-int64_t unzigzag(uint64_t V) {
-  return static_cast<int64_t>((V >> 1) ^ (~(V & 1) + 1));
-}
-
-void putU64Le(std::string &Out, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(static_cast<char>(V >> (8 * I)));
-}
-
-/// Bounds-checked sequential reader over a byte range.
-class ByteReader {
-public:
-  ByteReader(const std::string &Bytes, size_t Begin, size_t End)
-      : Bytes(Bytes), Pos(Begin), End(End) {}
-
-  size_t pos() const { return Pos; }
-  bool atEnd() const { return Pos >= End; }
-
-  bool skip(size_t N) {
-    if (Pos > End || End - Pos < N)
-      return false;
-    Pos += N;
-    return true;
-  }
-
-  bool u8(uint8_t &Out) {
-    if (Pos >= End)
-      return false;
-    Out = static_cast<uint8_t>(Bytes[Pos++]);
-    return true;
-  }
-
-  bool varint(uint64_t &Out) {
-    Out = 0;
-    for (unsigned Shift = 0; Shift < 64; Shift += 7) {
-      uint8_t B;
-      if (!u8(B))
-        return false;
-      Out |= static_cast<uint64_t>(B & 0x7F) << Shift;
-      if (!(B & 0x80))
-        return true;
-      if (Shift == 63)
-        return false; // more continuation bits than a u64 holds
-    }
-    return false;
-  }
-
-  bool u64Le(uint64_t &Out) {
-    if (End - Pos < 8 || Pos > End)
-      return false;
-    Out = 0;
-    for (int I = 0; I < 8; ++I)
-      Out |= static_cast<uint64_t>(static_cast<uint8_t>(Bytes[Pos + I]))
-             << (8 * I);
-    Pos += 8;
-    return true;
-  }
-
-private:
-  const std::string &Bytes;
-  size_t Pos;
-  size_t End;
-};
 
 bool fail(std::string *Error, const std::string &Msg) {
   if (Error)
@@ -506,7 +420,8 @@ bool chameleon::apps::readTrace(const std::string &Bytes, Trace &Out,
 
   // -- Binary payload ------------------------------------------------------
   const size_t PayloadStart = Pos;
-  ByteReader R(Bytes, Pos, Bytes.size());
+  ByteReader R(Bytes);
+  R.skip(PayloadStart);
   std::vector<TraceTask> Current;
   uint64_t Tasks = 0;
   bool SawEnd = false;
@@ -529,7 +444,7 @@ bool chameleon::apps::readTrace(const std::string &Bytes, Trace &Out,
         return fail(Error, "truncated task ops");
       Task.Session = static_cast<uint32_t>(Session);
       Task.FrameIdx = static_cast<uint32_t>(FrameIdx);
-      ByteReader Ops(Bytes, R.pos(), R.pos() + OpLen);
+      ByteReader Ops(Bytes.data() + R.pos(), OpLen);
       if (!readOps(Ops, OpCount, Task.Ops, Error))
         return false;
       if (!Ops.atEnd())

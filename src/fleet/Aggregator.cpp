@@ -7,6 +7,7 @@
 #include "fleet/Aggregator.h"
 
 #include "obs/Metrics.h"
+#include "obs/Telemetry.h"
 #include "profiler/SemanticProfiler.h"
 #include "rules/RuleEngine.h"
 #include "support/FaultInjector.h"
@@ -270,21 +271,8 @@ std::string fleet::renderProfileReport(const ProcessProfile &P) {
 
   if (!P.Metrics.empty()) {
     Os << "metrics:\n";
-    for (const obs::MetricSnapshot &M : P.Metrics) {
-      Os << "  " << M.Name << " = ";
-      switch (M.Kind) {
-      case obs::MetricKind::Counter:
-        Os << M.Value;
-        break;
-      case obs::MetricKind::Gauge:
-        Os << M.GaugeValue;
-        break;
-      case obs::MetricKind::Histogram:
-        Os << "count=" << M.Count << " sum=" << M.Sum;
-        break;
-      }
-      Os << "\n";
-    }
+    for (const obs::MetricSnapshot &M : P.Metrics)
+      Os << "  " << M.Name << " = " << obs::metricValueText(M) << "\n";
   }
   return Os.str();
 }

@@ -191,12 +191,6 @@ static void encodeMetricSnapshot(std::string &Out,
   Out.push_back(static_cast<char>(M.Kind));
   putVarint(Out, M.Value);
   putVarint(Out, zigzag(M.GaugeValue));
-  putVarint(Out, M.Bounds.size());
-  for (uint64_t B : M.Bounds)
-    putVarint(Out, B);
-  putVarint(Out, M.Buckets.size());
-  for (uint64_t B : M.Buckets)
-    putVarint(Out, B);
   putVarint(Out, M.Count);
   putVarint(Out, M.Sum);
   putVarint(Out, M.HdrBuckets.size());
@@ -219,20 +213,6 @@ static bool decodeMetricSnapshot(ByteReader &R, obs::MetricSnapshot &M) {
   if (!R.varint(M.Value) || !R.varint(Gauge))
     return false;
   M.GaugeValue = unzigzag(Gauge);
-  uint64_t NBounds;
-  if (!R.varint(NBounds) || NBounds > MaxHistogramBuckets)
-    return false;
-  M.Bounds.resize(NBounds);
-  for (uint64_t &B : M.Bounds)
-    if (!R.varint(B))
-      return false;
-  uint64_t NBuckets;
-  if (!R.varint(NBuckets) || NBuckets > MaxHistogramBuckets + 1)
-    return false;
-  M.Buckets.resize(NBuckets);
-  for (uint64_t &B : M.Buckets)
-    if (!R.varint(B))
-      return false;
   if (!R.varint(M.Count) || !R.varint(M.Sum))
     return false;
   uint64_t NHdr;
@@ -493,9 +473,6 @@ std::vector<obs::MetricSnapshot> fleet::mergeMetricSnapshots(
       }
       Acc.Count += M.Count;
       Acc.Sum += M.Sum;
-      if (Acc.Bounds == M.Bounds && Acc.Buckets.size() == M.Buckets.size())
-        for (size_t I = 0; I < Acc.Buckets.size(); ++I)
-          Acc.Buckets[I] += M.Buckets[I];
       if (!M.HdrBuckets.empty()) {
         // Sorted sparse merge: both sides are index-sorted by
         // construction, and the result stays that way.

@@ -30,11 +30,11 @@
 #ifndef CHAMELEON_FLEET_FLEETPROFILE_H
 #define CHAMELEON_FLEET_FLEETPROFILE_H
 
-#include "fleet/Wire.h"
 #include "obs/DecisionLog.h"
 #include "obs/Metrics.h"
 #include "profiler/ContextInfo.h"
 #include "profiler/OpKind.h"
+#include "support/Wire.h"
 
 #include <array>
 #include <cstdint>
@@ -54,7 +54,6 @@ inline constexpr size_t MaxContextsPerProfile = 1u << 22;
 inline constexpr size_t MaxFramesPerContext = 64;
 inline constexpr size_t MaxLabelLen = 4096;
 inline constexpr size_t MaxMetricsPerProfile = 1u << 16;
-inline constexpr size_t MaxHistogramBuckets = 512;
 inline constexpr size_t MaxLedgerEvents = 1u << 20;
 inline constexpr size_t MaxLedgerNames = 1u << 12;
 
@@ -220,8 +219,7 @@ private:
 };
 
 /// Merges same-name metric snapshots (name-sorted output): counters,
-/// gauges, and histogram buckets (fixed-bucket and HDR) add; mismatched
-/// fixed-bucket shapes keep the first shape and add what aligns.
+/// gauges, and HDR counts and buckets add; HDR min/max fold.
 std::vector<obs::MetricSnapshot>
 mergeMetricSnapshots(const std::vector<const std::vector<obs::MetricSnapshot> *> &Inputs);
 

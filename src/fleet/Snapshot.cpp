@@ -6,8 +6,8 @@
 
 #include "fleet/Snapshot.h"
 
-#include "fleet/Wire.h"
 #include "support/FaultInjector.h"
+#include "support/Wire.h"
 
 #include <cerrno>
 #include <cstdio>

@@ -41,7 +41,7 @@
 namespace chameleon::fleet {
 
 inline constexpr const char *SnapshotMagic = "CHAMFLEET";
-inline constexpr uint32_t SnapshotVersion = 2;
+inline constexpr uint32_t SnapshotVersion = 3;
 /// Hard decode bound on a snapshot payload.
 inline constexpr uint64_t MaxSnapshotPayload = 1ull << 32;
 

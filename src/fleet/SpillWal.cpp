@@ -6,8 +6,8 @@
 
 #include "fleet/SpillWal.h"
 
-#include "fleet/Wire.h"
 #include "fleet/WireFormat.h"
+#include "support/Wire.h"
 
 #include <cerrno>
 #include <cstdio>
@@ -17,6 +17,7 @@
 
 #include <unistd.h>
 
+using namespace chameleon;
 using namespace chameleon::fleet;
 
 static std::string walRecordBytes(uint64_t Epoch,

@@ -31,7 +31,7 @@
 #define CHAMELEON_FLEET_WIREFORMAT_H
 
 #include "fleet/FleetProfile.h"
-#include "fleet/Wire.h"
+#include "support/Wire.h"
 
 #include <cstdint>
 #include <string>
@@ -39,7 +39,7 @@
 namespace chameleon::fleet {
 
 inline constexpr uint32_t FrameMagic = 0x544C4643; // "CFLT" little-endian
-inline constexpr uint32_t WireVersion = 2;
+inline constexpr uint32_t WireVersion = 3;
 /// Hard decode bound on one frame's payload.
 inline constexpr uint64_t MaxFramePayload = 256ull << 20;
 

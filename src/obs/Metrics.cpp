@@ -7,7 +7,6 @@
 #include "obs/Metrics.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 
 using namespace chameleon::obs;
@@ -18,8 +17,6 @@ const char *chameleon::obs::metricKindName(MetricKind Kind) {
     return "counter";
   case MetricKind::Gauge:
     return "gauge";
-  case MetricKind::Histogram:
-    return "histogram";
   case MetricKind::Hdr:
     return "hdr";
   }
@@ -123,33 +120,6 @@ void MetricsRegistry::remove(Metric *M) {
 void Counter::mergeInto(MetricSnapshot &Out) const { Out.Value += value(); }
 
 void Gauge::mergeInto(MetricSnapshot &Out) const { Out.GaugeValue += value(); }
-
-Histogram::Histogram(const char *Name,
-                     std::initializer_list<uint64_t> UpperBounds)
-    : Metric(Name, MetricKind::Histogram), Bounds(UpperBounds),
-      Buckets(new std::atomic<uint64_t>[UpperBounds.size() + 1]) {
-  assert(std::is_sorted(Bounds.begin(), Bounds.end()) &&
-         "histogram bounds must ascend");
-  for (size_t I = 0; I <= Bounds.size(); ++I)
-    Buckets[I].store(0, std::memory_order_relaxed);
-}
-
-void Histogram::mergeInto(MetricSnapshot &Out) const {
-  if (Out.Bounds.empty()) {
-    Out.Bounds = Bounds;
-    Out.Buckets.assign(Bounds.size() + 1, 0);
-  } else if (Out.Bounds != Bounds) {
-    // Same-name histograms with different bucketing cannot merge; keep
-    // the first instance's shape and fold only count/sum.
-    Out.Count += count();
-    Out.Sum += sum();
-    return;
-  }
-  for (size_t I = 0; I <= Bounds.size(); ++I)
-    Out.Buckets[I] += bucketCount(I);
-  Out.Count += count();
-  Out.Sum += sum();
-}
 
 HdrHistogram::HdrHistogram(const char *Name)
     : Metric(Name, MetricKind::Hdr),

@@ -6,15 +6,16 @@
 ///
 /// \file
 /// The metrics half of the telemetry layer (DESIGN.md §11): named counters,
-/// gauges, and fixed-bucket histograms registered in a process-global
+/// gauges, and HDR (log-linear) histograms registered in a process-global
 /// MetricsRegistry and exported as one snapshot (JSON / Prometheus text,
 /// see obs/Telemetry.h). Metric names follow `cham.<layer>.<name>`.
 ///
 /// Hot paths are sharded and lock-free: a Counter spreads its adds over
 /// cache-line-padded per-thread-group shards and sums them on read, so the
 /// write side is a single relaxed fetch_add with no sharing between
-/// threads that land on different shards. Histogram observation is a pair
-/// of relaxed fetch_adds.
+/// threads that land on different shards. An HdrHistogram observation is
+/// three relaxed fetch_adds plus a compare-exchange loop each for min and
+/// max.
 ///
 /// Metrics are *accounting*, not optional tracing: the per-feature
 /// counters of the runtime (migration, retire, fault, shed accounting)
@@ -32,7 +33,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -41,9 +41,9 @@
 
 namespace chameleon::obs {
 
-enum class MetricKind : uint8_t { Counter, Gauge, Histogram, Hdr };
+enum class MetricKind : uint8_t { Counter, Gauge, Hdr };
 
-/// \returns "counter", "gauge", "histogram", or "hdr".
+/// \returns "counter", "gauge", or "hdr".
 const char *metricKindName(MetricKind Kind);
 
 namespace detail {
@@ -59,13 +59,8 @@ struct MetricSnapshot {
   uint64_t Value = 0;
   /// Gauge: the summed value (signed).
   int64_t GaugeValue = 0;
-  /// Histogram: inclusive upper bounds, one per finite bucket.
-  std::vector<uint64_t> Bounds;
-  /// Histogram: per-bucket counts (NOT cumulative), size Bounds.size()+1;
-  /// the last bucket is the +Inf overflow.
-  std::vector<uint64_t> Buckets;
-  uint64_t Count = 0; ///< Histogram/Hdr: total observations.
-  uint64_t Sum = 0;   ///< Histogram/Hdr: sum of observed values.
+  uint64_t Count = 0; ///< Hdr: total observations.
+  uint64_t Sum = 0;   ///< Hdr: sum of observed values.
   /// Hdr: sparse non-zero buckets as (bucket index, count), index-sorted.
   /// Bucket geometry is fixed process-wide (see HdrHistogram), so sparse
   /// snapshots from any instance merge without shape negotiation.
@@ -174,43 +169,11 @@ private:
   std::atomic<int64_t> Val{0};
 };
 
-/// Fixed-bucket histogram: counts per inclusive upper bound plus a +Inf
-/// overflow bucket, with a running count and sum.
-class Histogram : public Metric {
-public:
-  Histogram(const char *Name, std::initializer_list<uint64_t> UpperBounds);
-
-  void observe(uint64_t V) {
-    size_t I = 0;
-    while (I < Bounds.size() && V > Bounds[I])
-      ++I;
-    Buckets[I].fetch_add(1, std::memory_order_relaxed);
-    Count.fetch_add(1, std::memory_order_relaxed);
-    Sum.fetch_add(V, std::memory_order_relaxed);
-  }
-
-  const std::vector<uint64_t> &bounds() const { return Bounds; }
-  uint64_t count() const { return Count.load(std::memory_order_relaxed); }
-  uint64_t sum() const { return Sum.load(std::memory_order_relaxed); }
-  /// \p I in [0, bounds().size()]; the last index is the +Inf bucket.
-  uint64_t bucketCount(size_t I) const {
-    return Buckets[I].load(std::memory_order_relaxed);
-  }
-
-  void mergeInto(MetricSnapshot &Out) const override;
-
-private:
-  std::vector<uint64_t> Bounds;
-  std::unique_ptr<std::atomic<uint64_t>[]> Buckets; // Bounds.size() + 1
-  std::atomic<uint64_t> Count{0};
-  std::atomic<uint64_t> Sum{0};
-};
-
 /// Log-linear (HDR-style) histogram: full uint64 range, fixed geometry
 /// (see HdrSubBucketBits), lock-free relaxed-atomic observation, and
 /// quantile readout with bounded relative error. Used for latency-shaped
-/// distributions (GC pause, migration phases, safepoint stalls) whose
-/// tails the fixed-bucket Histogram cannot resolve.
+/// distributions (GC pause, migration phases, safepoint stalls), whose
+/// tails span orders of magnitude.
 class HdrHistogram : public Metric {
 public:
   explicit HdrHistogram(const char *Name);
@@ -287,8 +250,6 @@ private:
   static ::chameleon::obs::Counter Var { NameStr }
 #define CHAM_METRIC_GAUGE(Var, NameStr)                                        \
   static ::chameleon::obs::Gauge Var { NameStr }
-#define CHAM_METRIC_HISTOGRAM(Var, NameStr, ...)                               \
-  static ::chameleon::obs::Histogram Var { NameStr, { __VA_ARGS__ } }
 #define CHAM_METRIC_HDR(Var, NameStr)                                          \
   static ::chameleon::obs::HdrHistogram Var { NameStr }
 

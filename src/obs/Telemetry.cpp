@@ -85,22 +85,6 @@ chameleon::obs::jsonFromSnapshots(const std::vector<MetricSnapshot> &Snaps) {
     case MetricKind::Gauge:
       appendf(Out, ",\"value\":%" PRId64, S.GaugeValue);
       break;
-    case MetricKind::Histogram: {
-      appendf(Out, ",\"count\":%" PRIu64 ",\"sum\":%" PRIu64 ",\"buckets\":[",
-              S.Count, S.Sum);
-      for (size_t I = 0; I < S.Buckets.size(); ++I) {
-        if (I)
-          Out += ',';
-        if (I < S.Bounds.size())
-          appendf(Out, "{\"le\":%" PRIu64 ",\"count\":%" PRIu64 "}",
-                  S.Bounds[I], S.Buckets[I]);
-        else
-          appendf(Out, "{\"le\":\"+Inf\",\"count\":%" PRIu64 "}",
-                  S.Buckets[I]);
-      }
-      Out += ']';
-      break;
-    }
     case MetricKind::Hdr: {
       appendf(Out,
               ",\"count\":%" PRIu64 ",\"sum\":%" PRIu64 ",\"min\":%" PRIu64
@@ -144,21 +128,6 @@ std::string chameleon::obs::prometheusFromSnapshots(
     case MetricKind::Gauge:
       appendf(Out, "%s %" PRId64 "\n", Name.c_str(), S.GaugeValue);
       break;
-    case MetricKind::Histogram: {
-      uint64_t Cumulative = 0;
-      for (size_t I = 0; I < S.Buckets.size(); ++I) {
-        Cumulative += S.Buckets[I];
-        if (I < S.Bounds.size())
-          appendf(Out, "%s_bucket{le=\"%" PRIu64 "\"} %" PRIu64 "\n",
-                  Name.c_str(), S.Bounds[I], Cumulative);
-        else
-          appendf(Out, "%s_bucket{le=\"+Inf\"} %" PRIu64 "\n", Name.c_str(),
-                  Cumulative);
-      }
-      appendf(Out, "%s_sum %" PRIu64 "\n", Name.c_str(), S.Sum);
-      appendf(Out, "%s_count %" PRIu64 "\n", Name.c_str(), S.Count);
-      break;
-    }
     case MetricKind::Hdr: {
       for (size_t Q = 0; Q < 4; ++Q)
         appendf(Out, "%s{quantile=\"%s\"} %" PRIu64 "\n", Name.c_str(),
@@ -170,6 +139,26 @@ std::string chameleon::obs::prometheusFromSnapshots(
       break;
     }
     }
+  }
+  return Out;
+}
+
+std::string chameleon::obs::metricValueText(const MetricSnapshot &S) {
+  std::string Out;
+  switch (S.Kind) {
+  case MetricKind::Counter:
+    appendf(Out, "%" PRIu64, S.Value);
+    break;
+  case MetricKind::Gauge:
+    appendf(Out, "%" PRId64, S.GaugeValue);
+    break;
+  case MetricKind::Hdr:
+    appendf(Out,
+            "count=%" PRIu64 " min=%" PRIu64 " p50=%" PRIu64 " p99=%" PRIu64
+            " max=%" PRIu64,
+            S.Count, S.MinValue, hdrSnapshotQuantile(S, 0.5),
+            hdrSnapshotQuantile(S, 0.99), S.MaxValue);
+    break;
   }
   return Out;
 }
@@ -198,22 +187,6 @@ bool chameleon::obs::snapshotsFromJson(const json::Value &Doc,
     } else if (Kind == "gauge") {
       S.Kind = MetricKind::Gauge;
       S.GaugeValue = static_cast<int64_t>(M.numberOr("value", 0));
-    } else if (Kind == "histogram") {
-      S.Kind = MetricKind::Histogram;
-      S.Count = static_cast<uint64_t>(M.numberOr("count", 0));
-      S.Sum = static_cast<uint64_t>(M.numberOr("sum", 0));
-      const json::Value *Buckets = M.find("buckets");
-      if (!Buckets || Buckets->kind() != json::Value::Kind::Array) {
-        if (Error)
-          *Error = "histogram \"" + S.Name + "\" has no buckets array";
-        return false;
-      }
-      for (const json::Value &B : Buckets->array()) {
-        const json::Value *Le = B.find("le");
-        if (Le && Le->kind() == json::Value::Kind::Number)
-          S.Bounds.push_back(static_cast<uint64_t>(Le->number()));
-        S.Buckets.push_back(static_cast<uint64_t>(B.numberOr("count", 0)));
-      }
     } else if (Kind == "hdr") {
       S.Kind = MetricKind::Hdr;
       S.Count = static_cast<uint64_t>(M.numberOr("count", 0));

@@ -12,7 +12,7 @@
 ///    (`{"metrics": [...]}`), the format chameleon-stats re-reads.
 ///  - `Telemetry::prometheusText`: the registry in Prometheus text
 ///    exposition format (metric names have their '.' replaced by '_';
-///    histogram buckets are cumulative, as the format requires).
+///    hdr metrics export as a summary of pre-computed quantiles).
 ///  - `Telemetry::chromeTraceJson`: the TraceRecorder's retained events
 ///    as Chrome `trace_event` JSON — loadable directly in Perfetto.
 ///
@@ -60,6 +60,11 @@ struct Telemetry {
 /// byte-identical to what prometheusText produced in the instrumented
 /// process.
 std::string prometheusFromSnapshots(const std::vector<MetricSnapshot> &Snaps);
+
+/// One metric's value as a single line of text, the cell chameleon-stats'
+/// table and the fleet report print: a counter's or gauge's value, or an
+/// hdr metric's "count=N min=N p50=N p99=N max=N".
+std::string metricValueText(const MetricSnapshot &S);
 
 /// Renders \p Snapshots as the metrics.json document.
 std::string jsonFromSnapshots(const std::vector<MetricSnapshot> &Snaps);

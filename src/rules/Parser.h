@@ -31,8 +31,8 @@
 #define CHAMELEON_RULES_PARSER_H
 
 #include "rules/Ast.h"
-#include "rules/Diagnostics.h"
 #include "rules/Token.h"
+#include "support/Diagnostics.h"
 
 #include <vector>
 

@@ -611,7 +611,7 @@ private:
   void emit(unsigned Line, unsigned Col, Severity Sev, const char *ID,
             std::string Message) {
     Result.Diags.push_back(
-        {Line, Col, std::move(Message), Sev, std::string(ID)});
+        {{}, Line, Col, Sev, std::string(ID), std::move(Message), {}});
   }
 
   const RuleParams *params() const { return Opts.Params; }

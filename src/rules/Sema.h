@@ -46,8 +46,8 @@
 #define CHAMELEON_RULES_SEMA_H
 
 #include "rules/Ast.h"
-#include "rules/Diagnostics.h"
 #include "rules/Evaluator.h"
+#include "support/Diagnostics.h"
 
 #include <string>
 #include <vector>
@@ -85,7 +85,7 @@ struct SemaResult {
   std::vector<Diagnostic> Diags;
   std::vector<RuleVerdict> Verdicts;
 
-  bool hasErrors() const { return rules::hasErrors(Diags); }
+  bool hasErrors() const { return chameleon::hasErrors(Diags); }
 };
 
 /// Runs the full semantic analysis over a parsed rule list. Diagnostics
@@ -100,8 +100,8 @@ struct LintResult {
   std::vector<Rule> Rules;
   std::vector<Diagnostic> Diags;
 
-  bool hasErrors() const { return rules::hasErrors(Diags); }
-  bool hasWarnings() const { return rules::hasWarnings(Diags); }
+  bool hasErrors() const { return chameleon::hasErrors(Diags); }
+  bool hasWarnings() const { return chameleon::hasWarnings(Diags); }
 };
 
 LintResult lintRuleSource(const std::string &Source,

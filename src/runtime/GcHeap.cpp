@@ -38,9 +38,7 @@ CHAM_METRIC_COUNTER(GcFreedBytes, "cham.gc.freed_bytes");
 CHAM_METRIC_COUNTER(GcFreedObjects, "cham.gc.freed_objects");
 CHAM_METRIC_GAUGE(GcBytesInUse, "cham.gc.bytes_in_use");
 CHAM_METRIC_GAUGE(GcObjectsInUse, "cham.gc.objects_in_use");
-CHAM_METRIC_HISTOGRAM(GcPauseNanos, "cham.gc.pause_nanos", 10000, 100000,
-                      1000000, 10000000, 100000000, 1000000000);
-// HDR (log-linear) companions to the fixed-bucket histograms: bounded
+// GC pause and safepoint stall as HDR (log-linear) histograms: bounded
 // 3.125% relative error at any magnitude, so the exporters can render
 // honest p50/p90/p99/p999 tail percentiles (DESIGN.md §16).
 CHAM_METRIC_HDR(GcPauseHdrNanos, "cham.gc.pause_hdr_nanos");
@@ -1023,7 +1021,6 @@ const GcCycleRecord &GcHeap::collectStopped(bool Forced) {
     GcForcedCycles.inc();
   GcFreedBytes.add(Record.FreedBytes);
   GcFreedObjects.add(Record.FreedObjects);
-  GcPauseNanos.observe(Record.DurationNanos);
   GcPauseHdrNanos.observe(Record.DurationNanos);
   GcBytesInUse.set(static_cast<int64_t>(bytesInUse()));
   GcObjectsInUse.set(static_cast<int64_t>(objectsInUse()));

@@ -44,9 +44,9 @@ void checkGolden(const std::string &Stem) {
   std::string Expected = readTestdata(Stem + ".expected");
   TreeModel M;
   M.Files.push_back(extractFile(Stem + ".cpp", Source));
-  std::vector<CheckDiag> Diags = analyzeModel(M);
-  sortCheckDiags(Diags);
-  EXPECT_EQ(formatCheckDiags(Diags), Expected) << "fixture " << Stem;
+  std::vector<Diagnostic> Diags = analyzeModel(M);
+  sortDiagnostics(Diags);
+  EXPECT_EQ(formatDiagnostics(Diags), Expected) << "fixture " << Stem;
 }
 
 //===----------------------------------------------------------------------===//
@@ -87,7 +87,7 @@ TEST(Checker, TreeIsCleanModuloBaseline) {
 
   AnalysisResult R = analyze(Opts);
   EXPECT_GT(R.FilesAnalyzed, 100u) << "directory walk found too few files";
-  EXPECT_EQ(formatCheckDiags(R.Diags), "")
+  EXPECT_EQ(formatDiagnostics(R.Diags), "")
       << "new checker findings: fix them, waive with a cham-checker-ok "
          "comment, or (for accepted debt) add the key to "
          "tools/checker_baseline.txt";
@@ -113,9 +113,9 @@ TEST(CheckerBaseline, ParseSkipsCommentsAndBlanks) {
 }
 
 TEST(CheckerBaseline, RoundTripsThroughRender) {
-  CheckDiag D1{"b.cpp", 9, 1, CheckSeverity::Warning, "check-x", "m", "S"};
-  CheckDiag D2{"a.cpp", 3, 1, CheckSeverity::Warning, "check-y", "m", "T"};
-  CheckDiag Dup = D1;
+  Diagnostic D1{"b.cpp", 9, 1, Severity::Warning, "check-x", "m", "S"};
+  Diagnostic D2{"a.cpp", 3, 1, Severity::Warning, "check-y", "m", "T"};
+  Diagnostic Dup = D1;
   Dup.Line = 42; // same key, different position — must deduplicate
   std::string Text = renderBaseline({D1, D2, Dup});
   Baseline B = parseBaseline(Text);
@@ -126,7 +126,7 @@ TEST(CheckerBaseline, RoundTripsThroughRender) {
 
 TEST(CheckerBaseline, StaleKeysAreReported) {
   Baseline B = parseBaseline("check-x|a.cpp|S\ncheck-gone|z.cpp|T\n");
-  CheckDiag D{"a.cpp", 1, 1, CheckSeverity::Warning, "check-x", "m", "S"};
+  Diagnostic D{"a.cpp", 1, 1, Severity::Warning, "check-x", "m", "S"};
   std::vector<std::string> Stale = staleBaselineKeys(B, {D});
   ASSERT_EQ(Stale.size(), 1u);
   EXPECT_EQ(Stale.front(), "check-gone|z.cpp|T");
@@ -149,7 +149,7 @@ TEST(CheckerSuppress, MarkerCoversItsOwnAndTheNextLine) {
       "}\n";
   TreeModel M;
   M.Files.push_back(extractFile("sup.cpp", Source));
-  std::vector<CheckDiag> Diags = analyzeModel(M);
+  std::vector<Diagnostic> Diags = analyzeModel(M);
   EXPECT_EQ(Diags.size(), 0u);
 }
 
@@ -164,7 +164,7 @@ TEST(CheckerSuppress, WrongIdDoesNotSilence) {
       "}\n";
   TreeModel M;
   M.Files.push_back(extractFile("sup.cpp", Source));
-  std::vector<CheckDiag> Diags = analyzeModel(M);
+  std::vector<Diagnostic> Diags = analyzeModel(M);
   ASSERT_EQ(Diags.size(), 1u);
   EXPECT_EQ(Diags[0].ID, "check-fault-tag-dup");
   EXPECT_EQ(Diags[0].Line, 6u);
@@ -175,17 +175,18 @@ TEST(CheckerSuppress, WrongIdDoesNotSilence) {
 //===----------------------------------------------------------------------===//
 
 TEST(CheckerJson, EscapesAndStructures) {
-  CheckDiag D{"a\"b.cpp", 7,       3, CheckSeverity::Error,
+  Diagnostic D{"a\"b.cpp", 7,       3, Severity::Error,
               "check-x",  "msg\n", "S"};
-  std::string J = checkDiagsToJson({D});
+  std::string J = diagnosticsToJson({D});
   EXPECT_NE(J.find("\"file\": \"a\\\"b.cpp\""), std::string::npos) << J;
   EXPECT_NE(J.find("\"line\": 7"), std::string::npos) << J;
   EXPECT_NE(J.find("\"severity\": \"error\""), std::string::npos) << J;
   EXPECT_NE(J.find("\"message\": \"msg\\n\""), std::string::npos) << J;
+  EXPECT_NE(J.find("\"subject\": \"S\""), std::string::npos) << J;
 }
 
 TEST(CheckerJson, EmptyListIsAnEmptyArray) {
-  EXPECT_EQ(checkDiagsToJson({}), "[]\n");
+  EXPECT_EQ(diagnosticsToJson({}), "[]\n");
 }
 
 //===----------------------------------------------------------------------===//

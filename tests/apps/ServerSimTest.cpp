@@ -142,7 +142,7 @@ TEST(ServerSim, TelemetryBundleHasExpectedTimeline) {
   EXPECT_TRUE(SawGcCycles) << "cham.gc.cycles missing or zero";
 
   std::string Prom = slurp(Config.TelemetryOutDir + "/metrics.prom");
-  EXPECT_NE(Prom.find("# TYPE cham_gc_pause_nanos histogram"),
+  EXPECT_NE(Prom.find("# TYPE cham_gc_pause_hdr_nanos summary"),
             std::string::npos);
 }
 

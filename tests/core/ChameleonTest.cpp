@@ -101,7 +101,7 @@ TEST(Chameleon, CustomRulesExtendTheEngine) {
   rules::ParseResult P = Tool.engine().addRules(
       "[everything-lazy] Map : allocCount >= 1 -> LazyMap "
       "\"Space: custom policy\"");
-  ASSERT_TRUE(P.succeeded()) << rules::formatDiagnostics(P.Diags);
+  ASSERT_TRUE(P.succeeded()) << formatDiagnostics(P.Diags);
   RunResult R = Tool.profile(smallMapProgram, 1 << 20);
   ASSERT_FALSE(R.Suggestions.empty());
   EXPECT_EQ(R.Suggestions[0].RuleName, "everything-lazy");

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The fleet wire layer (fleet/Wire.h, fleet/WireFormat.h): byte
+/// The fleet wire layer (support/Wire.h, fleet/WireFormat.h): byte
 /// primitives round-trip bit-exactly, framing rejects every corruption
 /// class with the right typed status, and all four protocol messages
 /// encode/decode losslessly — including a full ProcessProfile with NaN
@@ -14,8 +14,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "fleet/FleetProfile.h"
-#include "fleet/Wire.h"
 #include "fleet/WireFormat.h"
+#include "support/Wire.h"
 
 #include <gtest/gtest.h>
 
@@ -216,12 +216,13 @@ ProcessProfile sampleProfile(uint64_t Epoch) {
   G.Kind = obs::MetricKind::Gauge;
   G.GaugeValue = -5;
   obs::MetricSnapshot H;
-  H.Name = "cham.fleet.test_hist";
-  H.Kind = obs::MetricKind::Histogram;
-  H.Bounds = {1, 8, 64};
-  H.Buckets = {3, 2, 1, 0};
+  H.Name = "cham.fleet.test_hdr";
+  H.Kind = obs::MetricKind::Hdr;
+  H.HdrBuckets = {{5, 3}, {190, 2}, {222, 1}};
   H.Count = 6;
-  H.Sum = 99;
+  H.Sum = 4015;
+  H.MinValue = 5;
+  H.MaxValue = 2000;
   P.Metrics = {C, G, H};
   return P;
 }
@@ -273,7 +274,10 @@ TEST(MessageTest, EpochUpdateRoundTripsBitExactly) {
   ASSERT_EQ(Out.EpochUpdate.Profile.Contexts.size(), 2u);
   EXPECT_EQ(Out.EpochUpdate.Profile.Contexts[0].TypeName, "ArrayList");
   ASSERT_EQ(Out.EpochUpdate.Profile.Metrics.size(), 3u);
-  EXPECT_EQ(Out.EpochUpdate.Profile.Metrics[2].Buckets.size(), 4u);
+  const obs::MetricSnapshot &Hdr = Out.EpochUpdate.Profile.Metrics[2];
+  EXPECT_EQ(Hdr.Kind, obs::MetricKind::Hdr);
+  EXPECT_EQ(Hdr.HdrBuckets.size(), 3u);
+  EXPECT_EQ(Hdr.MaxValue, 2000u);
 }
 
 TEST(MessageTest, RejectsUnknownKind) {
@@ -359,9 +363,11 @@ TEST(FleetStateTest, MergeSumsCountersAndStats) {
   EXPECT_EQ(M.Contexts[0].MaxSizeStat.N, 80u);
   EXPECT_EQ(M.HeapLive.Total, 2000u);
   EXPECT_EQ(M.HeapLive.Max, 400u);
-  // Metrics merged by name: counter doubled.
-  ASSERT_FALSE(M.Metrics.empty());
+  // Metrics merged by name: counter doubled, HDR buckets added.
+  ASSERT_EQ(M.Metrics.size(), 3u);
   EXPECT_EQ(M.Metrics[0].Value, 246u);
+  EXPECT_EQ(M.Metrics[2].Count, 12u);
+  EXPECT_EQ(M.Metrics[2].HdrBuckets[1].second, 4u);
 }
 
 } // namespace

@@ -97,7 +97,7 @@ TEST(HdrHistogramTest, UniformQuantilesWithinErrorBound) {
 TEST(HdrHistogramTest, HeavyTailQuantilesWithinErrorBound) {
   // Deterministic splitmix-style stream shaped into a heavy tail: mostly
   // microsecond-scale with excursions past seconds — the GC-pause shape
-  // the fixed-bucket Histogram cannot resolve.
+  // that fixed bucket bounds cannot resolve.
   HdrHistogram H("test.hdr.tail");
   std::vector<uint64_t> Values;
   uint64_t X = 0x9E3779B97F4A7C15ull;

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The telemetry layer (DESIGN.md §11) under test: registry correctness
-/// under concurrent writers, histogram bucket boundaries, trace-ring
-/// overwrite semantics, and golden renderings of every exporter (the JSON
+/// under concurrent writers, trace-ring overwrite semantics, and golden
+/// renderings of every exporter (the JSON
 /// snapshot chameleon-stats re-reads, Prometheus text, Chrome trace
 /// JSON). The trace-site assertions are gated on CHAMELEON_NO_TELEMETRY
 /// so the suite also passes in the compiled-out configuration — where it
@@ -99,18 +99,6 @@ TEST(MetricsTest, GaugeSetAndAdd) {
   std::vector<MetricSnapshot> Snaps = snapshotOf("test.gauge");
   ASSERT_EQ(Snaps.size(), 1u);
   EXPECT_EQ(Snaps[0].GaugeValue, 7);
-}
-
-TEST(MetricsTest, HistogramBucketBoundariesAreInclusive) {
-  Histogram H("test.hist", {10, 20});
-  for (uint64_t V : {5u, 10u, 11u, 20u, 21u})
-    H.observe(V);
-  // Inclusive upper bounds: 5,10 -> le(10); 11,20 -> le(20); 21 -> +Inf.
-  EXPECT_EQ(H.bucketCount(0), 2u);
-  EXPECT_EQ(H.bucketCount(1), 2u);
-  EXPECT_EQ(H.bucketCount(2), 1u);
-  EXPECT_EQ(H.count(), 5u);
-  EXPECT_EQ(H.sum(), 67u);
 }
 
 TEST(MetricsTest, SnapshotIsNameSortedAndPrefixFiltered) {
@@ -249,52 +237,66 @@ TEST(TraceTest, MacrosCompileOutWithNoTelemetry) {
 TEST(ExporterTest, JsonGolden) {
   Counter C("testgold.a.counter");
   Gauge G("testgold.b.gauge");
-  Histogram H("testgold.c.hist", {10, 20});
+  HdrHistogram H("testgold.c.hdr");
   C.add(42);
   G.set(-5);
+  // 5 lands in an exact unit bucket, 1000 and 2000 in log-linear buckets
+  // 190 and 222 (upper bounds 1007 and 2015): p50 reports a bucket bound,
+  // the upper quantiles clamp to the observed max.
   H.observe(5);
-  H.observe(15);
-  H.observe(25);
+  H.observe(1000);
+  H.observe(2000);
   EXPECT_EQ(Telemetry::snapshotJson("testgold."),
             "{\"metrics\":[\n"
             "  {\"name\":\"testgold.a.counter\",\"kind\":\"counter\","
             "\"value\":42},\n"
             "  {\"name\":\"testgold.b.gauge\",\"kind\":\"gauge\","
             "\"value\":-5},\n"
-            "  {\"name\":\"testgold.c.hist\",\"kind\":\"histogram\","
-            "\"count\":3,\"sum\":45,\"buckets\":["
-            "{\"le\":10,\"count\":1},{\"le\":20,\"count\":1},"
-            "{\"le\":\"+Inf\",\"count\":1}]}\n"
+            "  {\"name\":\"testgold.c.hdr\",\"kind\":\"hdr\",\"count\":3,"
+            "\"sum\":3005,\"min\":5,\"max\":2000,\"p50\":1007,\"p90\":2000,"
+            "\"p99\":2000,\"p999\":2000,\"hdr\":[{\"i\":5,\"count\":1},"
+            "{\"i\":190,\"count\":1},{\"i\":222,\"count\":1}]}\n"
             "]}\n");
+  // The one-line value chameleon-stats' table and the fleet report print.
+  std::vector<MetricSnapshot> Snaps = snapshotOf("testgold.");
+  ASSERT_EQ(Snaps.size(), 3u);
+  EXPECT_EQ(metricValueText(Snaps[0]), "42");
+  EXPECT_EQ(metricValueText(Snaps[1]), "-5");
+  EXPECT_EQ(metricValueText(Snaps[2]),
+            "count=3 min=5 p50=1007 p99=2000 max=2000");
 }
 
 TEST(ExporterTest, PrometheusGolden) {
   Counter C("testgold.a.counter");
   Gauge G("testgold.b.gauge");
-  Histogram H("testgold.c.hist", {10, 20});
+  HdrHistogram H("testgold.c.hdr");
   C.add(42);
   G.set(-5);
   H.observe(5);
-  H.observe(15);
-  H.observe(25);
-  // Names sanitized ('.' -> '_'), histogram buckets cumulative.
+  H.observe(1000);
+  H.observe(2000);
+  // Names sanitized ('.' -> '_'); hdr exports as a summary of the same
+  // snapshot quantiles the JSON carries.
   EXPECT_EQ(Telemetry::prometheusText("testgold."),
             "# TYPE testgold_a_counter counter\n"
             "testgold_a_counter 42\n"
             "# TYPE testgold_b_gauge gauge\n"
             "testgold_b_gauge -5\n"
-            "# TYPE testgold_c_hist histogram\n"
-            "testgold_c_hist_bucket{le=\"10\"} 1\n"
-            "testgold_c_hist_bucket{le=\"20\"} 2\n"
-            "testgold_c_hist_bucket{le=\"+Inf\"} 3\n"
-            "testgold_c_hist_sum 45\n"
-            "testgold_c_hist_count 3\n");
+            "# TYPE testgold_c_hdr summary\n"
+            "testgold_c_hdr{quantile=\"0.5\"} 1007\n"
+            "testgold_c_hdr{quantile=\"0.9\"} 2000\n"
+            "testgold_c_hdr{quantile=\"0.99\"} 2000\n"
+            "testgold_c_hdr{quantile=\"0.999\"} 2000\n"
+            "testgold_c_hdr_min 5\n"
+            "testgold_c_hdr_max 2000\n"
+            "testgold_c_hdr_sum 3005\n"
+            "testgold_c_hdr_count 3\n");
 }
 
 TEST(ExporterTest, JsonSnapshotRoundTripsThroughParser) {
   Counter C("testrt.counter");
   Gauge G("testrt.gauge");
-  Histogram H("testrt.hist", {100});
+  HdrHistogram H("testrt.hdr");
   C.add(7);
   G.set(9);
   H.observe(50);

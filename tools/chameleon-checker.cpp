@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+using namespace chameleon;
 using namespace chameleon::analysis;
 
 namespace {
@@ -116,12 +117,12 @@ int main(int argc, char **argv) {
   AnalysisResult R = analyze(Opts);
 
   if (WarningsAreErrors)
-    for (CheckDiag &D : R.Diags)
-      if (D.Sev == CheckSeverity::Warning)
-        D.Sev = CheckSeverity::Error;
+    for (Diagnostic &D : R.Diags)
+      if (D.Sev == Severity::Warning)
+        D.Sev = Severity::Error;
 
   if (!WriteBaselinePath.empty()) {
-    std::vector<CheckDiag> All = R.Diags;
+    std::vector<Diagnostic> All = R.Diags;
     All.insert(All.end(), R.Baselined.begin(), R.Baselined.end());
     std::ofstream Out(WriteBaselinePath, std::ios::trunc);
     if (!Out) {
@@ -136,12 +137,12 @@ int main(int argc, char **argv) {
   }
 
   if (Json) {
-    std::fputs(checkDiagsToJson(R.Diags).c_str(), stdout);
+    std::fputs(diagnosticsToJson(R.Diags).c_str(), stdout);
   } else {
-    std::fputs(formatCheckDiags(R.Diags).c_str(), stderr);
+    std::fputs(formatDiagnostics(R.Diags).c_str(), stderr);
     if (ListBaselined && !R.Baselined.empty()) {
       std::fprintf(stderr, "-- baselined (%zu) --\n", R.Baselined.size());
-      std::fputs(formatCheckDiags(R.Baselined).c_str(), stderr);
+      std::fputs(formatDiagnostics(R.Baselined).c_str(), stderr);
     }
     for (const std::string &K : R.StaleBaselineKeys)
       std::fprintf(stderr, "note: stale baseline entry (no longer matches "
@@ -153,5 +154,5 @@ int main(int argc, char **argv) {
                  "%zu file(s) analyzed, %zu finding(s), %zu baselined\n",
                  R.FilesAnalyzed, R.Diags.size(), R.Baselined.size());
 
-  return hasCheckErrors(R.Diags) ? 1 : 0;
+  return hasErrors(R.Diags) ? 1 : 0;
 }

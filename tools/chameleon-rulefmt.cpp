@@ -25,7 +25,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "RuleDiagJson.h"
 #include "rules/Printer.h"
 #include "rules/RuleEngine.h"
 #include "rules/Sema.h"
@@ -36,17 +35,20 @@
 #include <string>
 #include <vector>
 
+using namespace chameleon;
 using namespace chameleon::rules;
 
 static int runOnSource(const std::string &Name, const std::string &Source,
                        bool CheckOnly, bool WarningsAreErrors, bool Json,
-                       std::vector<chameleon::tools::RuleDiagBatch> &Batches) {
+                       std::vector<Diagnostic> &JsonDiags) {
   LintResult Result = lintRuleSource(Source, SemaOptions());
-  if (Json)
-    Batches.push_back({Name, Result.Diags});
-  else
-    for (const Diagnostic &D : Result.Diags)
-      std::fprintf(stderr, "%s:%s\n", Name.c_str(), D.format().c_str());
+  for (Diagnostic &D : Result.Diags) {
+    D.File = Name;
+    if (Json)
+      JsonDiags.push_back(D);
+    else
+      std::fprintf(stderr, "%s\n", D.format().c_str());
+  }
   if (Result.hasErrors())
     return 1;
   if (!CheckOnly)
@@ -85,10 +87,10 @@ int main(int argc, char **argv) {
   }
 
   int Status = 0;
-  std::vector<chameleon::tools::RuleDiagBatch> Batches;
+  std::vector<Diagnostic> JsonDiags;
   if (Builtin)
     Status |= runOnSource("<builtin>", RuleEngine::builtinRulesText(),
-                          CheckOnly, WarningsAreErrors, Json, Batches);
+                          CheckOnly, WarningsAreErrors, Json, JsonDiags);
   for (const std::string &File : Files) {
     std::ifstream In(File);
     if (!In) {
@@ -99,10 +101,10 @@ int main(int argc, char **argv) {
     std::ostringstream Buf;
     Buf << In.rdbuf();
     Status |= runOnSource(File, Buf.str(), CheckOnly, WarningsAreErrors, Json,
-                          Batches);
+                          JsonDiags);
   }
   if (Json)
-    std::fputs(chameleon::tools::ruleDiagsToJson(Batches).c_str(), stdout);
+    std::fputs(diagnosticsToJson(JsonDiags).c_str(), stdout);
   if (!Builtin && Files.empty()) {
     std::fprintf(stderr, "%s: no input (try --builtin or a file)\n",
                  argv[0]);

@@ -26,7 +26,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "RuleDiagJson.h"
 #include "rules/RuleEngine.h"
 #include "rules/Sema.h"
 
@@ -37,6 +36,7 @@
 #include <string>
 #include <vector>
 
+using namespace chameleon;
 using namespace chameleon::rules;
 
 namespace {
@@ -54,17 +54,19 @@ void printUsage(const char *Argv0) {
 }
 
 /// Lints one source buffer; returns 1 when it should fail the run. With
-/// \p Json set, diagnostics accumulate into \p Batches (rendered once at
+/// \p Json set, diagnostics accumulate into \p JsonDiags (rendered once at
 /// the end of the run) instead of printing to stderr.
 int lintSource(const std::string &Name, const std::string &Source,
                const SemaOptions &Opts, bool WarningsAreErrors, bool Json,
-               std::vector<chameleon::tools::RuleDiagBatch> &Batches) {
+               std::vector<Diagnostic> &JsonDiags) {
   LintResult Result = lintRuleSource(Source, Opts);
-  if (Json)
-    Batches.push_back({Name, Result.Diags});
-  else
-    for (const Diagnostic &D : Result.Diags)
-      std::fprintf(stderr, "%s:%s\n", Name.c_str(), D.format().c_str());
+  for (Diagnostic &D : Result.Diags) {
+    D.File = Name;
+    if (Json)
+      JsonDiags.push_back(D);
+    else
+      std::fprintf(stderr, "%s\n", D.format().c_str());
+  }
   if (Result.hasErrors())
     return 1;
   if (WarningsAreErrors && Result.hasWarnings())
@@ -134,10 +136,10 @@ int main(int argc, char **argv) {
     Opts.Params = &Params;
 
   int Status = 0;
-  std::vector<chameleon::tools::RuleDiagBatch> Batches;
+  std::vector<Diagnostic> JsonDiags;
   if (Builtin)
     Status |= lintSource("<builtin>", RuleEngine::builtinRulesText(), Opts,
-                         WarningsAreErrors, Json, Batches);
+                         WarningsAreErrors, Json, JsonDiags);
   for (const std::string &File : Files) {
     std::ifstream In(File);
     if (!In) {
@@ -148,9 +150,9 @@ int main(int argc, char **argv) {
     std::ostringstream Buf;
     Buf << In.rdbuf();
     Status |= lintSource(File, Buf.str(), Opts, WarningsAreErrors, Json,
-                         Batches);
+                         JsonDiags);
   }
   if (Json)
-    std::fputs(chameleon::tools::ruleDiagsToJson(Batches).c_str(), stdout);
+    std::fputs(diagnosticsToJson(JsonDiags).c_str(), stdout);
   return Status;
 }

@@ -88,39 +88,12 @@ bool readFile(const std::string &Path, std::string &Out, std::string &Error) {
 
 std::string u64Str(uint64_t V) { return std::to_string(V); }
 
-/// The human view: one row per metric, histograms with their bucket
-/// breakdown folded into the value cell.
+/// The human view: one row per metric, hdr metrics with their count and
+/// percentiles folded into the value cell.
 std::string renderTable(const std::vector<obs::MetricSnapshot> &Snaps) {
   TextTable Table({"metric", "kind", "value"});
-  for (const obs::MetricSnapshot &S : Snaps) {
-    std::string Value;
-    switch (S.Kind) {
-    case obs::MetricKind::Counter:
-      Value = u64Str(S.Value);
-      break;
-    case obs::MetricKind::Gauge:
-      Value = std::to_string(S.GaugeValue);
-      break;
-    case obs::MetricKind::Histogram: {
-      Value = "count=" + u64Str(S.Count) + " sum=" + u64Str(S.Sum);
-      for (size_t I = 0; I < S.Buckets.size(); ++I) {
-        if (S.Buckets[I] == 0)
-          continue;
-        Value += " le(";
-        Value += I < S.Bounds.size() ? u64Str(S.Bounds[I]) : "+Inf";
-        Value += ")=" + u64Str(S.Buckets[I]);
-      }
-      break;
-    }
-    case obs::MetricKind::Hdr:
-      Value = "count=" + u64Str(S.Count) + " min=" + u64Str(S.MinValue) +
-              " p50=" + u64Str(obs::hdrSnapshotQuantile(S, 0.5)) +
-              " p99=" + u64Str(obs::hdrSnapshotQuantile(S, 0.99)) +
-              " max=" + u64Str(S.MaxValue);
-      break;
-    }
-    Table.addRow({S.Name, metricKindName(S.Kind), Value});
-  }
+  for (const obs::MetricSnapshot &S : Snaps)
+    Table.addRow({S.Name, metricKindName(S.Kind), obs::metricValueText(S)});
   return Table.render();
 }
 
