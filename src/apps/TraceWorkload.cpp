@@ -140,13 +140,40 @@ uint32_t rawSize(CollectionRuntime &RT, const CollectionHandleBase &H) {
   return RT.heap().getAs<CollectionImplBase>(W.Impl).size();
 }
 
-/// Executes one task's ops. \p GL / \p GS / \p GM are the task's global
-/// handle slots (persistent main-thread roots during boot, task-local
-/// lazy adoptions on workers). Returns the op count executed.
+/// One handle slot per global register and ADT, sized once per run or
+/// worker. During boot the slots are the main thread's persistent roots;
+/// on a worker they are lazy adoptions that must not outlive their task,
+/// so executeTask lists every slot it adopts and the worker releases
+/// exactly those, keeping a task's cost independent of the global count.
+struct GlobalHandles {
+  std::vector<List> GL;
+  std::vector<Set> GS;
+  std::vector<Map> GM;
+  std::vector<uint32_t> Adopted;
+
+  explicit GlobalHandles(uint32_t Globals)
+      : GL(Globals), GS(Globals), GM(Globals) {}
+
+  /// Drops the roots adopted since the last release.
+  void releaseAdopted() {
+    for (uint32_t Slot : Adopted) {
+      GL[Slot] = List();
+      GS[Slot] = Set();
+      GM[Slot] = Map();
+    }
+    Adopted.clear();
+  }
+};
+
+/// Executes one task's ops against \p G's global handle slots, adopting
+/// the globals it touches that \p G does not hold yet. Returns the op
+/// count executed.
 uint64_t executeTask(CollectionRuntime &RT, ReplayShared &S,
                      const TraceTask &TT, uint32_t Epoch, bool IsBoot,
-                     std::vector<List> &GL, std::vector<Set> &GS,
-                     std::vector<Map> &GM) {
+                     GlobalHandles &G) {
+  std::vector<List> &GL = G.GL;
+  std::vector<Set> &GS = G.GS;
+  std::vector<Map> &GM = G.GM;
   SemanticProfiler &Prof = RT.profiler();
   CHAM_TRACE_SPAN_ARG("replay", "task", "task", TT.Id);
   Prof.setCurrentTask(TT.Id);
@@ -174,24 +201,30 @@ uint64_t executeTask(CollectionRuntime &RT, ReplayShared &S,
     uint32_t Slot = traceRegSlot(Op.Target);
     if (traceRegIsTemp(Op.Target))
       return TL[Slot];
-    if (GL[Slot].isNull())
+    if (GL[Slot].isNull()) {
       GL[Slot] = RT.adoptList(S.GlobalRefs[Slot]);
+      G.Adopted.push_back(Slot);
+    }
     return GL[Slot];
   };
   auto setAt = [&](const TraceOp &Op) -> Set & {
     uint32_t Slot = traceRegSlot(Op.Target);
     if (traceRegIsTemp(Op.Target))
       return TS[Slot];
-    if (GS[Slot].isNull())
+    if (GS[Slot].isNull()) {
       GS[Slot] = RT.adoptSet(S.GlobalRefs[Slot]);
+      G.Adopted.push_back(Slot);
+    }
     return GS[Slot];
   };
   auto mapAt = [&](const TraceOp &Op) -> Map & {
     uint32_t Slot = traceRegSlot(Op.Target);
     if (traceRegIsTemp(Op.Target))
       return TM[Slot];
-    if (GM[Slot].isNull())
+    if (GM[Slot].isNull()) {
       GM[Slot] = RT.adoptMap(S.GlobalRefs[Slot]);
+      G.Adopted.push_back(Slot);
+    }
     return GM[Slot];
   };
   auto iv = [](int64_t V) { return Value::ofInt(V); };
@@ -360,18 +393,16 @@ void replayWorker(CollectionRuntime &RT, ReplayShared &S, ReplayBarrier &B,
                   uint32_t Tid, std::atomic<uint64_t> &OpsOut) {
   MutatorScope Scope(RT);
   uint64_t Ops = 0;
-  const uint32_t Globals = static_cast<uint32_t>(S.GlobalRefs.size());
+  // Adoptions last one task, mirroring ServerSim's per-request
+  // adoptMap/adoptList (adoption is uncounted, so this is free with
+  // respect to the profile).
+  GlobalHandles G(static_cast<uint32_t>(S.GlobalRefs.size()));
   for (uint32_t Epoch = 0; Epoch < S.T.Epochs.size(); ++Epoch) {
     for (const TraceTask &Task : S.T.Epochs[Epoch]) {
       if (Task.Session % S.Threads != Tid)
         continue;
-      // Fresh adoption slots per task, mirroring ServerSim's per-request
-      // adoptMap/adoptList (adoption is uncounted, so this is free with
-      // respect to the profile).
-      std::vector<List> GL(Globals);
-      std::vector<Set> GS(Globals);
-      std::vector<Map> GM(Globals);
-      Ops += executeTask(RT, S, Task, Epoch, /*IsBoot=*/false, GL, GS, GM);
+      Ops += executeTask(RT, S, Task, Epoch, /*IsBoot=*/false, G);
+      G.releaseAdopted();
     }
     GcSafeRegion Region(RT.heap());
     std::unique_lock<std::mutex> L(B.Mu);
@@ -484,13 +515,10 @@ ReplayResult chameleon::apps::replayTrace(CollectionRuntime &RT,
 
   // Boot on the main thread; these handles root the global registers for
   // the whole run.
-  std::vector<List> BootL(T.Header.Globals);
-  std::vector<Set> BootS(T.Header.Globals);
-  std::vector<Map> BootM(T.Header.Globals);
+  GlobalHandles Boot(T.Header.Globals);
   uint64_t MainOps = 0;
   if (T.Boot)
-    MainOps += executeTask(RT, S, *T.Boot, 0, /*IsBoot=*/true, BootL, BootS,
-                           BootM);
+    MainOps += executeTask(RT, S, *T.Boot, 0, /*IsBoot=*/true, Boot);
 
   ReplayBarrier B;
   std::atomic<uint64_t> WorkerOps{0};

@@ -8,8 +8,9 @@
 /// The middle tier of the allocation substrate (DESIGN.md §12): one
 /// spinlocked free list per size class, moving blocks in transfer batches
 /// between the per-thread caches (ThreadCache.h) and the page arena.
-/// Blocks on a list are threaded through their first body word (the 16-byte
-/// header stays intact, tagged "free" for double-return detection).
+/// Blocks on a list are threaded through their first body word (the 16-byte,
+/// 8-aligned header stays intact, tagged "free" for double-return
+/// detection).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,8 +29,10 @@ class PageArena;
 
 /// Every pooled or direct block starts with one of these; the user storage
 /// (a HeapObject) begins immediately after. 16 bytes so the layout
-/// guarantee in SizeClasses.h holds.
-struct alignas(16) BlockHeader {
+/// guarantee in SizeClasses.h holds, but only 8-aligned: the 8-byte-step
+/// classes carve blocks at 8-aligned addresses, so the header must not
+/// demand more.
+struct BlockHeader {
   /// Lifecycle tag (kLiveTag / kFreeTag / kDirectTag). Any other value on
   /// a deallocation path means the pointer never came from this allocator.
   uint64_t State;
@@ -38,6 +41,9 @@ struct alignas(16) BlockHeader {
   /// reserved-bytes gauge can account them.
   uint64_t ClassOrSize;
 };
+static_assert(sizeof(BlockHeader) == 16,
+              "the payload offset and the SizeClasses.h layout guarantee "
+              "assume a 16-byte header");
 
 inline constexpr uint64_t kLiveTag = 0xA110CA7E0115A11Eull;
 inline constexpr uint64_t kFreeTag = 0xF4EEB10CF4EEB10Cull;

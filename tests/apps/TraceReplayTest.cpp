@@ -9,12 +9,16 @@
 /// end: a recorded ServerSim run replays to a byte-identical profiling
 /// report at MutatorThreads 1, 2, and 8 — including through a file
 /// round-trip — and recording itself does not perturb the recorded run.
+/// A generated zipf trace with tens of thousands of global registers holds
+/// the same contract at the scale where a task touches a tiny fraction of
+/// the globals.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "apps/ServerSim.h"
 #include "apps/TraceFormat.h"
 #include "apps/TraceWorkload.h"
+#include "apps/WorkloadGen.h"
 
 #include <gtest/gtest.h>
 
@@ -86,6 +90,29 @@ TEST(TraceReplay, SurvivesAFileRoundTrip) {
   std::remove(Path.c_str());
   EXPECT_EQ(Back.Header.Generator, "serversim");
   EXPECT_EQ(replayWithThreads(Back, 2), Recorded);
+}
+
+TEST(TraceReplay, ManyGlobalsReplayIsByteIdentical) {
+  WorkloadGenConfig Config;
+  Config.Sessions = 1u << 14;
+  Config.Epochs = 2;
+  Config.RequestsPerEpoch = 512;
+  Trace T = generateZipfTrace(Config);
+  ASSERT_EQ(T.Header.Globals, 1u << 15);
+  ASSERT_TRUE(validateTrace(T));
+
+  const std::string OneThread = replayWithThreads(T, 1);
+  EXPECT_FALSE(OneThread.empty());
+
+  TraceCapture Capture;
+  ReplayConfig RC;
+  RC.MutatorThreads = 4;
+  RC.RecordTo = &Capture;
+  CollectionRuntime RT(traceReplayRuntimeConfig(RC));
+  ReplayResult R = replayTrace(RT, T, RC);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Report, OneThread);
+  EXPECT_EQ(writeTrace(Capture.finish()), writeTrace(T));
 }
 
 TEST(TraceReplay, ReplayRejectsInvalidTraces) {
