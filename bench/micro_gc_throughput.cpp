@@ -7,9 +7,9 @@
 /// \file
 /// Times the three GC/profiler hot paths this repository optimises:
 ///
-///  1. full mark+sweep cycles at 1/2/4/8 threads with the persistent
-///     worker pool versus the spawn-per-cycle fallback (the pool's win is
-///     the per-cycle thread start/join cost);
+///  1. full mark+sweep cycles at 1/2/4/8 collector threads, large ones
+///     and frequent small ones (where the persistent worker pool's
+///     per-cycle wake cost shows);
 ///  2. sweep-heavy cycles (most of the heap garbage each cycle) where the
 ///     parallel sweep partitions the slot walk;
 ///  3. `contextForAllocation` throughput with and without the stack-
@@ -41,12 +41,11 @@ constexpr int CyclesPerMeasurement = 9;
 /// Median wall-clock milliseconds per forced GC cycle on a runtime holding
 /// a large live set; \p GarbageChurn additionally allocates a garbage wave
 /// before every cycle so the sweep has real work.
-double cycleMillis(unsigned Threads, bool UsePool, bool GarbageChurn,
+double cycleMillis(unsigned Threads, bool GarbageChurn,
                    uint64_t *LiveObjectsOut = nullptr) {
   RuntimeConfig Config;
   Config.Profiler.Enabled = false;
   Config.GcThreads = Threads;
-  Config.GcUseWorkerPool = UsePool;
   CollectionRuntime RT(Config);
   FrameId Site = RT.site("gc:1");
 
@@ -88,12 +87,11 @@ double cycleMillis(unsigned Threads, bool UsePool, bool GarbageChurn,
 /// Mean microseconds per forced cycle on a *small* live heap collected at
 /// high frequency — the profiled-run regime (a statistics-sampling cycle
 /// every few hundred KiB of allocation), where the per-cycle fixed cost
-/// (thread start/join versus pool wake) dominates the phase work itself.
-double frequentCycleMicros(unsigned Threads, bool UsePool) {
+/// (the pool wake) dominates the phase work itself.
+double frequentCycleMicros(unsigned Threads) {
   RuntimeConfig Config;
   Config.Profiler.Enabled = false;
   Config.GcThreads = Threads;
-  Config.GcUseWorkerPool = UsePool;
   CollectionRuntime RT(Config);
   FrameId Site = RT.site("gc:2");
 
@@ -153,47 +151,39 @@ int main(int argc, char **argv) {
 
   bench::JsonDoc Json;
   Json.field("bench", "micro_gc_throughput");
+  bench::addProvenance(Json);
   Json.field("cores",
              static_cast<uint64_t>(std::thread::hardware_concurrency()));
 
-  TextTable Pool({"threads", "spawn/cycle (ms)", "pool (ms)", "pool gain",
-                  "churn spawn (ms)", "churn pool (ms)"});
+  double Base = 0;
+  TextTable Large({"threads", "cycle (ms)", "vs 1 thread", "churn (ms)"});
   for (unsigned Threads : {1u, 2u, 4u, 8u}) {
     uint64_t LiveObjects = 0;
-    double Spawn = cycleMillis(Threads, /*UsePool=*/false,
-                               /*GarbageChurn=*/false);
-    double Pooled = cycleMillis(Threads, /*UsePool=*/true,
-                                /*GarbageChurn=*/false, &LiveObjects);
-    double SpawnChurn = cycleMillis(Threads, /*UsePool=*/false,
-                                    /*GarbageChurn=*/true);
-    double PooledChurn = cycleMillis(Threads, /*UsePool=*/true,
-                                     /*GarbageChurn=*/true);
-    Pool.addRow({std::to_string(Threads), formatDouble(Spawn, 3),
-                 formatDouble(Pooled, 3),
-                 formatDouble(Spawn / Pooled, 2) + "x",
-                 formatDouble(SpawnChurn, 3), formatDouble(PooledChurn, 3)});
+    double Cycle = cycleMillis(Threads, /*GarbageChurn=*/false, &LiveObjects);
+    double Churn = cycleMillis(Threads, /*GarbageChurn=*/true);
+    if (Threads == 1)
+      Base = Cycle;
+    Large.addRow({std::to_string(Threads), formatDouble(Cycle, 3),
+                  formatDouble(Base / Cycle, 2) + "x",
+                  formatDouble(Churn, 3)});
     Json.beginRecord("gc_cycles");
     Json.record("threads", static_cast<uint64_t>(Threads));
     Json.record("live_objects", LiveObjects);
-    Json.record("spawn_per_cycle_ms", Spawn);
-    Json.record("worker_pool_ms", Pooled);
-    Json.record("spawn_churn_ms", SpawnChurn);
-    Json.record("worker_pool_churn_ms", PooledChurn);
+    Json.record("worker_pool_ms", Cycle);
+    Json.record("worker_pool_churn_ms", Churn);
   }
-  std::printf("%s\n", Pool.render().c_str());
+  std::printf("%s\n", Large.render().c_str());
 
-  TextTable Frequent({"threads", "spawn/cycle (us)", "pool (us)",
-                      "pool gain"});
+  TextTable Frequent({"threads", "cycle (us)", "vs 1 thread"});
   for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    double Spawn = frequentCycleMicros(Threads, /*UsePool=*/false);
-    double Pooled = frequentCycleMicros(Threads, /*UsePool=*/true);
-    Frequent.addRow({std::to_string(Threads), formatDouble(Spawn, 1),
-                     formatDouble(Pooled, 1),
-                     formatDouble(Spawn / Pooled, 2) + "x"});
+    double Cycle = frequentCycleMicros(Threads);
+    if (Threads == 1)
+      Base = Cycle;
+    Frequent.addRow({std::to_string(Threads), formatDouble(Cycle, 1),
+                     formatDouble(Base / Cycle, 2) + "x"});
     Json.beginRecord("gc_cycles");
     Json.record("threads", static_cast<uint64_t>(Threads));
-    Json.record("frequent_spawn_per_cycle_us", Spawn);
-    Json.record("frequent_worker_pool_us", Pooled);
+    Json.record("frequent_worker_pool_us", Cycle);
   }
   std::printf("frequent small cycles (profiled-run regime):\n%s\n",
               Frequent.render().c_str());
@@ -214,10 +204,12 @@ int main(int argc, char **argv) {
   Json.record("context_capture_per_sec_cache_off", SlowRate);
   Json.record("context_cache_hits", Hits);
 
-  std::printf("shape: the pool removes the per-cycle thread start/join, so "
-              "its win grows with\nthread count and cycle frequency; the "
-              "fingerprint cache removes the per-capture\nContextKey build "
-              "and hash probe. Statistics are identical in every mode.\n");
+  std::printf("shape: extra collector threads pay off only when a cycle's "
+              "mark and sweep work\noutweighs the pool wake and phase "
+              "barriers; on frequent small cycles they cost\nmore than they "
+              "save. The fingerprint cache removes the per-capture "
+              "ContextKey\nbuild and hash probe. Statistics are identical "
+              "at every thread count.\n");
 
   std::string JsonPath = bench::jsonOutputPath(argc, argv);
   if (!JsonPath.empty()) {

@@ -13,10 +13,10 @@
 #include "obs/Telemetry.h"
 #include "obs/Trace.h"
 #include "support/FaultInjector.h"
+#include "support/Format.h"
 #include "support/SplitMix64.h"
 
 #include <condition_variable>
-#include <cstdarg>
 #include <cstdio>
 #include <mutex>
 #include <thread>
@@ -56,15 +56,6 @@ const char *const ServerSimFrameLabels[NumServerSimFrames] = {
     "Server.boot",
 };
 
-/// Epoch barrier. Workers park inside a GcSafeRegion while they wait so
-/// the main thread can stop the world (flush + forced GC) between epochs.
-struct EpochBarrier {
-  std::mutex Mu;
-  std::condition_variable Cv;
-  uint32_t Arrived = 0;
-  uint64_t Generation = 0;
-};
-
 /// Immutable run state shared with the workers.
 struct RunState {
   ServerSimConfig Config;
@@ -80,15 +71,6 @@ struct RunState {
   /// request).
   TraceCapture *Capture = nullptr;
 };
-
-void appendf(std::string &Out, const char *Fmt, ...) {
-  char Buf[512];
-  va_list Args;
-  va_start(Args, Fmt);
-  std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
-  va_end(Args);
-  Out += Buf;
-}
 
 /// One request. \p Task is globally unique across the whole run (epochs
 /// included); \p Req is the per-epoch request number, which determines the
@@ -194,47 +176,37 @@ void handleRequest(CollectionRuntime &RT, const RunState &S, uint64_t Task,
   }
 }
 
-/// Worker body: register as a mutator, then handle this thread's share of
-/// each epoch's requests (session s belongs to worker s % Threads).
-void workerMain(CollectionRuntime &RT, const RunState &S, EpochBarrier &B,
-                uint32_t Tid) {
-  MutatorScope Scope(RT);
-  // Recording batches each epoch's tasks locally and submits them in one
+/// One worker's share of one epoch's requests: session s belongs to
+/// worker s % Threads, and its requests run in request order.
+void serveEpoch(CollectionRuntime &RT, const RunState &S, uint32_t Tid,
+                uint32_t Epoch) {
+  // Recording batches the epoch's tasks locally and submits them in one
   // addTasks call, so the capture mutex never contends on the hot path.
   std::vector<TraceTask> Recorded;
-  for (uint32_t Epoch = 0; Epoch < S.Config.Epochs; ++Epoch) {
-    if (S.Capture)
-      Recorded.reserve(S.Config.RequestsPerEpoch / S.Threads + 1);
-    for (uint32_t Req = 0; Req < S.Config.RequestsPerEpoch; ++Req) {
-      if ((Req % S.Config.Sessions) % S.Threads != Tid)
-        continue;
-      // Task 0 is the main thread's boot phase; request tasks start at 1.
-      uint64_t Task =
-          1 + static_cast<uint64_t>(Epoch) * S.Config.RequestsPerEpoch + Req;
-      if (S.Capture) {
-        TaskTrace Rec;
-        Rec.Task.Id = Task;
-        Rec.Task.Session = Req % S.Config.Sessions;
-        Rec.Task.FrameIdx = Req % 3;
-        // The widest request (query) emits ~34 ops; one up-front reserve
-        // keeps the emit helpers reallocation-free.
-        Rec.Task.Ops.reserve(40);
-        handleRequest(RT, S, Task, Req, &Rec);
-        Recorded.push_back(std::move(Rec.Task));
-      } else {
-        handleRequest(RT, S, Task, Req, nullptr);
-      }
+  if (S.Capture)
+    Recorded.reserve(S.Config.RequestsPerEpoch / S.Threads + 1);
+  for (uint32_t Req = 0; Req < S.Config.RequestsPerEpoch; ++Req) {
+    if ((Req % S.Config.Sessions) % S.Threads != Tid)
+      continue;
+    // Task 0 is the main thread's boot phase; request tasks start at 1.
+    uint64_t Task =
+        1 + static_cast<uint64_t>(Epoch) * S.Config.RequestsPerEpoch + Req;
+    if (S.Capture) {
+      TaskTrace Rec;
+      Rec.Task.Id = Task;
+      Rec.Task.Session = Req % S.Config.Sessions;
+      Rec.Task.FrameIdx = Req % 3;
+      // The widest request (query) emits ~34 ops; one up-front reserve
+      // keeps the emit helpers reallocation-free.
+      Rec.Task.Ops.reserve(40);
+      handleRequest(RT, S, Task, Req, &Rec);
+      Recorded.push_back(std::move(Rec.Task));
+    } else {
+      handleRequest(RT, S, Task, Req, nullptr);
     }
-    if (S.Capture)
-      S.Capture->addTasks(Epoch, std::move(Recorded));
-    // Park until the main thread has flushed + collected for this epoch.
-    GcSafeRegion Region(RT.heap());
-    std::unique_lock<std::mutex> L(B.Mu);
-    uint64_t Gen = B.Generation;
-    ++B.Arrived;
-    B.Cv.notify_all();
-    B.Cv.wait(L, [&] { return B.Generation != Gen; });
   }
+  if (S.Capture)
+    S.Capture->addTasks(Epoch, std::move(Recorded));
 }
 
 } // namespace
@@ -277,11 +249,58 @@ std::string chameleon::apps::buildServerSimReport(CollectionRuntime &RT,
   return Out;
 }
 
-namespace {
+void chameleon::apps::runEpochs(
+    CollectionRuntime &RT, uint32_t Threads, uint32_t Epochs,
+    [[maybe_unused]] const char *SpanCategory,
+    const std::function<void(uint32_t Tid, uint32_t Epoch)> &WorkerEpoch,
+    const std::function<void(uint32_t Epoch, CollectionRuntime &RT)>
+        &OnBarrier) {
+  std::mutex Mu;
+  std::condition_variable Cv;
+  uint32_t Arrived = 0;
+  uint64_t Generation = 0;
+  std::vector<std::thread> Workers;
+  Workers.reserve(Threads);
+  for (uint32_t Tid = 0; Tid < Threads; ++Tid)
+    Workers.emplace_back([&, Tid] {
+      MutatorScope Scope(RT);
+      for (uint32_t Epoch = 0; Epoch < Epochs; ++Epoch) {
+        WorkerEpoch(Tid, Epoch);
+        // Park inside a safe region, so the main thread can stop the
+        // world, until it has flushed and collected for this epoch.
+        GcSafeRegion Region(RT.heap());
+        std::unique_lock<std::mutex> L(Mu);
+        uint64_t Gen = Generation;
+        ++Arrived;
+        Cv.notify_all();
+        Cv.wait(L, [&] { return Generation != Gen; });
+      }
+    });
 
-/// Randomized fault plan for one chaos run, derived entirely from the seed
-/// so a failing run replays from its printed seed.
-FaultPlan buildChaosPlan(uint64_t Seed) {
+  for (uint32_t Epoch = 0; Epoch < Epochs; ++Epoch) {
+    {
+      std::unique_lock<std::mutex> L(Mu);
+      Cv.wait(L, [&] { return Arrived == Threads; });
+    }
+    // All workers are parked in safe regions: flush the per-thread event
+    // buffers deterministically, then take the epoch's statistics cycle.
+    CHAM_TRACE_SPAN_ARG(SpanCategory, "epoch_barrier", "epoch", Epoch);
+    RT.flushMutatorStatistics();
+    RT.heap().collect(/*Forced=*/true);
+    if (OnBarrier)
+      OnBarrier(Epoch, RT);
+    {
+      std::lock_guard<std::mutex> L(Mu);
+      Arrived = 0;
+      ++Generation;
+      Cv.notify_all();
+    }
+  }
+  for (std::thread &W : Workers)
+    W.join();
+}
+
+FaultPlan chameleon::apps::buildChaosPlan(uint64_t Seed) {
   SplitMix64 Rng(Seed ^ Gamma);
   FaultPlan Plan;
   Plan.Seed = Seed;
@@ -297,6 +316,8 @@ FaultPlan buildChaosPlan(uint64_t Seed) {
                         0.01 + 0.05 * Rng.nextDouble(), ~0ull});
   return Plan;
 }
+
+namespace {
 
 /// Scopes the chaos machinery to one run: arms the plan, installs the
 /// online selector and the soft heap limit, and tears all three down (in
@@ -501,70 +522,45 @@ ServerSimResult chameleon::apps::runServerSim(CollectionRuntime &RT,
     }
   }
 
-  EpochBarrier B;
-  std::vector<std::thread> Workers;
-  Workers.reserve(S.Threads);
-  for (uint32_t T = 0; T < S.Threads; ++T)
-    Workers.emplace_back(
-        [&RT, &S, &B, T] { workerMain(RT, S, B, T); });
-
-  for (uint32_t Epoch = 0; Epoch < Config.Epochs; ++Epoch) {
-    {
-      std::unique_lock<std::mutex> L(B.Mu);
-      B.Cv.wait(L, [&] { return B.Arrived == S.Threads; });
+  // Flips every session's backing through the transactional migration
+  // path: even epochs to ArrayMap/LinkedList, odd ones back.
+  auto FlipSessions = [&](uint32_t Epoch) {
+    ImplKind MapTarget =
+        (Epoch % 2 == 0) ? ImplKind::ArrayMap : ImplKind::HashMap;
+    ImplKind ListTarget =
+        (Epoch % 2 == 0) ? ImplKind::LinkedList : ImplKind::ArrayList;
+    for (uint32_t I = 0; I < Config.Sessions; ++I) {
+      (void)RT.migrateCollection(S.SessionAttrs[I], MapTarget);
+      (void)RT.migrateCollection(S.SessionHistory[I], ListTarget);
     }
-    // All workers are parked in safe regions: flush the per-thread event
-    // buffers deterministically, then take the epoch's statistics cycle.
-    CHAM_TRACE_SPAN_ARG("server", "epoch_barrier", "epoch", Epoch);
-    RT.flushMutatorStatistics();
-    RT.heap().collect(/*Forced=*/true);
-    if (Config.Chaos) {
-      // Chaos migration storm: while the workers are parked, flip every
-      // session's backing through the transactional migration path, under
-      // the armed fault plan. Some attempts abort (and must roll back —
-      // the workers' next epoch runs against the surviving contents);
-      // the rest commit and flip back next epoch.
-      ImplKind MapTarget =
-          (Epoch % 2 == 0) ? ImplKind::ArrayMap : ImplKind::HashMap;
-      ImplKind ListTarget =
-          (Epoch % 2 == 0) ? ImplKind::LinkedList : ImplKind::ArrayList;
-      for (uint32_t I = 0; I < Config.Sessions; ++I) {
-        (void)RT.migrateCollection(S.SessionAttrs[I], MapTarget);
-        (void)RT.migrateCollection(S.SessionHistory[I], ListTarget);
-      }
-    }
-    if (Config.DecisionLedger) {
-      // Ledger pass: rule evaluation over every context against the
-      // just-folded (post-flush, canonically renumbered) profile, then a
-      // deterministic migration flip of the session collections so the
-      // full lifecycle (start/build/verify/publish/commit) appears in the
-      // ledger. Main thread only, workers parked: the record order is a
-      // pure function of the workload, never of thread scheduling.
-      std::vector<rules::Suggestion> Suggs;
-      for (const ContextInfo *Ctx : Prof.contexts())
-        LedgerEngine->evaluateContext(*Ctx, Prof, Suggs);
-      ImplKind MapTarget =
-          (Epoch % 2 == 0) ? ImplKind::ArrayMap : ImplKind::HashMap;
-      ImplKind ListTarget =
-          (Epoch % 2 == 0) ? ImplKind::LinkedList : ImplKind::ArrayList;
-      for (uint32_t I = 0; I < Config.Sessions; ++I) {
-        (void)RT.migrateCollection(S.SessionAttrs[I], MapTarget);
-        (void)RT.migrateCollection(S.SessionHistory[I], ListTarget);
-      }
-    }
-    if (!Config.FlightRecorderPath.empty())
-      obs::FlightRecorder::instance().checkpoint();
-    if (Config.TelemetryTicker)
-      printTicker(RT, Epoch, Config.Epochs);
-    {
-      std::lock_guard<std::mutex> L(B.Mu);
-      B.Arrived = 0;
-      ++B.Generation;
-      B.Cv.notify_all();
-    }
-  }
-  for (std::thread &W : Workers)
-    W.join();
+  };
+  runEpochs(
+      RT, S.Threads, Config.Epochs, "server",
+      [&](uint32_t Tid, uint32_t Epoch) { serveEpoch(RT, S, Tid, Epoch); },
+      [&](uint32_t Epoch, CollectionRuntime &) {
+        // Chaos migration storm: while the workers are parked, flip the
+        // sessions under the armed fault plan. Some attempts abort (and
+        // must roll back — the workers' next epoch runs against the
+        // surviving contents); the rest commit and flip back next epoch.
+        if (Config.Chaos)
+          FlipSessions(Epoch);
+        if (Config.DecisionLedger) {
+          // Ledger pass: rule evaluation over every context against the
+          // just-folded (post-flush, canonically renumbered) profile, then
+          // a deterministic flip of the sessions so the full lifecycle
+          // (start/build/verify/publish/commit) appears in the ledger.
+          // Main thread only, workers parked: the record order is a pure
+          // function of the workload, never of thread scheduling.
+          std::vector<rules::Suggestion> Suggs;
+          for (const ContextInfo *Ctx : Prof.contexts())
+            LedgerEngine->evaluateContext(*Ctx, Prof, Suggs);
+          FlipSessions(Epoch);
+        }
+        if (!Config.FlightRecorderPath.empty())
+          obs::FlightRecorder::instance().checkpoint();
+        if (Config.TelemetryTicker)
+          printTicker(RT, Epoch, Config.Epochs);
+      });
 
   // Fold the still-live session collections and canonicalize the report.
   RT.harvestLiveStatistics();

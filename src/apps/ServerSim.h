@@ -27,7 +27,12 @@
 #include "collections/Handles.h"
 
 #include <cstdint>
+#include <functional>
 #include <string>
+
+namespace chameleon {
+struct FaultPlan;
+} // namespace chameleon
 
 namespace chameleon::apps {
 
@@ -120,6 +125,26 @@ ServerSimResult runServerSim(CollectionRuntime &RT,
 /// Call after the final forced GC and harvestLiveStatistics().
 std::string buildServerSimReport(CollectionRuntime &RT, uint32_t Sessions,
                                  uint32_t Epochs, uint64_t Requests);
+
+/// The epoch engine of runServerSim and replayTrace (DESIGN.md §14.2).
+/// Starts \p Threads workers, each registered through a MutatorScope, that
+/// run `WorkerEpoch(Tid, Epoch)` for every epoch and then park in a
+/// GcSafeRegion at the epoch barrier. With every worker parked, the main
+/// thread flushes the per-thread profiling buffers, forces one collection,
+/// calls `OnBarrier(Epoch, RT)` (when set) and releases the next epoch.
+/// The barrier is traced as the span `<SpanCategory>/epoch_barrier`.
+void runEpochs(
+    CollectionRuntime &RT, uint32_t Threads, uint32_t Epochs,
+    const char *SpanCategory,
+    const std::function<void(uint32_t Tid, uint32_t Epoch)> &WorkerEpoch,
+    const std::function<void(uint32_t Epoch, CollectionRuntime &RT)>
+        &OnBarrier);
+
+/// The randomized fault plan of a chaos run or replay, derived entirely
+/// from \p Seed so a failing run replays from its printed seed: forced GCs
+/// at allocation instants, and injected failures inside migration
+/// transactions and in the allocations a shadow build performs.
+FaultPlan buildChaosPlan(uint64_t Seed);
 
 } // namespace chameleon::apps
 

@@ -10,14 +10,11 @@
 #include "obs/Telemetry.h"
 #include "obs/Trace.h"
 #include "support/FaultInjector.h"
-#include "support/SplitMix64.h"
+#include "support/Format.h"
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <cstdarg>
 #include <cstdio>
-#include <thread>
 
 using namespace chameleon;
 using namespace chameleon::apps;
@@ -82,26 +79,6 @@ Trace TraceCapture::finish() {
 
 namespace {
 
-constexpr uint64_t Gamma = 0x9E3779B97F4A7C15ULL;
-
-void appendf(std::string &Out, const char *Fmt, ...) {
-  char Buf[512];
-  va_list Args;
-  va_start(Args, Fmt);
-  std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
-  va_end(Args);
-  Out += Buf;
-}
-
-/// Same barrier shape as ServerSim's: workers park in a GcSafeRegion while
-/// the main thread flushes the profile buffers and forces the epoch GC.
-struct ReplayBarrier {
-  std::mutex Mu;
-  std::condition_variable Cv;
-  uint32_t Arrived = 0;
-  uint64_t Generation = 0;
-};
-
 /// Run state shared with the workers. Globals are rooted by main-thread
 /// handles for the whole run; after boot, workers only read this.
 struct ReplayShared {
@@ -113,23 +90,6 @@ struct ReplayShared {
   std::vector<uint8_t> GlobalLive;
   TraceCapture *Capture = nullptr;
 };
-
-/// The randomized chaos plan for a replay run — the same adversarial shape
-/// ServerSim's chaos mode uses (forced GCs at allocation instants,
-/// injected failures inside migration transactions and in the allocations
-/// a shadow build performs).
-FaultPlan replayChaosPlan(uint64_t Seed) {
-  SplitMix64 Rng(Seed ^ Gamma);
-  FaultPlan Plan;
-  Plan.Seed = Seed;
-  Plan.Rules.push_back({"gc.alloc", FaultAction::ForceGc, /*NthHit=*/0,
-                        0.0005 + 0.002 * Rng.nextDouble(), ~0ull});
-  Plan.Rules.push_back({"migrate.*", FaultAction::FailAlloc, /*NthHit=*/0,
-                        0.05 + 0.25 * Rng.nextDouble(), ~0ull});
-  Plan.Rules.push_back({"*.reserve", FaultAction::FailAlloc, /*NthHit=*/0,
-                        0.01 + 0.05 * Rng.nextDouble(), ~0ull});
-  return Plan;
-}
 
 /// Uncounted size read, for the interpreter's index guards: goes straight
 /// to the backing implementation so the guard itself never perturbs the
@@ -387,29 +347,24 @@ uint64_t executeTask(CollectionRuntime &RT, ReplayShared &S,
   return TT.Ops.size();
 }
 
-/// Worker body: same partition and barrier discipline as ServerSim —
-/// session s belongs to worker s % Threads, tasks run in trace order.
-void replayWorker(CollectionRuntime &RT, ReplayShared &S, ReplayBarrier &B,
-                  uint32_t Tid, std::atomic<uint64_t> &OpsOut) {
-  MutatorScope Scope(RT);
+/// One worker's share of one epoch, partitioned as ServerSim partitions
+/// requests: session s belongs to worker s % Threads, tasks run in trace
+/// order. \p G is the worker's adoption table, built on its first epoch
+/// and kept for the whole run.
+void replayEpoch(CollectionRuntime &RT, ReplayShared &S, uint32_t Tid,
+                 uint32_t Epoch, std::optional<GlobalHandles> &G,
+                 std::atomic<uint64_t> &OpsOut) {
+  if (!G)
+    G.emplace(static_cast<uint32_t>(S.GlobalRefs.size()));
   uint64_t Ops = 0;
-  // Adoptions last one task, mirroring ServerSim's per-request
-  // adoptMap/adoptList (adoption is uncounted, so this is free with
-  // respect to the profile).
-  GlobalHandles G(static_cast<uint32_t>(S.GlobalRefs.size()));
-  for (uint32_t Epoch = 0; Epoch < S.T.Epochs.size(); ++Epoch) {
-    for (const TraceTask &Task : S.T.Epochs[Epoch]) {
-      if (Task.Session % S.Threads != Tid)
-        continue;
-      Ops += executeTask(RT, S, Task, Epoch, /*IsBoot=*/false, G);
-      G.releaseAdopted();
-    }
-    GcSafeRegion Region(RT.heap());
-    std::unique_lock<std::mutex> L(B.Mu);
-    uint64_t Gen = B.Generation;
-    ++B.Arrived;
-    B.Cv.notify_all();
-    B.Cv.wait(L, [&] { return B.Generation != Gen; });
+  for (const TraceTask &Task : S.T.Epochs[Epoch]) {
+    if (Task.Session % S.Threads != Tid)
+      continue;
+    Ops += executeTask(RT, S, Task, Epoch, /*IsBoot=*/false, *G);
+    // Adoptions last one task, mirroring ServerSim's per-request
+    // adoptMap/adoptList (adoption is uncounted, so this is free with
+    // respect to the profile).
+    G->releaseAdopted();
   }
   OpsOut.fetch_add(Ops, std::memory_order_relaxed);
 }
@@ -491,12 +446,12 @@ ReplayResult chameleon::apps::replayTrace(CollectionRuntime &RT,
   if (Config.OnlineAdapt) {
     Engine.emplace();
     Engine->addBuiltinRules();
-    Adaptor.emplace(*Engine, Prof, Config.Online);
+    Adaptor.emplace(*Engine, Prof);
     RT.setOnlineSelector(&*Adaptor);
   }
   if (Config.Chaos) {
     RT.heap().setSoftHeapLimit(Config.ChaosSoftHeapLimitBytes);
-    FaultInjector::instance().arm(replayChaosPlan(Config.ChaosSeed));
+    FaultInjector::instance().arm(buildChaosPlan(Config.ChaosSeed));
   }
 
   ReplayShared S{T,  1,  {}, {}, {}, {}, Config.RecordTo};
@@ -520,34 +475,14 @@ ReplayResult chameleon::apps::replayTrace(CollectionRuntime &RT,
   if (T.Boot)
     MainOps += executeTask(RT, S, *T.Boot, 0, /*IsBoot=*/true, Boot);
 
-  ReplayBarrier B;
   std::atomic<uint64_t> WorkerOps{0};
-  std::vector<std::thread> Workers;
-  Workers.reserve(S.Threads);
-  for (uint32_t Tid = 0; Tid < S.Threads; ++Tid)
-    Workers.emplace_back([&RT, &S, &B, Tid, &WorkerOps] {
-      replayWorker(RT, S, B, Tid, WorkerOps);
-    });
-
-  for (uint32_t Epoch = 0; Epoch < T.Header.Epochs; ++Epoch) {
-    {
-      std::unique_lock<std::mutex> L(B.Mu);
-      B.Cv.wait(L, [&] { return B.Arrived == S.Threads; });
-    }
-    CHAM_TRACE_SPAN_ARG("replay", "epoch_barrier", "epoch", Epoch);
-    RT.flushMutatorStatistics();
-    RT.heap().collect(/*Forced=*/true);
-    if (Config.OnEpochBarrier)
-      Config.OnEpochBarrier(Epoch, RT);
-    {
-      std::lock_guard<std::mutex> L(B.Mu);
-      B.Arrived = 0;
-      ++B.Generation;
-      B.Cv.notify_all();
-    }
-  }
-  for (std::thread &W : Workers)
-    W.join();
+  std::vector<std::optional<GlobalHandles>> Adoptions(S.Threads);
+  runEpochs(
+      RT, S.Threads, T.Header.Epochs, "replay",
+      [&](uint32_t Tid, uint32_t Epoch) {
+        replayEpoch(RT, S, Tid, Epoch, Adoptions[Tid], WorkerOps);
+      },
+      Config.OnEpochBarrier);
 
   RT.harvestLiveStatistics();
 

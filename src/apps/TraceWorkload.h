@@ -13,9 +13,10 @@
 /// epoch boundaries — into a `Trace`. Disarmed, the hooks cost one null
 /// check per op.
 ///
-/// Replay: `replayTrace` feeds a trace back through the same mutator-pool
-/// shape ServerSim uses (statically partitioned sessions, epoch barriers
-/// with a deterministic flush + forced GC) at any MutatorThreads count.
+/// Replay: `replayTrace` feeds a trace back through ServerSim's epoch
+/// engine (`runEpochs`: epoch barriers with a deterministic flush + forced
+/// GC), with sessions statically partitioned over the workers as in
+/// ServerSim, at any MutatorThreads count.
 /// For a valid trace the profiling report is byte-identical to the
 /// recording run's at every thread count. Optionally the replay runs
 /// under the OnlineAdaptor (builtin rules, live migration with
@@ -123,17 +124,16 @@ private:
 struct ReplayConfig {
   /// Worker threads; the report is byte-identical at any count.
   uint32_t MutatorThreads = 4;
-  /// Install the builtin rule engine behind an OnlineAdaptor for the run,
-  /// so the replayed workload drives live migrations (backoff/pinning
-  /// included). Report byte-identity across thread counts is not
-  /// guaranteed in this mode — migration timing depends on interleaving.
+  /// Install the builtin rule engine behind an OnlineAdaptor (default
+  /// OnlineConfig) for the run, so the replayed workload drives live
+  /// migrations (backoff/pinning included). Report byte-identity across
+  /// thread counts is not guaranteed in this mode — migration timing
+  /// depends on interleaving.
   bool OnlineAdapt = false;
   /// RuntimeConfig::OnlineRevisePeriod for the replay runtime (see
   /// traceReplayRuntimeConfig). Replay defaults low so the generated
   /// workloads revise — and thus migrate — frequently.
   uint32_t OnlineRevisePeriod = 8;
-  /// Adaptor tuning (warmup, backoff, pinning) for OnlineAdapt mode.
-  OnlineConfig Online;
   /// Arm the fault injector with a randomized plan for the run (forced
   /// GCs at allocation, failures inside migration transactions).
   bool Chaos = false;

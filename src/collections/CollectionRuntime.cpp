@@ -101,9 +101,6 @@ CollectionRuntime::CollectionRuntime(RuntimeConfig Config)
   Heap.setRecordTypeDistribution(Config.RecordTypeDistribution);
   Heap.setGcSampleEveryBytes(Config.GcSampleEveryBytes);
   Heap.setGcThreads(Config.GcThreads ? Config.GcThreads : 1);
-  Heap.setUseWorkerPool(Config.GcUseWorkerPool);
-  Heap.setSoftHeapLimit(Config.SoftHeapLimitBytes);
-  Heap.setUseThreadCaches(Config.UseThreadCaches);
   registerTypes();
 }
 

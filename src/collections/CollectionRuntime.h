@@ -71,18 +71,6 @@ struct RuntimeConfig {
   /// time changes. Threads > 1 starts a persistent worker pool on the
   /// heap's first parallel cycle.
   unsigned GcThreads = 1;
-  /// Park the collector threads between cycles (the persistent pool)
-  /// rather than spawning them per cycle. Off exists only so benches can
-  /// measure the spawn-per-cycle cost the pool removes.
-  bool GcUseWorkerPool = true;
-  /// Soft heap limit in model bytes (0 = none): the graceful-degradation
-  /// threshold — see GcHeap::setSoftHeapLimit.
-  uint64_t SoftHeapLimitBytes = 0;
-  /// Per-mutator-thread slot caches on the allocation fast path
-  /// (DESIGN.md §12). Off serialises every allocation on the heap's
-  /// allocation mutex — the A/B baseline for the contended-allocation
-  /// bench; results are identical either way.
-  bool UseThreadCaches = true;
   /// Consult the online selector about migrating a *live* collection every
   /// this many mutating operations on it (0 disables live migration;
   /// allocation-time selection is unaffected).

@@ -8,11 +8,10 @@
 
 #include "obs/Json.h"
 #include "obs/Metrics.h"
+#include "support/Format.h"
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -217,17 +216,7 @@ uint64_t DecisionLog::unsafeDroppedForCrash() const {
 
 namespace {
 
-void appendf(std::string &Out, const char *Fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void appendf(std::string &Out, const char *Fmt, ...) {
-  char Buf[512];
-  va_list Args;
-  va_start(Args, Fmt);
-  std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
-  va_end(Args);
-  Out += Buf;
-}
+using chameleon::appendf;
 
 /// Shortest-roundtrip double formatting (%.17g is deterministic and
 /// parses back exactly; trailing-zero noise does not matter for the

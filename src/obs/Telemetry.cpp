@@ -7,11 +7,11 @@
 #include "obs/Telemetry.h"
 
 #include "obs/DecisionLog.h"
+#include "support/Format.h"
 
 #include <algorithm>
 #include <cctype>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <filesystem>
 
@@ -19,17 +19,7 @@ using namespace chameleon::obs;
 
 namespace {
 
-void appendf(std::string &Out, const char *Fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void appendf(std::string &Out, const char *Fmt, ...) {
-  char Buf[512];
-  va_list Args;
-  va_start(Args, Fmt);
-  std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
-  va_end(Args);
-  Out += Buf;
-}
+using chameleon::appendf;
 
 /// Prometheus metric names allow [a-zA-Z0-9_:]; our dotted scheme maps
 /// '.' (and any other outsider) to '_'.

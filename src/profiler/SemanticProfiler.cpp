@@ -20,6 +20,15 @@ CHAM_METRIC_COUNTER(ProfSpilledEvents, "cham.profiler.spilled_events");
 CHAM_METRIC_COUNTER(ProfEpochFlushes, "cham.profiler.epoch_flushes");
 CHAM_METRIC_GAUGE(ProfShedMultiplier, "cham.profiler.shed_multiplier");
 
+/// Shed mode (heap pressure): cap on the multiplicative sampling-period
+/// back-off (effective period = SamplingPeriod * multiplier).
+constexpr uint32_t MaxShedMultiplier = 64;
+/// Shed mode: while pressure lasts, each thread's pending-event buffer is
+/// bounded to this many events, spilling the oldest eighth (counted, per
+/// kind) when it fills. Buffers are unbounded when the heap is not under
+/// pressure.
+constexpr size_t ShedBufferLimit = 4096;
+
 /// Monotonic profiler-instance ids for the thread-local state cache (see
 /// SemanticProfiler::tlsStateSlow).
 std::atomic<uint64_t> NextProfilerInstanceId{1};
@@ -305,14 +314,12 @@ void SemanticProfiler::noteDeath(ContextInfo *Ctx, ObjectContextInfo &Info) {
 }
 
 void SemanticProfiler::boundPending(ProfilerThreadState &S) {
-  if (Config.ShedBufferLimit == 0
-      || !ShedActive.load(std::memory_order_relaxed)
-      || S.Pending.size() <= Config.ShedBufferLimit)
+  if (!ShedActive.load(std::memory_order_relaxed)
+      || S.Pending.size() <= ShedBufferLimit)
     return;
   // Spill the oldest eighth: the newest events are the ones the next flush
   // most needs, and spilling in blocks amortises the erase.
-  size_t Spill = std::max<size_t>(Config.ShedBufferLimit / 8, 1);
-  Spill = std::min(Spill, S.Pending.size());
+  constexpr size_t Spill = ShedBufferLimit / 8;
   for (size_t I = 0; I < Spill; ++I) {
     if (S.Pending[I].Kind == PendingProfileEvent::Alloc)
       ++S.DroppedAllocs;
@@ -435,7 +442,7 @@ void SemanticProfiler::onHeapPressure(uint64_t BytesInUse,
   // halves the effective sampling rate again.
   uint32_t Mult = ShedMultiplier.load(std::memory_order_relaxed);
   uint32_t Next = std::min<uint64_t>(static_cast<uint64_t>(Mult) * 2,
-                                     std::max(1u, Config.MaxShedMultiplier));
+                                     MaxShedMultiplier);
   ShedMultiplier.store(Next, std::memory_order_relaxed);
   ProfShedMultiplier.set(Next);
   CHAM_TRACE_INSTANT_ARG("profiler", "shed_on", "multiplier",

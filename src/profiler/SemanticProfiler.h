@@ -79,14 +79,6 @@ struct ProfilerConfig {
   /// than folding directly. Equivalent to calling
   /// enableConcurrentMutators() before any profiled work.
   bool ConcurrentMutators = false;
-  /// Shed mode (heap pressure): cap on the multiplicative sampling-period
-  /// back-off (effective period = SamplingPeriod * multiplier).
-  unsigned MaxShedMultiplier = 64;
-  /// Shed mode: while pressure lasts, bound each thread's pending-event
-  /// buffer to this many events, spilling the oldest eighth (counted, per
-  /// kind) when it fills. 0 disables the bound. Buffers are unbounded when
-  /// the heap is not under pressure.
-  unsigned ShedBufferLimit = 4096;
 };
 
 /// Snapshot of the profiler's load-shedding state and loss accounting,
@@ -288,8 +280,8 @@ public:
   }
 
   /// The current sampling-period multiplier (1 = full rate). Doubles on
-  /// every pressure event (capped at MaxShedMultiplier), restores
-  /// additively — one step per GC cycle — once pressure clears.
+  /// every pressure event (capped at 64), restores additively — one step
+  /// per GC cycle — once pressure clears.
   uint32_t shedMultiplier() const {
     return ShedMultiplier.load(std::memory_order_relaxed);
   }
@@ -400,7 +392,7 @@ private:
   std::vector<ContextInfo *> Ordered;
 
   /// Spills the oldest eighth of \p S's pending buffer (counted, per kind)
-  /// when shed mode is active and the buffer exceeds ShedBufferLimit.
+  /// when shed mode is active and the buffer exceeds 4096 events.
   void boundPending(ProfilerThreadState &S);
 
   std::vector<ContextInfo *> TouchedThisCycle;

@@ -86,25 +86,7 @@ void GcHeap::setGcThreads(unsigned Threads) {
   GcThreads = Threads;
 }
 
-void GcHeap::setUseWorkerPool(bool On) {
-  assert(!InCollection && "changing pool mode during a GC cycle");
-  if (!On)
-    Pool.reset();
-  UseWorkerPool = On;
-}
-
 void GcHeap::runOnWorkers(const std::function<void(unsigned)> &Task) {
-  if (!UseWorkerPool) {
-    // Spawn-per-cycle fallback (the original §4.3.2 implementation); kept
-    // so the GC-throughput bench can measure what the pool saves.
-    std::vector<std::thread> Workers;
-    Workers.reserve(GcThreads);
-    for (unsigned T = 0; T < GcThreads; ++T)
-      Workers.emplace_back([&Task, T] { Task(T); });
-    for (std::thread &W : Workers)
-      W.join();
-    return;
-  }
   if (!Pool || Pool->workerCount() != GcThreads)
     Pool = std::make_unique<GcWorkerPool>(GcThreads);
   Pool->run(Task);

@@ -189,19 +189,14 @@ public:
   void setGcThreads(unsigned Threads);
   unsigned gcThreads() const { return GcThreads; }
 
-  /// When false, parallel phases fall back to spawning (and joining) fresh
-  /// threads every cycle instead of waking the persistent pool — the
-  /// pre-pool behaviour, kept as an A/B knob for the GC-throughput bench.
-  void setUseWorkerPool(bool On);
-  bool useWorkerPool() const { return UseWorkerPool; }
-
   /// When true (default), each mutator thread allocates slot ids out of a
   /// per-thread cache refilled in batches under a spinlock, so the hot
   /// allocation path takes no lock at all; when false, every allocation
-  /// serialises on AllocMu exactly as before (the A/B baseline for the
-  /// `--contend` bench). Flushes all caches on any change, so slot-table
-  /// state is identical to what the locked path would have produced; safe
-  /// to call only while no mutator threads are running.
+  /// serialises on AllocMu. The locked path is the reference the allocator
+  /// differential tests compare the cached one against. Flushes all caches
+  /// on any change, so slot-table state is identical to what the locked
+  /// path would have produced; safe to call only while no mutator threads
+  /// are running.
   void setUseThreadCaches(bool On);
   bool useThreadCaches() const { return UseThreadCaches; }
 
@@ -485,9 +480,8 @@ private:
   /// The multi-threaded sweep (GcThreads > 1): one contiguous slot range
   /// per worker, per-worker freed/death buffers, deterministic replay.
   CHAM_NO_SAFEPOINT void sweepPhaseParallel(GcCycleRecord &Record);
-  /// Runs `Task(WorkerIndex)` on GcThreads workers and waits for all of
-  /// them — through the persistent pool, or (UseWorkerPool off) through
-  /// freshly spawned threads.
+  /// Runs `Task(WorkerIndex)` on the persistent pool's GcThreads workers
+  /// and waits for all of them.
   void runOnWorkers(const std::function<void(unsigned)> &Task);
 
   MemoryModel Model;
@@ -530,7 +524,10 @@ private:
   /// Serialises allocation when mutators are active.
   std::mutex AllocMu CHAM_LOCK_RANK(30);
 
-  std::atomic<uint64_t> BytesInUse{0};
+  /// Every allocation on every thread bumps these four counters. They
+  /// start a cache line, so an allocation dirties one contended line
+  /// rather than two wherever the heap sits inside its owner.
+  alignas(64) std::atomic<uint64_t> BytesInUse{0};
   std::atomic<uint64_t> ObjectsInUse{0};
   std::atomic<uint64_t> TotalAllocatedBytes{0};
   std::atomic<uint64_t> TotalAllocatedObjects{0};
@@ -540,14 +537,13 @@ private:
   bool InCollection = false;
   bool RecordTypeDistribution = false;
   unsigned GcThreads = 1;
-  bool UseWorkerPool = true;
   bool UseThreadCaches = true;
   /// Set instead of shrinking inline when an emergency collection runs
   /// with mutators active: the shrink must not race cache refills reading
   /// FreeSlots, so collectStopped performs it while the world is stopped.
   bool PendingShrink = false;
   /// Lazily created on the first parallel cycle; retired when the thread
-  /// count changes or the pool is disabled.
+  /// count changes.
   std::unique_ptr<GcWorkerPool> Pool;
   std::vector<GcCycleRecord> CycleRecords;
 };

@@ -44,12 +44,9 @@ BlockHeader *&nextOf(BlockHeader *B) {
 }
 
 Mode initialMode() {
-  if (const char *Env = std::getenv("CHAM_ALLOC_MODE")) {
-    if (std::strcmp(Env, "passthrough") == 0)
-      return Mode::Passthrough;
-    if (std::strcmp(Env, "central") == 0)
-      return Mode::Central;
-  }
+  const char *Env = std::getenv("CHAM_ALLOC_MODE");
+  if (Env && std::strcmp(Env, "passthrough") == 0)
+    return Mode::Passthrough;
   return Mode::Cached;
 }
 
@@ -198,8 +195,7 @@ void ThreadCache::publishStats() {
 
 void *chameleon::alloc::allocateBlock(size_t UserSize) {
   const size_t Total = UserSize + sizeof(BlockHeader);
-  const Mode M = mode();
-  if (M == Mode::Passthrough || Total > kMaxPooledSize) {
+  if (mode() == Mode::Passthrough || Total > kMaxPooledSize) {
     auto *B = static_cast<BlockHeader *>(::operator new(Total));
     B->State = kDirectTag;
     B->ClassOrSize = Total;
@@ -208,13 +204,12 @@ void *chameleon::alloc::allocateBlock(size_t UserSize) {
   }
   const uint32_t Cls = classIndexFor(Total);
   BlockHeader *B = nullptr;
-  CentralState &Central = centralState();
-  if (M == Mode::Cached) {
-    if (ThreadCache *Cache = threadCacheIfUsable())
-      B = Cache->allocate(Cls);
-  }
-  if (!B)
+  if (ThreadCache *Cache = threadCacheIfUsable())
+    B = Cache->allocate(Cls);
+  if (!B) {
+    CentralState &Central = centralState();
     Central.Lists[Cls].popBatch(&B, 1, Cls, *Central.Arena);
+  }
   assert(B->State == kFreeTag && "allocating a non-free block");
   B->State = kLiveTag;
   B->ClassOrSize = Cls;

@@ -17,11 +17,10 @@
 /// storage through this allocator (see allocateBlock/deallocateBlock), so
 /// collections, map entries, iterators and application payloads all recycle
 /// through the pools — the `Handle::retire`/sweep path returns storage here
-/// when the GC destroys an object. The mode knob keeps two escape hatches:
-/// `Central` bypasses the thread caches (every operation pays the central
-/// spinlock — the contention baseline for the A/B bench) and `Passthrough`
-/// forwards to ::operator new/delete (full ASan redzone/use-after-free
-/// coverage; also selectable via CHAM_ALLOC_MODE=passthrough).
+/// when the GC destroys an object. The mode knob keeps one escape hatch:
+/// `Passthrough` forwards to ::operator new/delete (full ASan
+/// redzone/use-after-free coverage; also selectable via
+/// CHAM_ALLOC_MODE=passthrough).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,8 +41,6 @@ namespace chameleon::alloc {
 enum class Mode : uint8_t {
   /// Thread caches over central lists over the arena (the default).
   Cached,
-  /// Central lists only: every alloc/free takes the class spinlock.
-  Central,
   /// Straight ::operator new/delete per object (sanitizer-friendly).
   Passthrough,
 };

@@ -6,19 +6,39 @@
 ///
 /// \file
 /// Small text-formatting helpers used by reports, benches and examples:
-/// human-readable byte counts, fixed-point percentages, and a simple
-/// fixed-width table writer that renders the rows the paper's figures report.
+/// printf-style appending, human-readable byte counts, fixed-point
+/// percentages, and a simple fixed-width table writer that renders the rows
+/// the paper's figures report.
+///
+/// `appendf` is header-only so that `obs`, which `support` links against,
+/// can use it without a link dependency back on `support`.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHAMELEON_SUPPORT_FORMAT_H
 #define CHAMELEON_SUPPORT_FORMAT_H
 
+#include <cstdarg>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 namespace chameleon {
+
+/// Appends printf-style formatted text to \p Out. One call renders at most
+/// 511 bytes; longer output is truncated.
+inline void appendf(std::string &Out, const char *Fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
+inline void appendf(std::string &Out, const char *Fmt, ...) {
+  char Buf[512];
+  va_list Args;
+  va_start(Args, Fmt);
+  std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
+  va_end(Args);
+  Out += Buf;
+}
 
 /// Renders \p Bytes as a human readable quantity, e.g. "1.50 MiB".
 std::string formatBytes(uint64_t Bytes);

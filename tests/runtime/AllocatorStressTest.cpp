@@ -144,17 +144,14 @@ TEST(AllocatorStress, BlocksSurviveModeSwitches) {
   ASSERT_EQ(mode(), Mode::Cached);
 
   void *FromCached = allocateBlock(64);
-  setMode(Mode::Central);
-  void *FromCentral = allocateBlock(64);
   setMode(Mode::Passthrough);
   void *FromDirect = allocateBlock(64);
   EXPECT_EQ(blockOfPayload(FromDirect)->State, kDirectTag);
 
-  // Release all three under modes other than the one that served them.
+  // Release both under the mode that did not serve them.
   deallocateBlock(FromCached); // passthrough mode, pooled block
   setMode(Mode::Cached);
-  deallocateBlock(FromCentral); // cached mode, central-served block
-  deallocateBlock(FromDirect);  // cached mode, direct block
+  deallocateBlock(FromDirect); // cached mode, direct block
 }
 
 //===----------------------------------------------------------------------===//
@@ -168,11 +165,11 @@ TEST(AllocatorStress, BlocksSurviveModeSwitches) {
 void churnAcrossClasses(bool UseCaches) {
   RuntimeConfig Config;
   Config.Profiler.ConcurrentMutators = true;
-  Config.UseThreadCaches = UseCaches;
   // Frequent sampling GCs: safepoints interrupt the churn constantly, so
   // slot-cache flush/unbump and storage recycling run under load.
   Config.GcSampleEveryBytes = 48 * 1024;
   CollectionRuntime RT(Config);
+  RT.heap().setUseThreadCaches(UseCaches);
 
   constexpr unsigned Threads = 4;
   constexpr int PerThread = 1500;
@@ -309,10 +306,10 @@ TEST(AllocatorDifferential, TvlaCachesOnOffIdentical) {
   auto Run = [](unsigned GcThreads, bool UseCaches) {
     RuntimeConfig Config;
     Config.GcThreads = GcThreads;
-    Config.UseThreadCaches = UseCaches;
     Config.RecordTypeDistribution = true;
     Config.GcSampleEveryBytes = 64 * 1024;
     auto RT = std::make_unique<CollectionRuntime>(Config);
+    RT->heap().setUseThreadCaches(UseCaches);
     apps::TvlaConfig App;
     App.NumStates = 500;
     App.LiveWindow = 300;
@@ -337,15 +334,17 @@ TEST(AllocatorDifferential, TvlaCachesOnOffIdentical) {
 /// the cycle records backing it) must not depend on the allocator mode.
 TEST(AllocatorDifferential, BloatCachesOnOffIdentical) {
   auto Profile = [](bool UseCaches) {
-    ChameleonConfig Config;
-    Config.Runtime.UseThreadCaches = UseCaches;
-    Chameleon Tool(Config);
+    Chameleon Tool;
     apps::BloatConfig App;
     App.Phases = 4;
     App.NodesPerPhase = 400;
     App.SpikePhase = 2;
-    return Tool.profile(
-        [&](CollectionRuntime &RT) { apps::runBloat(RT, App); });
+    // The facade constructs the runtime right before the workload runs,
+    // so this is the first thing its fresh heap sees.
+    return Tool.profile([&](CollectionRuntime &RT) {
+      RT.heap().setUseThreadCaches(UseCaches);
+      apps::runBloat(RT, App);
+    });
   };
 
   RunResult On = Profile(true);
@@ -370,9 +369,8 @@ TEST(AllocatorDifferential, BloatCachesOnOffIdentical) {
 /// the folds identical).
 TEST(AllocatorDifferential, ServerSimCachesOnOffIdentical) {
   auto Run = [](uint32_t Threads, bool UseCaches) {
-    RuntimeConfig Config = apps::serverSimRuntimeConfig();
-    Config.UseThreadCaches = UseCaches;
-    CollectionRuntime RT(Config);
+    CollectionRuntime RT(apps::serverSimRuntimeConfig());
+    RT.heap().setUseThreadCaches(UseCaches);
     apps::ServerSimConfig SimConfig;
     SimConfig.MutatorThreads = Threads;
     return apps::runServerSim(RT, SimConfig);

@@ -80,26 +80,6 @@ TEST(ParallelSweep, SweepStatisticsMatchSequential) {
   }
 }
 
-TEST(ParallelSweep, SpawnPerCycleFallbackMatchesPool) {
-  auto Run = [](bool UsePool) {
-    GcHeap Heap;
-    Heap.setGcThreads(4);
-    Heap.setUseWorkerPool(UsePool);
-    TypeId NodeType = registerNodeType(Heap);
-    std::vector<Handle> Roots = buildMixedGraph(Heap, NodeType);
-    GcCycleRecord First = Heap.collect(true);
-    Roots.resize(Roots.size() / 2);
-    GcCycleRecord Second = Heap.collect(true);
-    return std::make_pair(First, Second);
-  };
-  auto [PoolFirst, PoolSecond] = Run(true);
-  auto [SpawnFirst, SpawnSecond] = Run(false);
-  EXPECT_EQ(PoolFirst.FreedBytes, SpawnFirst.FreedBytes);
-  EXPECT_EQ(PoolFirst.LiveBytes, SpawnFirst.LiveBytes);
-  EXPECT_EQ(PoolSecond.FreedBytes, SpawnSecond.FreedBytes);
-  EXPECT_EQ(PoolSecond.LiveObjects, SpawnSecond.LiveObjects);
-}
-
 /// Hooks that record the slot of every death event, in replay order.
 class DeathOrderRecorder : public HeapProfilerHooks {
 public:

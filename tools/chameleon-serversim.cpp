@@ -20,7 +20,8 @@
 /// A chaos run prints the fault/migration/degradation accounting followed
 /// by the regular profiling report, and echoes the seed so any failure is
 /// replayable. A replay of a recorded trace prints a report byte-identical
-/// to the recording run's at any thread count (DESIGN.md §14).
+/// to the recording run's at any thread count (DESIGN.md §14). A flag the
+/// chosen mode would ignore is a usage error (exit 2), not a silent no-op.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,7 +63,10 @@ void printUsage(const char *Argv0) {
               "  --adapt            replay under the online adaptor"
               " (builtin rules)\n"
               "  --quiet            suppress the profiling report\n"
-              "  -h, --help         show this help\n",
+              "  -h, --help         show this help\n"
+              "--adapt needs --replay; --epochs, --requests, --ledger,"
+              " --flight-recorder,\n--ticker and --record cannot be"
+              " combined with it.\n",
               Argv0);
 }
 
@@ -84,6 +88,8 @@ int main(int argc, char **argv) {
   bool Adapt = false;
   std::string RecordPath;
   std::string ReplayPath;
+  // The flags given that only a simulation run (no --replay) uses.
+  std::string SimOnlyFlags;
 
   for (int I = 1; I < argc; ++I) {
     const char *Arg = argv[I];
@@ -93,6 +99,10 @@ int main(int argc, char **argv) {
         std::exit(2);
       }
       return argv[++I];
+    };
+    auto simOnly = [&] {
+      SimOnlyFlags += SimOnlyFlags.empty() ? "" : ", ";
+      SimOnlyFlags += Arg;
     };
     if (std::strcmp(Arg, "--chaos") == 0) {
       Config.Chaos = true;
@@ -105,20 +115,26 @@ int main(int argc, char **argv) {
       Config.MutatorThreads = static_cast<uint32_t>(
           parseU64(needValue("--threads"), "--threads"));
     } else if (std::strcmp(Arg, "--epochs") == 0) {
+      simOnly();
       Config.Epochs =
           static_cast<uint32_t>(parseU64(needValue("--epochs"), "--epochs"));
     } else if (std::strcmp(Arg, "--requests") == 0) {
+      simOnly();
       Config.RequestsPerEpoch = static_cast<uint32_t>(
           parseU64(needValue("--requests"), "--requests"));
     } else if (std::strcmp(Arg, "--telemetry-out") == 0) {
       Config.TelemetryOutDir = needValue("--telemetry-out");
     } else if (std::strcmp(Arg, "--ledger") == 0) {
+      simOnly();
       Config.DecisionLedger = true;
     } else if (std::strcmp(Arg, "--flight-recorder") == 0) {
+      simOnly();
       Config.FlightRecorderPath = needValue("--flight-recorder");
     } else if (std::strcmp(Arg, "--ticker") == 0) {
+      simOnly();
       Config.TelemetryTicker = true;
     } else if (std::strcmp(Arg, "--record") == 0) {
+      simOnly();
       RecordPath = needValue("--record");
     } else if (std::strcmp(Arg, "--replay") == 0) {
       ReplayPath = needValue("--replay");
@@ -135,6 +151,16 @@ int main(int argc, char **argv) {
       printUsage(argv[0]);
       return 2;
     }
+  }
+
+  if (!ReplayPath.empty() && !SimOnlyFlags.empty()) {
+    std::fprintf(stderr, "error: %s cannot be combined with --replay\n",
+                 SimOnlyFlags.c_str());
+    return 2;
+  }
+  if (ReplayPath.empty() && Adapt) {
+    std::fprintf(stderr, "error: --adapt needs --replay\n");
+    return 2;
   }
 
   // Honor $CHAM_FLIGHT_RECORDER (the CI chaos/soak jobs set it) when no
