@@ -18,7 +18,8 @@
 #include "support/Format.h"
 #include "support/SplitMix64.h"
 
-#include <algorithm>
+#include "Harness.h"
+
 #include <cstdio>
 #include <thread>
 
@@ -58,16 +59,13 @@ Outcome measure(unsigned Threads) {
   }
 
   Outcome Result;
-  double Times[3];
-  for (double &T : Times) {
+  Result.MarkMillis = bench::medianOf(3, [&] {
     const GcCycleRecord &Rec = RT.heap().collect(/*Forced=*/true);
-    T = static_cast<double>(Rec.DurationNanos) / 1e6;
     Result.LiveObjects = Rec.LiveObjects;
     Result.LiveBytes = Rec.LiveBytes;
     Result.CollectionLive = Rec.CollectionLiveBytes;
-  }
-  std::sort(Times, Times + 3);
-  Result.MarkMillis = Times[1];
+    return static_cast<double>(Rec.DurationNanos) / 1e6;
+  });
   return Result;
 }
 

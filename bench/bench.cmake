@@ -4,8 +4,7 @@
 # every table and figure).
 
 # Provenance baked into every bench binary so the JSON trajectories
-# (BENCH_*.json) record which build produced them (BenchJson.h
-# addProvenance).
+# (bench/BENCH_*.json) record which build produced them (Harness.h).
 if(NOT DEFINED CHAMELEON_GIT_DESCRIBE)
   execute_process(COMMAND git describe --always --dirty
                   WORKING_DIRECTORY ${CMAKE_SOURCE_DIR}
@@ -46,6 +45,7 @@ chameleon_bench(micro_checker)
 target_link_libraries(micro_checker PRIVATE chameleon_analysis)
 target_compile_definitions(micro_checker PRIVATE
   CHAMELEON_SOURCE_ROOT="${CMAKE_SOURCE_DIR}")
+chameleon_bench(micro_collection_ops)
 chameleon_bench(micro_fault_overhead)
 chameleon_bench(micro_fleet)
 target_link_libraries(micro_fleet PRIVATE chameleon_fleet)
@@ -57,10 +57,9 @@ chameleon_bench(sec23_hybrid_threshold)
 chameleon_bench(sec51_screening)
 chameleon_bench(sec54_online_overhead)
 
-# Micro benchmarks use google-benchmark.
-add_executable(micro_collection_ops
-  ${CMAKE_SOURCE_DIR}/bench/micro_collection_ops.cpp)
-target_link_libraries(micro_collection_ops PRIVATE
-  chameleon_apps benchmark::benchmark)
-set_target_properties(micro_collection_ops PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
+# A micro bench rejects an argument it does not know instead of running
+# without it (a misspelt --json would otherwise write nothing and pass).
+add_test(NAME micro_bench_rejects_unknown_flag
+         COMMAND micro_checker --jsn out.json)
+set_tests_properties(micro_bench_rejects_unknown_flag
+                     PROPERTIES WILL_FAIL TRUE)

@@ -19,7 +19,8 @@
 #include "apps/AppSpec.h"
 #include "support/Format.h"
 
-#include <algorithm>
+#include "Harness.h"
+
 #include <cstdio>
 #include <map>
 
@@ -32,15 +33,12 @@ namespace {
 double timedSeconds(Chameleon &Tool, const Workload &Run,
                     const ReplacementPlan *Plan, uint64_t Limit,
                     uint64_t *GcCycles) {
-  double Times[5];
-  for (double &T : Times) {
+  return bench::medianOf(5, [&] {
     RunResult R = Tool.run(Run, Plan, Limit);
-    T = R.Seconds;
     if (GcCycles)
       *GcCycles = R.GcCycles;
-  }
-  std::sort(Times, Times + 5);
-  return Times[2];
+    return R.Seconds;
+  });
 }
 
 } // namespace

@@ -14,19 +14,17 @@
 /// budget is exceeded, so a regression in the lexer or the fixpoint shows
 /// up as a red bench run rather than as quietly slower CI everywhere.
 ///
-/// `--json <path>` (or CHAMELEON_BENCH_JSON) writes the perf-trajectory
-/// record; `--quick` drops to a single pass for sanitizer CI.
+/// `--json <path>` writes the perf-trajectory record; `--quick` drops to a
+/// single pass for sanitizer CI.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Analyzer.h"
 #include "support/Format.h"
 
-#include "BenchJson.h"
+#include "Harness.h"
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -35,21 +33,12 @@ using namespace chameleon::analysis;
 
 namespace {
 
-double secondsSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration_cast<std::chrono::duration<double>>(
-             std::chrono::steady_clock::now() - Start)
-      .count();
-}
-
 constexpr double BudgetSeconds = 10.0;
 
 } // namespace
 
 int main(int argc, char **argv) {
-  bool Quick = false;
-  for (int I = 1; I < argc; ++I)
-    if (std::strcmp(argv[I], "--quick") == 0)
-      Quick = true;
+  bench::Harness H("micro_checker", argc, argv, {{"--quick"}});
 
   const std::string Root = CHAMELEON_SOURCE_ROOT;
   AnalyzerOptions Opts;
@@ -63,13 +52,13 @@ int main(int argc, char **argv) {
     Opts.Base = parseBaseline(Buf.str());
   }
 
-  const int Passes = Quick ? 1 : 5;
+  const int Passes = H.quick() ? 1 : 5;
   double BestSeconds = 0.0;
   AnalysisResult R;
   for (int P = 0; P < Passes; ++P) {
-    auto Start = std::chrono::steady_clock::now();
+    bench::Clock::time_point Start = bench::Clock::now();
     R = analyze(Opts);
-    double S = secondsSince(Start);
+    double S = bench::secondsSince(Start);
     if (P == 0 || S < BestSeconds)
       BestSeconds = S;
   }
@@ -78,41 +67,30 @@ int main(int argc, char **argv) {
   for (const FileModel &F : R.Model.Files)
     Functions += F.Functions.size();
 
+  auto Line = [&](const char *Label, const std::string &Value) {
+    std::printf("  %-22s %s\n", Label, Value.c_str());
+  };
   std::printf("chameleon-checker full-tree analysis (best of %d)\n\n",
               Passes);
-  std::printf("  %-22s %zu\n", "files analyzed", R.FilesAnalyzed);
-  std::printf("  %-22s %zu\n", "tokens lexed", R.TokensLexed);
-  std::printf("  %-22s %zu\n", "functions extracted", Functions);
-  std::printf("  %-22s %zu\n", "findings (unbaselined)", R.Diags.size());
-  std::printf("  %-22s %s s\n", "wall time",
-              formatDouble(BestSeconds, 3).c_str());
-  std::printf("  %-22s %s\n", "tokens / second",
-              formatDouble(R.TokensLexed / BestSeconds, 0).c_str());
+  Line("files analyzed",
+       H.metric("files_analyzed", static_cast<double>(R.FilesAnalyzed)));
+  Line("tokens lexed",
+       H.metric("tokens_lexed", static_cast<double>(R.TokensLexed)));
+  Line("functions extracted",
+       H.metric("functions_extracted", static_cast<double>(Functions)));
+  Line("findings (unbaselined)",
+       H.metric("findings_unbaselined", static_cast<double>(R.Diags.size())));
+  Line("wall time", H.metric("wall_time_s", BestSeconds, {3, " s"}));
+  Line("tokens / second",
+       H.metric("tokens_per_sec", R.TokensLexed / BestSeconds));
+  H.metric("budget_seconds", BudgetSeconds);
   std::printf("\nclaim to check: a full-tree pass stays under %.0f s, so "
               "the checker can\nrun on every CI push and inside tier-1 "
               "without moving the needle.\n",
               BudgetSeconds);
 
-  bench::JsonDoc Json;
-  Json.field("bench", "micro_checker");
-  Json.field("files_analyzed", static_cast<uint64_t>(R.FilesAnalyzed));
-  Json.field("tokens_lexed", static_cast<uint64_t>(R.TokensLexed));
-  Json.field("functions_extracted", static_cast<uint64_t>(Functions));
-  Json.field("budget_seconds", BudgetSeconds);
-  Json.beginRecord("checker_speed");
-  Json.record("pass", std::string("full-tree"));
-  Json.record("seconds", BestSeconds);
-  Json.record("tokens_per_sec", R.TokensLexed / BestSeconds);
-
-  std::string JsonPath = bench::jsonOutputPath(argc, argv);
-  if (!JsonPath.empty()) {
-    if (!Json.write(JsonPath)) {
-      std::fprintf(stderr, "failed to write %s\n", JsonPath.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s\n", JsonPath.c_str());
-  }
-
+  if (int Status = H.finish())
+    return Status;
   if (BestSeconds >= BudgetSeconds) {
     std::printf("FAIL: budget violated (%.3f s >= %.0f s)\n", BestSeconds,
                 BudgetSeconds);

@@ -19,9 +19,9 @@
 ///     disarmed vs armed-but-not-matching vs armed-and-matching.
 ///
 /// (1) x (2) / op time is the disabled-injector overhead; the headline
-/// claim is that it stays under 1%. `--json <path>` (or
-/// CHAMELEON_BENCH_JSON) writes the BENCH_fault.json perf-trajectory
-/// record; `--quick` shrinks the run for sanitizer CI.
+/// claim is that it stays under 1%. `--json <path>` writes the
+/// bench/BENCH_fault.json perf-trajectory record; `--quick` shrinks the
+/// run for sanitizer CI.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,41 +31,13 @@
 #include "support/Format.h"
 #include "support/SplitMix64.h"
 
-#include "BenchJson.h"
+#include "Harness.h"
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 
 using namespace chameleon;
 
 namespace {
-
-double secondsSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration_cast<std::chrono::duration<double>>(
-             std::chrono::steady_clock::now() - Start)
-      .count();
-}
-
-/// Nanoseconds one disarmed CHAM_FAULT site adds to a loop iteration.
-double disabledSiteNs(uint64_t Iters) {
-  volatile uint64_t Sink = 0;
-
-  auto Start = std::chrono::steady_clock::now();
-  for (uint64_t I = 0; I < Iters; ++I) {
-    CHAM_FAULT("bench.site");
-    Sink = Sink + I;
-  }
-  double WithSite = secondsSince(Start);
-
-  Start = std::chrono::steady_clock::now();
-  for (uint64_t I = 0; I < Iters; ++I)
-    Sink = Sink + I;
-  double Bare = secondsSince(Start);
-
-  double Delta = (WithSite - Bare) / static_cast<double>(Iters) * 1e9;
-  return Delta > 0 ? Delta : 0.0;
-}
 
 enum class InjectorState { Disarmed, ArmedNonMatching, ArmedMatching };
 
@@ -114,10 +86,10 @@ double churnOpsPerSec(InjectorState State, uint64_t Ops) {
   SplitMix64 Rng(0xFA17);
   applyState(State);
   volatile uint64_t Sink = 0;
-  auto Start = std::chrono::steady_clock::now();
+  bench::Clock::time_point Start = bench::Clock::now();
   for (uint64_t Op = 0; Op < Ops; ++Op)
     Sink = Sink + churnOnce(RT, Site, Rng);
-  double Seconds = secondsSince(Start);
+  double Seconds = bench::secondsSince(Start);
   FaultInjector::instance().disarm();
   return static_cast<double>(Ops) / Seconds;
 }
@@ -136,58 +108,51 @@ double sitesPerOp(uint64_t Ops) {
   return Hits / static_cast<double>(Ops);
 }
 
-double median3(double (*F)(InjectorState, uint64_t), InjectorState State,
-               uint64_t Ops) {
-  double A = F(State, Ops), B = F(State, Ops), C = F(State, Ops);
-  double Lo = A < B ? (A < C ? A : C) : (B < C ? B : C);
-  double Hi = A > B ? (A > C ? A : C) : (B > C ? B : C);
-  return A + B + C - Lo - Hi;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
-  bool Quick = false;
-  for (int I = 1; I < argc; ++I)
-    if (std::strcmp(argv[I], "--quick") == 0)
-      Quick = true;
-
-  const uint64_t SiteIters = Quick ? 20'000'000 : 200'000'000;
-  const uint64_t ChurnOps = Quick ? 20'000 : 200'000;
+  bench::Harness H("micro_fault_overhead", argc, argv, {{"--quick"}});
+  const uint64_t SiteIters = H.quick() ? 20'000'000 : 200'000'000;
+  const uint64_t ChurnOps = H.quick() ? 20'000 : 200'000;
 
   std::printf("== micro: fault-injection point overhead ==\n\n");
 
-  double SiteNs = disabledSiteNs(SiteIters);
+  // A disarmed CHAM_FAULT site: the one relaxed load every run pays.
+  double SiteNs =
+      bench::siteNs(SiteIters, [] { CHAM_FAULT("bench.site"); });
   double Sites = sitesPerOp(1000);
   std::printf("disarmed CHAM_FAULT site:   %s ns/site (%llu iters)\n",
-              formatDouble(SiteNs, 3).c_str(),
+              H.metric("site_ns_disarmed", SiteNs, {3}).c_str(),
               static_cast<unsigned long long>(SiteIters));
   std::printf("sites crossed per churn op: %s\n\n",
-              formatDouble(Sites, 1).c_str());
+              H.metric("sites_per_op", Sites, {1}).c_str());
 
-  double Disarmed =
-      median3(churnOpsPerSec, InjectorState::Disarmed, ChurnOps);
-  double NonMatching =
-      median3(churnOpsPerSec, InjectorState::ArmedNonMatching, ChurnOps);
-  double Matching =
-      median3(churnOpsPerSec, InjectorState::ArmedMatching, ChurnOps);
+  auto MedianOps = [&](InjectorState State) {
+    return bench::medianOf(3, [&] { return churnOpsPerSec(State, ChurnOps); });
+  };
+  double Disarmed = MedianOps(InjectorState::Disarmed);
+  double NonMatching = MedianOps(InjectorState::ArmedNonMatching);
+  double Matching = MedianOps(InjectorState::ArmedMatching);
 
   double OpNs = 1e9 / Disarmed;
   double DisabledOverheadPct = SiteNs * Sites / OpNs * 100.0;
 
-  TextTable Table({"injector state", "ops/s", "vs disarmed"});
-  Table.addRow({"disarmed", formatDouble(Disarmed, 0), "1.00x"});
-  Table.addRow({"armed, no rule matches", formatDouble(NonMatching, 0),
-                formatDouble(Disarmed / NonMatching, 2) + "x"});
-  Table.addRow({"armed, all sites match (p=0)", formatDouble(Matching, 0),
-                formatDouble(Disarmed / Matching, 2) + "x"});
+  bench::Table &Table = H.table(
+      "fault_overhead",
+      {{"injector state"}, {"ops/s"}, {"vs disarmed", {2, "x"}}});
+  Table.addRow({"disarmed", Disarmed, 1.0});
+  Table.addRow(
+      {"armed, no rule matches", NonMatching, Disarmed / NonMatching});
+  Table.addRow(
+      {"armed, all sites match (p=0)", Matching, Disarmed / Matching});
   std::printf("%s\n", Table.render().c_str());
 
   std::printf("disabled-injector overhead: %s ns/site x %s sites/op "
               "= %s%% of a %s ns op\n",
               formatDouble(SiteNs, 3).c_str(),
               formatDouble(Sites, 1).c_str(),
-              formatDouble(DisabledOverheadPct, 3).c_str(),
+              H.metric("disabled_overhead_pct", DisabledOverheadPct, {3})
+                  .c_str(),
               formatDouble(OpNs, 0).c_str());
   std::printf("claim to check: the disarmed hot path (one relaxed atomic "
               "load per site)\nstays under 1%% — chaos coverage costs "
@@ -195,32 +160,5 @@ int main(int argc, char **argv) {
   if (DisabledOverheadPct >= 1.0)
     std::printf("WARNING: overhead claim violated (%.3f%% >= 1%%)\n",
                 DisabledOverheadPct);
-
-  bench::JsonDoc Json;
-  Json.field("bench", "micro_fault_overhead");
-  Json.field("site_ns_disarmed", SiteNs);
-  Json.field("sites_per_op", Sites);
-  Json.field("disabled_overhead_pct", DisabledOverheadPct);
-  Json.beginRecord("fault_overhead");
-  Json.record("state", "disarmed");
-  Json.record("ops_per_sec", Disarmed);
-  Json.record("slowdown_vs_disarmed", 1.0);
-  Json.beginRecord("fault_overhead");
-  Json.record("state", "armed_non_matching");
-  Json.record("ops_per_sec", NonMatching);
-  Json.record("slowdown_vs_disarmed", Disarmed / NonMatching);
-  Json.beginRecord("fault_overhead");
-  Json.record("state", "armed_all_match_p0");
-  Json.record("ops_per_sec", Matching);
-  Json.record("slowdown_vs_disarmed", Disarmed / Matching);
-
-  std::string JsonPath = bench::jsonOutputPath(argc, argv);
-  if (!JsonPath.empty()) {
-    if (!Json.write(JsonPath)) {
-      std::fprintf(stderr, "failed to write %s\n", JsonPath.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s\n", JsonPath.c_str());
-  }
-  return 0;
+  return H.finish();
 }

@@ -24,8 +24,8 @@
 ///  3. Snapshot persistence: save + load round-trip time for the merged
 ///     fleet state.
 ///
-/// `--json <path>` (or CHAMELEON_BENCH_JSON) writes the BENCH_fleet.json
-/// perf-trajectory record; `--quick` shrinks the run for sanitizer CI.
+/// `--json <path>` writes the bench/BENCH_fleet.json perf-trajectory
+/// record; `--quick` shrinks the run for sanitizer CI.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,11 +38,9 @@
 #include "fleet/Transport.h"
 #include "support/Format.h"
 
-#include "BenchJson.h"
+#include "Harness.h"
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <string>
@@ -52,12 +50,6 @@ using namespace chameleon::apps;
 using namespace chameleon::fleet;
 
 namespace {
-
-double secondsSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration_cast<std::chrono::duration<double>>(
-             std::chrono::steady_clock::now() - Start)
-      .count();
-}
 
 enum class HookMode {
   Null,  ///< no epoch barrier installed at all
@@ -87,23 +79,15 @@ double replayOnce(const Trace &T, HookMode Mode) {
       Agg.pump();
     };
 
-  auto Start = std::chrono::steady_clock::now();
+  bench::Clock::time_point Start = bench::Clock::now();
   CollectionRuntime RT(traceReplayRuntimeConfig(RC));
   ReplayResult R = replayTrace(RT, T, RC);
-  double Seconds = secondsSince(Start);
+  double Seconds = bench::secondsSince(Start);
   if (!R.Ok) {
     std::fprintf(stderr, "replay failed: %s\n", R.Error.c_str());
     std::exit(1);
   }
   return Seconds;
-}
-
-double median3Replay(const Trace &T, HookMode Mode) {
-  double A = replayOnce(T, Mode), B = replayOnce(T, Mode),
-         C = replayOnce(T, Mode);
-  double Lo = A < B ? (A < C ? A : C) : (B < C ? B : C);
-  double Hi = A > B ? (A > C ? A : C) : (B > C ? B : C);
-  return A + B + C - Lo - Hi;
 }
 
 /// Nanoseconds per disarmed barrier invocation: the std::function call
@@ -124,10 +108,10 @@ double disarmedHookNs(uint64_t Iters, CollectionRuntime &RT) {
       };
   double Best = 0.0;
   for (int Rep = 0; Rep < 3; ++Rep) {
-    auto Start = std::chrono::steady_clock::now();
+    bench::Clock::time_point Start = bench::Clock::now();
     for (uint64_t I = 0; I < Iters; ++I)
       Hook(static_cast<uint32_t>(I), RT);
-    double Seconds = secondsSince(Start);
+    double Seconds = bench::secondsSince(Start);
     if (Rep == 0 || Seconds < Best)
       Best = Seconds;
   }
@@ -166,7 +150,7 @@ double commitPathEpochsPerSec(uint64_t Epochs, size_t Contexts) {
   AC.MaxQueue = 4; // steady-state: each epoch drains before the next
   FleetAgent Agent(AC, Hub);
 
-  auto Start = std::chrono::steady_clock::now();
+  bench::Clock::time_point Start = bench::Clock::now();
   for (uint64_t E = 1; E <= Epochs; ++E) {
     Agent.commitEpoch(syntheticProfile(Contexts, E));
     Agent.pump(E);
@@ -176,7 +160,7 @@ double commitPathEpochsPerSec(uint64_t Epochs, size_t Contexts) {
   }
   // Final ack round.
   Agent.pump(Epochs + 1);
-  double Seconds = secondsSince(Start);
+  double Seconds = bench::secondsSince(Start);
   if (!Agent.drained()) {
     std::fprintf(stderr, "commit path failed to drain\n");
     std::exit(1);
@@ -187,10 +171,7 @@ double commitPathEpochsPerSec(uint64_t Epochs, size_t Contexts) {
 } // namespace
 
 int main(int argc, char **argv) {
-  bool Quick = false;
-  for (int I = 1; I < argc; ++I)
-    if (std::strcmp(argv[I], "--quick") == 0)
-      Quick = true;
+  bench::Harness H("micro_fleet", argc, argv, {{"--quick"}});
 
   std::printf("== micro: fleet profiling hook + pipeline cost ==\n\n");
 
@@ -201,12 +182,15 @@ int main(int argc, char **argv) {
     return 1;
   }
   WorkloadGenConfig WC;
-  applyWorkloadScale(Quick ? WorkloadScale::Ci : WorkloadScale::Large, WC);
+  applyWorkloadScale(H.quick() ? WorkloadScale::Ci : WorkloadScale::Large,
+                     WC);
   WC.Seed = 0xF1EE7;
   Trace T = Gen->Generate(WC);
 
-  double Bare = median3Replay(T, HookMode::Null);
-  double Armed = median3Replay(T, HookMode::Armed);
+  double Bare =
+      bench::medianOf(3, [&] { return replayOnce(T, HookMode::Null); });
+  double Armed =
+      bench::medianOf(3, [&] { return replayOnce(T, HookMode::Armed); });
   double ArmedPct = (Armed - Bare) / Bare * 100.0;
   if (ArmedPct < 0)
     ArmedPct = 0.0;
@@ -215,23 +199,25 @@ int main(int argc, char **argv) {
   {
     ReplayConfig RC;
     CollectionRuntime RT(traceReplayRuntimeConfig(RC));
-    HookNs = disarmedHookNs(Quick ? 1u << 20 : 1u << 24, RT);
+    HookNs = disarmedHookNs(H.quick() ? 1u << 20 : 1u << 24, RT);
   }
   // The trace crosses one barrier per epoch; the disarmed-hook share of
   // mutator time is (ns/call x barriers) / bare replay time.
   double DisarmedPct =
       HookNs * static_cast<double>(WC.Epochs) / (Bare * 1e9) * 100.0;
 
-  TextTable Replay({"epoch barrier", "replay s", "vs null"});
-  Replay.addRow({"none", formatDouble(Bare, 4), "1.00x"});
-  Replay.addRow({"armed (capture+commit+pump)", formatDouble(Armed, 4),
-                 formatDouble(Armed / Bare, 3) + "x"});
+  bench::Table &Replay = H.table(
+      "replay", {{"epoch barrier"}, {"replay s", {4}}, {"vs null", {3, "x"}}});
+  Replay.addRow({"none", Bare, 1.0});
+  Replay.addRow({"armed (capture+commit+pump)", Armed, Armed / Bare});
   std::printf("%s\n", Replay.render().c_str());
   std::printf("disarmed hook: %s ns/call x %u barriers = %s%% of replay; "
               "armed: %s%%\n(%u sessions, %u epochs)\n",
-              formatDouble(HookNs, 2).c_str(), WC.Epochs,
-              formatDouble(DisarmedPct, 6).c_str(),
-              formatDouble(ArmedPct, 3).c_str(), WC.Sessions, WC.Epochs);
+              H.metric("disarmed_hook_ns_per_call", HookNs, {2}).c_str(),
+              WC.Epochs,
+              H.metric("disarmed_hook_overhead_pct", DisarmedPct, {6}).c_str(),
+              H.metric("armed_hook_overhead_pct", ArmedPct, {3}).c_str(),
+              WC.Sessions, WC.Epochs);
   std::printf("claim to check: the disarmed fleet hook stays under 1%% of "
               "mutator time —\nfleet-capable builds cost nothing until an "
               "agent attaches.\n");
@@ -240,12 +226,14 @@ int main(int argc, char **argv) {
                 DisarmedPct);
 
   // 2. Commit-path throughput.
-  const uint64_t Epochs = Quick ? 200 : 2000;
+  const uint64_t Epochs = H.quick() ? 200 : 2000;
   const size_t Contexts = 64;
   double EpochsPerSec = commitPathEpochsPerSec(Epochs, Contexts);
+  H.metric("commit_contexts_per_epoch", static_cast<double>(Contexts));
   std::printf("\ncommit path: %s epochs/s (%zu contexts/epoch, in-memory "
               "wire)\n",
-              formatDouble(EpochsPerSec, 0).c_str(), Contexts);
+              H.metric("commit_epochs_per_sec", EpochsPerSec).c_str(),
+              Contexts);
 
   // 3. Snapshot save + load round trip over a multi-stream state.
   FleetState State;
@@ -255,48 +243,26 @@ int main(int argc, char **argv) {
   namespace fs = std::filesystem;
   fs::path SnapPath = fs::temp_directory_path() / "cham-bench-fleet.snap";
   std::string Err;
-  auto Start = std::chrono::steady_clock::now();
+  bench::Clock::time_point Start = bench::Clock::now();
   if (!saveSnapshot(SnapPath.string(), State, Err)) {
     std::fprintf(stderr, "snapshot save failed: %s\n", Err.c_str());
     return 1;
   }
-  double SaveS = secondsSince(Start);
+  double SaveS = bench::secondsSince(Start);
   FleetState Loaded;
-  Start = std::chrono::steady_clock::now();
+  Start = bench::Clock::now();
   SnapshotLoadResult LR = loadSnapshot(SnapPath.string(), Loaded, false);
-  double LoadS = secondsSince(Start);
+  double LoadS = bench::secondsSince(Start);
   uint64_t SnapBytes = fs::file_size(SnapPath);
   fs::remove(SnapPath);
   if (!LR.ok()) {
     std::fprintf(stderr, "snapshot load failed: %s\n", LR.Message.c_str());
     return 1;
   }
-  std::printf("snapshot: %llu bytes, save %s ms, load %s ms (8 streams)\n",
-              static_cast<unsigned long long>(SnapBytes),
-              formatDouble(SaveS * 1e3, 3).c_str(),
-              formatDouble(LoadS * 1e3, 3).c_str());
-
-  bench::JsonDoc Json;
-  Json.field("bench", "micro_fleet");
-  bench::addProvenance(Json);
-  Json.field("disarmed_hook_overhead_pct", DisarmedPct);
-  Json.field("disarmed_hook_ns_per_call", HookNs);
-  Json.field("armed_hook_overhead_pct", ArmedPct);
-  Json.field("replay_s_null_hook", Bare);
-  Json.field("replay_s_armed_hook", Armed);
-  Json.field("commit_epochs_per_sec", EpochsPerSec);
-  Json.field("commit_contexts_per_epoch", static_cast<uint64_t>(Contexts));
-  Json.field("snapshot_bytes", SnapBytes);
-  Json.field("snapshot_save_ms", SaveS * 1e3);
-  Json.field("snapshot_load_ms", LoadS * 1e3);
-
-  std::string JsonPath = bench::jsonOutputPath(argc, argv);
-  if (!JsonPath.empty()) {
-    if (!Json.write(JsonPath)) {
-      std::fprintf(stderr, "failed to write %s\n", JsonPath.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s\n", JsonPath.c_str());
-  }
-  return 0;
+  std::printf("snapshot: %s bytes, save %s ms, load %s ms (8 streams)\n",
+              H.metric("snapshot_bytes", static_cast<double>(SnapBytes))
+                  .c_str(),
+              H.metric("snapshot_save_ms", SaveS * 1e3, {3}).c_str(),
+              H.metric("snapshot_load_ms", LoadS * 1e3, {3}).c_str());
+  return H.finish();
 }

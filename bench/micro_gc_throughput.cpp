@@ -15,8 +15,8 @@
 ///  3. `contextForAllocation` throughput with and without the stack-
 ///     fingerprint fast-path cache.
 ///
-/// Prints the usual tables; `--json <path>` or CHAMELEON_BENCH_JSON writes
-/// the measurements as JSON (the BENCH_gc.json perf trajectory).
+/// Prints the usual tables; `--json <path>` writes the measurements as
+/// JSON (the bench/BENCH_gc.json perf trajectory).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,10 +25,8 @@
 #include "support/Format.h"
 #include "support/SplitMix64.h"
 
-#include "BenchJson.h"
+#include "Harness.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <thread>
 
@@ -64,7 +62,7 @@ double cycleMillis(unsigned Threads, bool GarbageChurn,
     }
   }
 
-  double Times[CyclesPerMeasurement];
+  std::vector<double> Times(CyclesPerMeasurement);
   for (double &T : Times) {
     if (GarbageChurn) {
       // A dying wave: wrappers scoped to this iteration.
@@ -80,8 +78,7 @@ double cycleMillis(unsigned Threads, bool GarbageChurn,
     if (LiveObjectsOut)
       *LiveObjectsOut = Rec.LiveObjects;
   }
-  std::sort(Times, Times + CyclesPerMeasurement);
-  return Times[CyclesPerMeasurement / 2];
+  return bench::median(std::move(Times));
 }
 
 /// Mean microseconds per forced cycle on a *small* live heap collected at
@@ -127,16 +124,12 @@ double captureRate(bool FastPath, uint64_t *HitsOut = nullptr) {
 
   constexpr uint64_t Captures = 4000000;
   CallFrame Base(P, Outer);
-  auto Start = std::chrono::steady_clock::now();
+  bench::Clock::time_point Start = bench::Clock::now();
   for (uint64_t I = 0; I < Captures; ++I) {
     CallFrame Caller(P, Callers[I & 7]);
-    volatile ContextInfo *Sink = P.contextForAllocation(Site, Type);
-    (void)Sink;
+    bench::keep(P.contextForAllocation(Site, Type));
   }
-  auto End = std::chrono::steady_clock::now();
-  double Seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(End - Start)
-          .count();
+  double Seconds = bench::secondsSince(Start);
   if (HitsOut)
     *HitsOut = P.contextCacheHits();
   return static_cast<double>(Captures) / Seconds;
@@ -145,45 +138,35 @@ double captureRate(bool FastPath, uint64_t *HitsOut = nullptr) {
 } // namespace
 
 int main(int argc, char **argv) {
+  bench::Harness H("micro_gc_throughput", argc, argv, {});
   std::printf("== micro: GC throughput (worker pool, parallel sweep, "
               "context fast path) ==\n\n");
   std::printf("host cores: %u\n\n", std::thread::hardware_concurrency());
 
-  bench::JsonDoc Json;
-  Json.field("bench", "micro_gc_throughput");
-  bench::addProvenance(Json);
-  Json.field("cores",
-             static_cast<uint64_t>(std::thread::hardware_concurrency()));
-
   double Base = 0;
-  TextTable Large({"threads", "cycle (ms)", "vs 1 thread", "churn (ms)"});
+  uint64_t LiveObjects = 0;
+  bench::Table &Large = H.table("gc_cycles", {{"threads"},
+                                              {"cycle (ms)", {3}},
+                                              {"vs 1 thread", {2, "x"}},
+                                              {"churn (ms)", {3}}});
   for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    uint64_t LiveObjects = 0;
     double Cycle = cycleMillis(Threads, /*GarbageChurn=*/false, &LiveObjects);
     double Churn = cycleMillis(Threads, /*GarbageChurn=*/true);
     if (Threads == 1)
       Base = Cycle;
-    Large.addRow({std::to_string(Threads), formatDouble(Cycle, 3),
-                  formatDouble(Base / Cycle, 2) + "x",
-                  formatDouble(Churn, 3)});
-    Json.beginRecord("gc_cycles");
-    Json.record("threads", static_cast<uint64_t>(Threads));
-    Json.record("live_objects", LiveObjects);
-    Json.record("worker_pool_ms", Cycle);
-    Json.record("worker_pool_churn_ms", Churn);
+    Large.addRow({static_cast<double>(Threads), Cycle, Base / Cycle, Churn});
   }
+  H.metric("live_objects", static_cast<double>(LiveObjects));
   std::printf("%s\n", Large.render().c_str());
 
-  TextTable Frequent({"threads", "cycle (us)", "vs 1 thread"});
+  bench::Table &Frequent = H.table(
+      "frequent_cycles",
+      {{"threads"}, {"cycle (us)", {1}}, {"vs 1 thread", {2, "x"}}});
   for (unsigned Threads : {1u, 2u, 4u, 8u}) {
     double Cycle = frequentCycleMicros(Threads);
     if (Threads == 1)
       Base = Cycle;
-    Frequent.addRow({std::to_string(Threads), formatDouble(Cycle, 1),
-                     formatDouble(Base / Cycle, 2) + "x"});
-    Json.beginRecord("gc_cycles");
-    Json.record("threads", static_cast<uint64_t>(Threads));
-    Json.record("frequent_worker_pool_us", Cycle);
+    Frequent.addRow({static_cast<double>(Threads), Cycle, Base / Cycle});
   }
   std::printf("frequent small cycles (profiled-run regime):\n%s\n",
               Frequent.render().c_str());
@@ -191,18 +174,15 @@ int main(int argc, char **argv) {
   uint64_t Hits = 0;
   double FastRate = captureRate(/*FastPath=*/true, &Hits);
   double SlowRate = captureRate(/*FastPath=*/false);
-  TextTable Capture({"context capture", "captures/s", "speedup"});
-  Capture.addRow({"registry probe (cache off)",
-                  formatDouble(SlowRate / 1e6, 2) + "M", "1.00x"});
-  Capture.addRow({"fingerprint cache (cache on)",
-                  formatDouble(FastRate / 1e6, 2) + "M",
-                  formatDouble(FastRate / SlowRate, 2) + "x"});
+  H.metric("context_cache_hits", static_cast<double>(Hits));
+  bench::Table &Capture = H.table("context_capture",
+                                  {{"context capture"},
+                                   {"captures/s", {2, "M", 1e-6}},
+                                   {"speedup", {2, "x"}}});
+  Capture.addRow({"registry probe (cache off)", SlowRate, 1.0});
+  Capture.addRow(
+      {"fingerprint cache (cache on)", FastRate, FastRate / SlowRate});
   std::printf("%s\n", Capture.render().c_str());
-
-  Json.beginRecord("gc_cycles");
-  Json.record("context_capture_per_sec_cache_on", FastRate);
-  Json.record("context_capture_per_sec_cache_off", SlowRate);
-  Json.record("context_cache_hits", Hits);
 
   std::printf("shape: extra collector threads pay off only when a cycle's "
               "mark and sweep work\noutweighs the pool wake and phase "
@@ -210,14 +190,5 @@ int main(int argc, char **argv) {
               "save. The fingerprint cache removes the per-capture "
               "ContextKey\nbuild and hash probe. Statistics are identical "
               "at every thread count.\n");
-
-  std::string JsonPath = bench::jsonOutputPath(argc, argv);
-  if (!JsonPath.empty()) {
-    if (!Json.write(JsonPath)) {
-      std::fprintf(stderr, "failed to write %s\n", JsonPath.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s\n", JsonPath.c_str());
-  }
-  return 0;
+  return H.finish();
 }

@@ -27,8 +27,8 @@
 /// between allocations, so as it grows the op mix stops being
 /// allocation-bound and the curve must approach the plain thread scaling.
 ///
-/// `--json <path>` (or CHAMELEON_BENCH_JSON) writes the BENCH_mt.json
-/// perf-trajectory record; `--quick` shrinks the run for sanitizer CI.
+/// `--json <path>` writes the perf-trajectory record (`--contend` seeds
+/// bench/BENCH_mt.json); `--quick` shrinks the run for sanitizer CI.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,13 +37,12 @@
 #include "support/Format.h"
 #include "support/SplitMix64.h"
 
-#include "BenchJson.h"
+#include "Harness.h"
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -147,7 +146,7 @@ double throughput(unsigned Threads, const BenchParams &P) {
 
   StartGate Gate;
   std::vector<std::thread> Workers;
-  std::chrono::steady_clock::time_point Start;
+  bench::Clock::time_point Start;
   std::atomic<uint64_t> SinkAll{0};
   for (unsigned T = 0; T < Threads; ++T)
     Workers.emplace_back([&, T] {
@@ -158,7 +157,7 @@ double throughput(unsigned Threads, const BenchParams &P) {
         GcSafeRegion Region(RT.heap());
         std::unique_lock<std::mutex> L(Gate.Mu);
         if (++Gate.Ready == Threads) {
-          Start = std::chrono::steady_clock::now();
+          Start = bench::Clock::now();
           Gate.Go = true;
           Gate.Cv.notify_all();
         } else {
@@ -170,10 +169,7 @@ double throughput(unsigned Threads, const BenchParams &P) {
     });
   for (std::thread &W : Workers)
     W.join();
-  auto End = std::chrono::steady_clock::now();
-  double Seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(End - Start)
-          .count();
+  double Seconds = bench::secondsSince(Start);
   return static_cast<double>(P.OpsPerThread) * Threads / Seconds;
 }
 
@@ -226,7 +222,7 @@ double contendThroughput(unsigned Threads, const BenchParams &P) {
 
   StartGate Gate;
   std::vector<std::thread> Workers;
-  std::chrono::steady_clock::time_point Start;
+  bench::Clock::time_point Start;
   std::atomic<uint64_t> SinkAll{0};
   for (unsigned T = 0; T < Threads; ++T)
     Workers.emplace_back([&, T] {
@@ -235,7 +231,7 @@ double contendThroughput(unsigned Threads, const BenchParams &P) {
         GcSafeRegion Region(RT.heap());
         std::unique_lock<std::mutex> L(Gate.Mu);
         if (++Gate.Ready == Threads) {
-          Start = std::chrono::steady_clock::now();
+          Start = bench::Clock::now();
           Gate.Go = true;
           Gate.Cv.notify_all();
         } else {
@@ -247,14 +243,11 @@ double contendThroughput(unsigned Threads, const BenchParams &P) {
     });
   for (std::thread &W : Workers)
     W.join();
-  auto End = std::chrono::steady_clock::now();
-  double Seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(End - Start)
-          .count();
+  double Seconds = bench::secondsSince(Start);
   return static_cast<double>(P.OpsPerThread) * Threads / Seconds;
 }
 
-int runContend(const BenchParams &P, int argc, char **argv) {
+int runContend(const BenchParams &P, bench::Harness &H) {
   std::printf("== micro: allocation scaling (cached allocs/s vs 1 thread) "
               "==\n\n");
   unsigned Cores = std::thread::hardware_concurrency();
@@ -265,69 +258,53 @@ int runContend(const BenchParams &P, int argc, char **argv) {
   // whichever thread count happens to run first.
   (void)contendThroughput(8, P);
 
-  bench::JsonDoc Json;
-  Json.field("bench", "micro_mt_mutator");
-  Json.field("mode", "contend");
-  bench::addProvenance(Json);
-  Json.field("cores", static_cast<uint64_t>(Cores));
-  Json.field("ops_per_thread", P.OpsPerThread);
-  Json.field("spin_per_op", static_cast<uint64_t>(P.SpinPerOp));
+  H.metric("ops_per_thread", static_cast<double>(P.OpsPerThread));
+  H.metric("spin_per_op", P.SpinPerOp);
 
   double Base = 0, Scaling4 = 0;
-  TextTable Table({"threads", "Mallocs/s", "vs 1 thread"});
+  bench::Table &Table = H.table(
+      "mt_contend",
+      {{"threads"}, {"Mallocs/s", {2}}, {"vs 1 thread", {2, "x"}}});
   for (unsigned Threads : {1u, 2u, 4u, 8u}) {
     double Rate = contendThroughput(Threads, P);
     if (Threads == 1)
       Base = Rate;
     if (Threads == 4)
       Scaling4 = Rate / Base;
-    Table.addRow({std::to_string(Threads), formatDouble(Rate / 1e6, 2),
-                  formatDouble(Rate / Base, 2) + "x"});
-    Json.beginRecord("mt_contend");
-    Json.record("threads", static_cast<uint64_t>(Threads));
-    Json.record("allocs_per_sec", Rate);
-    Json.record("speedup_vs_1", Rate / Base);
+    Table.addRow({static_cast<double>(Threads), Rate / 1e6, Rate / Base});
   }
   std::printf("%s\n", Table.render().c_str());
-  Json.field("allocs_4t_vs_1t", Scaling4);
+  H.metric("allocs_4t_vs_1t", Scaling4);
 
   std::printf("target: >= 3x at 4 threads (needs cores >= 4); raise --spin "
               "to drown allocation\nin mutator work and the curve "
               "approaches plain thread scaling.\n");
-
-  std::string JsonPath = bench::jsonOutputPath(argc, argv);
-  if (!JsonPath.empty()) {
-    if (!Json.write(JsonPath)) {
-      std::fprintf(stderr, "failed to write %s\n", JsonPath.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s\n", JsonPath.c_str());
-  }
-  return 0;
+  return H.finish();
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
+  bench::Harness H("micro_mt_mutator", argc, argv,
+                   {{"--quick"}, {"--contend"}, {"--spin", "N"}});
   BenchParams P;
-  bool Contend = false;
-  bool Quick = false;
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--quick") == 0)
-      Quick = true;
-    else if (std::strcmp(argv[I], "--contend") == 0)
-      Contend = true;
-    else if (std::strcmp(argv[I], "--spin") == 0 && I + 1 < argc)
-      P.SpinPerOp = static_cast<uint32_t>(std::strtoul(argv[++I], nullptr, 10));
+  const bool Contend = H.has("--contend");
+  if (const char *Spin = H.value("--spin")) {
+    char *End = nullptr;
+    P.SpinPerOp = static_cast<uint32_t>(std::strtoul(Spin, &End, 10));
+    if (End == Spin || *End != '\0')
+      H.usageError(std::string("'--spin' needs a count, not '") + Spin + "'");
+    if (!Contend)
+      H.usageError("'--spin' only applies with '--contend'");
   }
   if (Contend) {
     // Every contend op allocates and nothing is reclaimed until the clock
     // stops (see contendThroughput), so the op count bounds peak residency:
     // 8 threads x 120k ops of ~100-byte objects stays around 100 MB.
-    P.OpsPerThread = Quick ? 20000 : 120000;
-    return runContend(P, argc, argv);
+    P.OpsPerThread = H.quick() ? 20000 : 120000;
+    return runContend(P, H);
   }
-  if (Quick)
+  if (H.quick())
     P.OpsPerThread = 20000;
 
   std::printf("== micro: concurrent mutator scaling ==\n\n");
@@ -336,25 +313,16 @@ int main(int argc, char **argv) {
               "threads)\n\n",
               Cores);
 
-  bench::JsonDoc Json;
-  Json.field("bench", "micro_mt_mutator");
-  Json.field("mode", "scaling");
-  bench::addProvenance(Json);
-  Json.field("cores", static_cast<uint64_t>(Cores));
-  Json.field("ops_per_thread", P.OpsPerThread);
+  H.metric("ops_per_thread", static_cast<double>(P.OpsPerThread));
 
   double Base = 0;
-  TextTable Table({"threads", "Mops/s", "vs 1 thread"});
+  bench::Table &Table = H.table(
+      "mt_mutator", {{"threads"}, {"Mops/s", {2}}, {"vs 1 thread", {2, "x"}}});
   for (unsigned Threads : {1u, 2u, 4u, 8u}) {
     double Rate = throughput(Threads, P);
     if (Threads == 1)
       Base = Rate;
-    Table.addRow({std::to_string(Threads), formatDouble(Rate / 1e6, 2),
-                  formatDouble(Rate / Base, 2) + "x"});
-    Json.beginRecord("mt_mutator");
-    Json.record("threads", static_cast<uint64_t>(Threads));
-    Json.record("ops_per_sec", Rate);
-    Json.record("speedup_vs_1", Rate / Base);
+    Table.addRow({static_cast<double>(Threads), Rate / 1e6, Rate / Base});
   }
   std::printf("%s\n", Table.render().c_str());
 
@@ -363,14 +331,5 @@ int main(int argc, char **argv) {
               "allocation tail takes the heap lock. On a\nmulticore host "
               "the curve should track the thread count until allocation\n"
               "serialisation bites.\n");
-
-  std::string JsonPath = bench::jsonOutputPath(argc, argv);
-  if (!JsonPath.empty()) {
-    if (!Json.write(JsonPath)) {
-      std::fprintf(stderr, "failed to write %s\n", JsonPath.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s\n", JsonPath.c_str());
-  }
-  return 0;
+  return H.finish();
 }

@@ -21,8 +21,8 @@
 ///     the mutator pool at 1 and 4 threads.
 ///  4. Serialization rates a soak loop pays (write/read MiB/s).
 ///
-/// `--json <path>` (or CHAMELEON_BENCH_JSON) writes the BENCH_trace.json
-/// perf-trajectory record; `--quick` shrinks the run for sanitizer CI.
+/// `--json <path>` writes the bench/BENCH_trace.json perf-trajectory
+/// record; `--quick` shrinks the run for sanitizer CI.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,23 +31,14 @@
 #include "apps/TraceWorkload.h"
 #include "support/Format.h"
 
-#include "BenchJson.h"
+#include "Harness.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 
 using namespace chameleon;
 using namespace chameleon::apps;
 
 namespace {
-
-double secondsSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration_cast<std::chrono::duration<double>>(
-             std::chrono::steady_clock::now() - Start)
-      .count();
-}
 
 /// One mutator thread: the record-overhead pair must not be polluted by
 /// scheduler churn when cores are scarce; replay throughput measures its
@@ -67,24 +58,11 @@ ServerSimConfig benchSimConfig(bool Quick) {
 /// cannot be hoisted, matching the real hook (Rec is a live parameter).
 double disarmedHookNs(uint64_t Iters) {
   TaskTrace *volatile RecSlot = nullptr;
-  volatile uint64_t Sink = 0;
-
-  auto Start = std::chrono::steady_clock::now();
-  for (uint64_t I = 0; I < Iters; ++I) {
+  return bench::siteNs(Iters, [&] {
     TaskTrace *Rec = RecSlot;
     if (Rec)
       Rec->op0(TraceOpCode::Size, 0);
-    Sink = Sink + I;
-  }
-  double WithHook = secondsSince(Start);
-
-  Start = std::chrono::steady_clock::now();
-  for (uint64_t I = 0; I < Iters; ++I)
-    Sink = Sink + I;
-  double Bare = secondsSince(Start);
-
-  double Delta = (WithHook - Bare) / static_cast<double>(Iters) * 1e9;
-  return Delta > 0 ? Delta : 0.0;
+  });
 }
 
 /// Wall seconds of one ServerSim run, optionally recording.
@@ -92,58 +70,46 @@ double simSeconds(const ServerSimConfig &Base, TraceCapture *Capture) {
   ServerSimConfig Config = Base;
   Config.RecordTo = Capture;
   CollectionRuntime RT(serverSimRuntimeConfig());
-  auto Start = std::chrono::steady_clock::now();
+  bench::Clock::time_point Start = bench::Clock::now();
   runServerSim(RT, Config);
-  return secondsSince(Start);
-}
-
-double medianOf(std::vector<double> Samples) {
-  std::sort(Samples.begin(), Samples.end());
-  return Samples[Samples.size() / 2];
+  return bench::secondsSince(Start);
 }
 
 /// Median run time over \p Reps runs (recording when \p Record).
 double medianSimSeconds(const ServerSimConfig &Base, bool Record, int Reps) {
-  std::vector<double> Samples;
-  for (int I = 0; I < Reps; ++I) {
+  return bench::medianOf(Reps, [&] {
     TraceCapture Capture;
-    Samples.push_back(simSeconds(Base, Record ? &Capture : nullptr));
+    double Seconds = simSeconds(Base, Record ? &Capture : nullptr);
     if (Record)
       Capture.finish();
-  }
-  return medianOf(std::move(Samples));
+    return Seconds;
+  });
 }
 
 /// Replay ops/s at \p Threads (median over \p Reps).
 double replayOpsPerSec(const Trace &T, uint32_t Threads, int Reps) {
-  std::vector<double> Samples;
-  for (int I = 0; I < Reps; ++I) {
+  return bench::medianOf(Reps, [&] {
     ReplayConfig Config;
     Config.MutatorThreads = Threads;
     CollectionRuntime RT(traceReplayRuntimeConfig(Config));
-    auto Start = std::chrono::steady_clock::now();
+    bench::Clock::time_point Start = bench::Clock::now();
     ReplayResult R = replayTrace(RT, T, Config);
-    double Secs = secondsSince(Start);
+    double Secs = bench::secondsSince(Start);
     if (!R.Ok) {
       std::fprintf(stderr, "replay failed: %s\n", R.Error.c_str());
       std::exit(1);
     }
-    Samples.push_back(static_cast<double>(R.Ops) / Secs);
-  }
-  return medianOf(std::move(Samples));
+    return static_cast<double>(R.Ops) / Secs;
+  });
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  bool Quick = false;
-  for (int I = 1; I < argc; ++I)
-    if (std::strcmp(argv[I], "--quick") == 0)
-      Quick = true;
-
-  const int Reps = Quick ? 3 : 5;
-  const uint64_t HookIters = Quick ? 2'000'000 : 20'000'000;
-  ServerSimConfig Base = benchSimConfig(Quick);
+  bench::Harness H("micro_trace_replay", argc, argv, {{"--quick"}});
+  const int Reps = H.quick() ? 3 : 5;
+  const uint64_t HookIters = H.quick() ? 2'000'000 : 20'000'000;
+  ServerSimConfig Base = benchSimConfig(H.quick());
   const uint64_t Requests =
       static_cast<uint64_t>(Base.Epochs) * Base.RequestsPerEpoch;
 
@@ -167,24 +133,26 @@ int main(int argc, char **argv) {
   double RequestNs = Disarmed * 1e9 / static_cast<double>(Requests);
   double DisarmedOverheadPct = HookNs * HooksPerRequest / RequestNs * 100.0;
 
-  TextTable RecordTable({"recorder", "run ms", "vs disarmed"});
-  RecordTable.addRow({"disarmed", formatDouble(Disarmed * 1e3, 2), "1.00x"});
-  RecordTable.addRow({"armed (recording)", formatDouble(Armed * 1e3, 2),
-                      formatDouble(Armed / Disarmed, 3) + "x"});
+  bench::Table &RecordTable = H.table(
+      "record_overhead",
+      {{"recorder"}, {"run ms", {2}}, {"vs disarmed", {3, "x"}}});
+  RecordTable.addRow({"disarmed", Disarmed * 1e3, 1.0});
+  RecordTable.addRow({"armed (recording)", Armed * 1e3, Armed / Disarmed});
   std::printf("%s\n", RecordTable.render().c_str());
 
   std::printf("disarmed hook: %s ns x %s hooks/request over %s ns/request"
               " = %s%% overhead\n",
-              formatDouble(HookNs, 3).c_str(),
-              formatDouble(HooksPerRequest, 1).c_str(),
-              formatDouble(RequestNs, 0).c_str(),
-              formatDouble(DisarmedOverheadPct, 3).c_str());
+              H.metric("disarmed_hook_ns", HookNs, {3}).c_str(),
+              H.metric("hooks_per_request", HooksPerRequest, {1}).c_str(),
+              H.metric("request_ns", RequestNs).c_str(),
+              H.metric("disarmed_overhead_pct", DisarmedOverheadPct, {3})
+                  .c_str());
   std::printf("\nheadline: the recording hooks left compiled into ServerSim"
               " cost %s%%\nwhen disarmed (budget: <= 2%%) — recording costs"
               " nothing until a capture\nis armed. Armed recording adds"
               " %s%% and is paid once per recorded trace.\n",
               formatDouble(DisarmedOverheadPct, 3).c_str(),
-              formatDouble(ArmedOverheadPct, 1).c_str());
+              H.metric("record_overhead_pct", ArmedOverheadPct, {1}).c_str());
   if (DisarmedOverheadPct >= 2.0)
     std::printf("WARNING: disarmed overhead claim violated (%.3f%% >= 2%%)\n",
                 DisarmedOverheadPct);
@@ -192,52 +160,30 @@ int main(int argc, char **argv) {
   double Replay1 = replayOpsPerSec(T, 1, Reps);
   double Replay4 = replayOpsPerSec(T, 4, Reps);
 
-  auto Start = std::chrono::steady_clock::now();
+  bench::Clock::time_point Start = bench::Clock::now();
   std::string Bytes = writeTrace(T);
-  double WriteSecs = secondsSince(Start);
+  double WriteSecs = bench::secondsSince(Start);
   Trace Back;
-  Start = std::chrono::steady_clock::now();
+  Start = bench::Clock::now();
   if (!readTrace(Bytes, Back)) {
     std::fprintf(stderr, "re-read of the serialized trace failed\n");
     return 1;
   }
-  double ReadSecs = secondsSince(Start);
+  double ReadSecs = bench::secondsSince(Start);
   double Mb = static_cast<double>(Bytes.size()) / (1024.0 * 1024.0);
 
+  // Differently formatted values: each row is one metric.
   TextTable ReplayTable({"measurement", "value"});
-  ReplayTable.addRow({"replay ops/s (1 thread)", formatDouble(Replay1, 0)});
-  ReplayTable.addRow({"replay ops/s (4 threads)", formatDouble(Replay4, 0)});
-  ReplayTable.addRow({"trace size", formatDouble(Mb, 2) + " MiB"});
-  ReplayTable.addRow({"serialize", formatDouble(Mb / WriteSecs, 1) + " MiB/s"});
-  ReplayTable.addRow({"deserialize", formatDouble(Mb / ReadSecs, 1) + " MiB/s"});
+  ReplayTable.addRow({"replay ops/s (1 thread)",
+                      H.metric("replay_ops_per_s_1_thread", Replay1)});
+  ReplayTable.addRow({"replay ops/s (4 threads)",
+                      H.metric("replay_ops_per_s_4_threads", Replay4)});
+  ReplayTable.addRow(
+      {"trace size", H.metric("trace_mib", Mb, {2, " MiB"})});
+  ReplayTable.addRow({"serialize", H.metric("serialize_mib_per_s",
+                                            Mb / WriteSecs, {1, " MiB/s"})});
+  ReplayTable.addRow({"deserialize", H.metric("deserialize_mib_per_s",
+                                              Mb / ReadSecs, {1, " MiB/s"})});
   std::printf("\n%s\n", ReplayTable.render().c_str());
-
-  bench::JsonDoc Json;
-  Json.field("bench", "micro_trace_replay");
-  bench::addProvenance(Json);
-  Json.field("disarmed_hook_ns", HookNs);
-  Json.field("hooks_per_request", HooksPerRequest);
-  Json.field("disarmed_overhead_pct", DisarmedOverheadPct);
-  Json.field("record_overhead_pct", ArmedOverheadPct);
-  Json.field("sim_ms_disarmed", Disarmed * 1e3);
-  Json.field("sim_ms_recording", Armed * 1e3);
-  Json.field("trace_bytes", static_cast<uint64_t>(Bytes.size()));
-  Json.field("write_mib_per_sec", Mb / WriteSecs);
-  Json.field("read_mib_per_sec", Mb / ReadSecs);
-  Json.beginRecord("replay_throughput");
-  Json.record("threads", static_cast<uint64_t>(1));
-  Json.record("ops_per_sec", Replay1);
-  Json.beginRecord("replay_throughput");
-  Json.record("threads", static_cast<uint64_t>(4));
-  Json.record("ops_per_sec", Replay4);
-
-  std::string JsonPath = bench::jsonOutputPath(argc, argv);
-  if (!JsonPath.empty()) {
-    if (!Json.write(JsonPath)) {
-      std::fprintf(stderr, "failed to write %s\n", JsonPath.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s\n", JsonPath.c_str());
-  }
-  return 0;
+  return H.finish();
 }

@@ -20,8 +20,9 @@
 #include "support/Format.h"
 #include "support/SplitMix64.h"
 
+#include "Harness.h"
+
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <deque>
 
@@ -75,19 +76,16 @@ Measurement measure(ImplKind Kind, uint32_t ThresholdOrCap) {
   RuntimeConfig Config;
   Config.Profiler.Enabled = false; // uninstrumented, like §2.3's runs
   Config.GcSampleEveryBytes = 256 * 1024;
-  double Times[3];
   Measurement Result;
-  for (double &T : Times) {
+  Result.Seconds = bench::medianOf(3, [&] {
     CollectionRuntime RT(Config);
-    auto Start = std::chrono::steady_clock::now();
+    bench::Clock::time_point Start = bench::Clock::now();
     mapWorkload(RT, Kind, ThresholdOrCap);
-    auto End = std::chrono::steady_clock::now();
-    T = std::chrono::duration<double>(End - Start).count();
+    double Seconds = bench::secondsSince(Start);
     for (const GcCycleRecord &Rec : RT.heap().cycles())
       Result.PeakLive = std::max(Result.PeakLive, Rec.LiveBytes);
-  }
-  std::sort(Times, Times + 3);
-  Result.Seconds = Times[1];
+    return Seconds;
+  });
   return Result;
 }
 

@@ -21,7 +21,8 @@
 #include "apps/AppSpec.h"
 #include "support/Format.h"
 
-#include <algorithm>
+#include "Harness.h"
+
 #include <cstdio>
 
 using namespace chameleon;
@@ -31,16 +32,13 @@ namespace {
 
 double median3(Chameleon &Tool, const Workload &Run, uint64_t Limit,
                bool Online, uint64_t *Replacements) {
-  double Times[3];
-  for (double &T : Times) {
+  return bench::medianOf(3, [&] {
     RunResult R = Online ? Tool.profileOnline(Run, Limit)
                          : Tool.run(Run, nullptr, Limit);
-    T = R.Seconds;
     if (Replacements)
       *Replacements = R.OnlineReplacements;
-  }
-  std::sort(Times, Times + 3);
-  return Times[1];
+    return R.Seconds;
+  });
 }
 
 } // namespace

@@ -38,7 +38,7 @@ SnapshotLoadResult FleetAggregator::loadInitial() {
     return SnapshotLoadResult();
   FleetState Loaded;
   SnapshotLoadResult R =
-      loadSnapshot(Cfg.SnapshotPath, Loaded, Cfg.QuarantineOnLoadError);
+      loadSnapshot(Cfg.SnapshotPath, Loaded, /*QuarantineOnError=*/true);
   if (R.ok()) {
     State = std::move(Loaded);
     ++S.SnapshotLoads;

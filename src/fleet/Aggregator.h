@@ -43,12 +43,11 @@ namespace chameleon::fleet {
 
 struct FleetAggregatorConfig {
   /// Snapshot file. Empty = in-memory only (persist() is then a no-op
-  /// that still advances the durable marks — test convenience).
+  /// that still advances the durable marks — test convenience). A corrupt
+  /// snapshot is renamed aside on load (see Snapshot.h).
   std::string SnapshotPath;
   /// Auto-persist after this many applied updates (0 = manual persist()).
   uint32_t PersistEveryUpdates = 0;
-  /// Rename corrupt snapshots aside on load (see Snapshot.h).
-  bool QuarantineOnLoadError = true;
 };
 
 struct FleetAggregatorStats {

@@ -62,20 +62,19 @@ enum class DecisionKind : uint8_t {
 /// \returns a stable lowercase name for \p K ("epoch", "rule", ...).
 const char *decisionKindName(DecisionKind K);
 
-/// Rule verdicts, mirroring rules::RuleOutcome but owned here so the
-/// ledger wire format does not chase the rules layer (obs must not depend
-/// on rules). The instrumentation site maps explicitly. Numeric values
-/// are part of the wire format — append, never renumber.
+/// Rule verdicts. The rule engine's RuleOutcome is an alias of this enum,
+/// owned here because obs must not depend on rules. Numeric values are
+/// part of the wire format — append, never renumber.
 enum class DecisionOutcome : uint8_t {
-  None = 0,
+  None = 0,             ///< the record carries no verdict
   Fired = 1,
-  NeverFires = 2,
-  SrcTypeMismatch = 3,
-  TooFewSamples = 4,
-  ConditionFalse = 5,
-  MissingParam = 6,
-  Unstable = 7,
-  GatedByPotential = 8,
+  NeverFires = 2,       ///< sema proved the condition unsatisfiable at load
+  SrcTypeMismatch = 3,  ///< the rule's srcType does not match the context
+  TooFewSamples = 4,    ///< below the engine's minimum folded instances
+  ConditionFalse = 5,   ///< the condition evaluated to false
+  MissingParam = 6,     ///< the rule references an unbound $-parameter
+  Unstable = 7,         ///< suppressed by the Definition 3.1 gate
+  GatedByPotential = 8, ///< space rule below the potential threshold
 };
 
 /// \returns a stable lowercase name for \p O ("fired", "never_fires", ...).

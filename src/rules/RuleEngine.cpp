@@ -26,31 +26,14 @@ namespace {
 CHAM_METRIC_COUNTER(RuleEvaluations, "cham.rules.evaluations");
 CHAM_METRIC_COUNTER(RuleFired, "cham.rules.fired");
 
-/// RuleOutcome -> the ledger's decoupled outcome enum (obs must not
-/// depend on the rules layer, so the mapping lives at the producer).
-obs::DecisionOutcome ledgerOutcome(RuleEngine::RuleOutcome O) {
-  using RO = RuleEngine::RuleOutcome;
-  using DO = obs::DecisionOutcome;
-  switch (O) {
-  case RO::Fired:
-    return DO::Fired;
-  case RO::NeverFires:
-    return DO::NeverFires;
-  case RO::SrcTypeMismatch:
-    return DO::SrcTypeMismatch;
-  case RO::TooFewSamples:
-    return DO::TooFewSamples;
-  case RO::ConditionFalse:
-    return DO::ConditionFalse;
-  case RO::MissingParam:
-    return DO::MissingParam;
-  case RO::Unstable:
-    return DO::Unstable;
-  case RO::GatedByPotential:
-    return DO::GatedByPotential;
-  }
-  return DO::None;
-}
+/// Contexts with fewer folded instances than this are not judged at all
+/// (not enough samples for the Table-1 averages to mean anything).
+constexpr uint64_t MinSamples = 4;
+
+/// Stability thresholds (Definition 3.1): a size metric is stable when
+/// stddev <= MaxAbsStddev + MaxRelStddev * mean.
+constexpr double MaxAbsStddev = 1.0;
+constexpr double MaxRelStddev = 0.25;
 
 /// The full impl-kind name table, index-aligned with implIndex().
 std::vector<std::string> implNameTable() {
@@ -226,9 +209,7 @@ bool RuleEngine::srcTypeMatches(const std::string &SrcType,
 bool RuleEngine::isStable(const ContextInfo &Info, bool UsedMaxSize,
                           bool UsedFinalSize) const {
   auto Stable = [&](const RunningStat &Stat) {
-    return Stat.stddev()
-           <= Config.Stability.MaxAbsStddev
-                  + Config.Stability.MaxRelStddev * Stat.mean();
+    return Stat.stddev() <= MaxAbsStddev + MaxRelStddev * Stat.mean();
   };
   if (UsedMaxSize && !Stable(Info.maxSizeStat()))
     return false;
@@ -255,6 +236,8 @@ const char *RuleEngine::ruleOutcomeName(RuleOutcome Outcome) {
     return "suppressed by stability gate";
   case RuleOutcome::GatedByPotential:
     return "below the potential threshold";
+  case RuleOutcome::None:
+    break;
   }
   CHAM_UNREACHABLE("unknown RuleOutcome");
 }
@@ -265,7 +248,7 @@ RuleEngine::evaluateRule(const Rule &R, const ContextInfo &Info,
                          unsigned *DivGuardHits) const {
   if (R.NeverFires)
     return RuleOutcome::NeverFires;
-  if (Info.foldedInstances() < Config.MinSamples)
+  if (Info.foldedInstances() < MinSamples)
     return RuleOutcome::TooFewSamples;
   if (!srcTypeMatches(R.SrcType, Info.typeName()))
     return RuleOutcome::SrcTypeMismatch;
@@ -354,7 +337,7 @@ void RuleEngine::evaluateContext(const ContextInfo &Info,
       Rec.Epoch = Ledger.currentEpoch();
       Rec.Kind = obs::DecisionKind::RuleOutcome;
       Rec.Rule = RuleIdx;
-      Rec.Outcome = ledgerOutcome(Outcome);
+      Rec.Outcome = Outcome;
       Rec.DivGuard = static_cast<uint16_t>(
           DivGuardHits > 0xffff ? 0xffff : DivGuardHits);
       if (Outcome == RuleOutcome::Fired && S.Action == ActionKind::Replace)

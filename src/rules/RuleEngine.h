@@ -18,6 +18,7 @@
 #define CHAMELEON_RULES_RULEENGINE_H
 
 #include "collections/ReplacementPlan.h"
+#include "obs/DecisionLog.h"
 #include "rules/Evaluator.h"
 #include "rules/Parser.h"
 #include "rules/Sema.h"
@@ -33,22 +34,11 @@ class OnlineSelector;
 
 namespace chameleon::rules {
 
-/// Stability thresholds (Definition 3.1). A size metric is stable when
-/// stddev <= MaxAbsStddev + MaxRelStddev * mean.
-struct StabilityConfig {
-  double MaxAbsStddev = 1.0;
-  double MaxRelStddev = 0.25;
-};
-
 /// Engine configuration.
 struct RuleEngineConfig {
-  StabilityConfig Stability;
   /// Space-category suggestions are dropped for contexts whose saving
   /// potential (totLive - totUsed) is below this many bytes.
   uint64_t MinPotentialBytes = 0;
-  /// Contexts with fewer folded instances than this are not judged at all
-  /// (not enough samples for the Table-1 averages to mean anything).
-  uint64_t MinSamples = 4;
 };
 
 /// One fired rule at one context.
@@ -119,17 +109,9 @@ public:
     CustomSourceAdts[Name] = Adt;
   }
 
-  /// Why a rule did or did not fire for a context.
-  enum class RuleOutcome : uint8_t {
-    Fired,
-    NeverFires,        ///< sema proved the condition unsatisfiable at load
-    SrcTypeMismatch,   ///< the rule's srcType does not match the context
-    TooFewSamples,     ///< below Config.MinSamples folded instances
-    ConditionFalse,    ///< the condition evaluated to false
-    MissingParam,      ///< the rule references an unbound $-parameter
-    Unstable,          ///< suppressed by the Definition 3.1 gate
-    GatedByPotential,  ///< space rule below Config.MinPotentialBytes
-  };
+  /// Why a rule did or did not fire for a context: the verdicts the
+  /// decision ledger records. evaluateRule never returns None.
+  using RuleOutcome = obs::DecisionOutcome;
 
   /// Printable outcome name.
   static const char *ruleOutcomeName(RuleOutcome Outcome);
