@@ -11,7 +11,8 @@
 ///  1. parses the command line: `--json PATH` plus the flags the bench
 ///     declares (`--quick` for benches with a quick mode, and its own);
 ///     any other argument exits 2 naming it;
-///  2. times runs and takes medians (`secondsSince`, `medianOf`);
+///  2. times runs and takes medians (`secondsSince`, `threadCpuSeconds`,
+///     `medianOf`);
 ///  3. prices a disarmed site as (loop with the site - bare loop) /
 ///     iterations (`siteNs`);
 ///  4. records provenance: git describe, build flags, core count and CPU
@@ -46,6 +47,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <deque>
 #include <fstream>
 #include <map>
@@ -70,6 +72,14 @@ using Clock = std::chrono::steady_clock;
 
 inline double secondsSince(Clock::time_point Start) {
   return std::chrono::duration<double>(Clock::now() - Start).count();
+}
+
+/// CPU seconds the calling thread has used so far. Unlike wall time it
+/// does not count the time other processes hold the core.
+inline double threadCpuSeconds() {
+  timespec T;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &T);
+  return static_cast<double>(T.tv_sec) + static_cast<double>(T.tv_nsec) / 1e9;
 }
 
 /// The median of \p Samples (the upper one for an even count).

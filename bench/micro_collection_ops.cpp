@@ -30,7 +30,6 @@
 
 #include "Harness.h"
 
-#include <ctime>
 #include <string>
 
 using namespace chameleon;
@@ -41,12 +40,6 @@ RuntimeConfig bareConfig() {
   RuntimeConfig Config;
   Config.Profiler.Enabled = false;
   return Config;
-}
-
-double threadCpuSeconds() {
-  timespec T;
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &T);
-  return static_cast<double>(T.tv_sec) + static_cast<double>(T.tv_nsec) / 1e9;
 }
 
 /// Times \p Op and adds its row to \p Out: the batch doubles until one
@@ -70,11 +63,11 @@ void timeOp(bench::Table &Out, const std::string &Name, OpT &&Op) {
   }
   std::vector<double> Wall, Cpu;
   for (int R = 0; R < Reps; ++R) {
-    double CpuStart = threadCpuSeconds();
+    double CpuStart = bench::threadCpuSeconds();
     bench::Clock::time_point Start = bench::Clock::now();
     Batch(Iters);
     Wall.push_back(bench::secondsSince(Start) / Iters * 1e9);
-    Cpu.push_back((threadCpuSeconds() - CpuStart) / Iters * 1e9);
+    Cpu.push_back((bench::threadCpuSeconds() - CpuStart) / Iters * 1e9);
   }
   Out.addRow({Name, bench::median(Wall), bench::median(Cpu),
               static_cast<double>(Iters * Reps)});

@@ -19,7 +19,7 @@
 ///
 /// `--contend` switches to the allocation-scaling mode (DESIGN.md §12):
 /// every op allocates a small internal object directly through the runtime
-/// (bypassing the plan cache, so the measurement isolates GcHeap::allocate
+/// (bypassing the plan lookup, so the measurement isolates GcHeap::allocate
 /// and the thread-cached allocator behind it), and the series reports
 /// allocations per second at each thread count against 1 thread (the
 /// scaling target is >= 3x at 4 threads). The recorded `cores` field
@@ -178,7 +178,7 @@ double throughput(unsigned Threads, const BenchParams &P) {
 //===----------------------------------------------------------------------===//
 
 /// The contended mix: every op allocates one small data object through the
-/// runtime's direct allocation API (no plan cache, no handle layer, no
+/// runtime's direct allocation API (no plan lookup, no handle layer, no
 /// temp-root pushes), round-robin over four distinct size classes; a
 /// 1-in-8 subset survives in a rooted ring so the heap holds live data.
 /// `--spin N` inserts busy-work between allocations. Polls a safepoint per

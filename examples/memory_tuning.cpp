@@ -57,7 +57,7 @@ int main() {
     std::vector<ContextInfo *> Ranked = RT.profiler().rankedByPotential();
     if (!Ranked.empty()) {
       std::printf("-- top context in detail --\n%s\n",
-                  renderContextDetail(RT.profiler(), *Ranked[0]).c_str());
+                  renderContextDetail(*Ranked[0]).c_str());
       std::printf("%s\n",
                   Tool.engine()
                       .explainContext(*Ranked[0], RT.profiler())

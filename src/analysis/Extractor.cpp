@@ -151,6 +151,13 @@ private:
         ++I;
         continue;
       }
+      if (insideParens(Decl)) {
+        // An expression inside an open paren group — a `= {}` default
+        // argument, a braced temporary, a lambda argument — is never a
+        // body or a scope: skip it and keep accumulating the run.
+        I = skipBalanced(I, '{', '}');
+        continue;
+      }
       if (hasKeyword(Decl, "namespace")) {
         Scopes.push_back({ScopeKind::Namespace, lastIdent(Decl)});
         Decl.clear();
@@ -195,6 +202,17 @@ private:
       if (Toks[Idx].isIdent(KW))
         return true;
     return false;
+  }
+  /// True when the run has a '(' that it has not closed yet.
+  bool insideParens(const std::vector<size_t> &Decl) const {
+    int Depth = 0;
+    for (size_t Idx : Decl) {
+      if (Toks[Idx].isPunct('('))
+        ++Depth;
+      else if (Toks[Idx].isPunct(')'))
+        --Depth;
+    }
+    return Depth > 0;
   }
   bool hasPunct(const std::vector<size_t> &Decl, char P) const {
     for (size_t Idx : Decl)

@@ -239,7 +239,7 @@ std::string chameleon::apps::buildServerSimReport(CollectionRuntime &RT,
     appendf(Out,
             "  %s: allocs=%llu folded=%llu allOps=%.6g maxSize=%.6g "
             "finalSize=%.6g initCap=%.6g totLive=%llu totUsed=%llu\n",
-            Prof.contextLabel(*Ctx).c_str(),
+            Ctx->label().c_str(),
             static_cast<unsigned long long>(Ctx->allocations()),
             static_cast<unsigned long long>(Ctx->foldedInstances()),
             Ctx->avgAllOps(), Ctx->maxSizeStat().mean(),

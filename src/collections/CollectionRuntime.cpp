@@ -314,19 +314,6 @@ static void initImpl(GcHeap &Heap, ObjectRef Ref, ImplKind Kind) {
 // The factory: context capture, plan lookup, online selection
 //===----------------------------------------------------------------------===//
 
-const PlanDecision *CollectionRuntime::lookupPlan(const ContextInfo *Info) {
-  if (!Info || Plan.empty())
-    return nullptr;
-  // Plain lock: no allocation (and hence no GC) happens while it is held.
-  std::lock_guard<std::mutex> Lock(PlanCacheMu);
-  CachedDecision &Cached = PlanCache[Info];
-  if (Cached.PlanVersion != Plan.version()) {
-    Cached.PlanVersion = Plan.version();
-    Cached.Decision = Plan.lookup(Profiler.contextLabel(*Info));
-  }
-  return Cached.Decision;
-}
-
 ObjectRef CollectionRuntime::allocateCollection(AdtKind Adt,
                                                 const char *SourceType,
                                                 ImplKind Requested,
@@ -373,16 +360,12 @@ ObjectRef CollectionRuntime::allocateCollection(AdtKind Adt,
   // replacing a poorly-chosen custom structure with a built-in).
   ImplKind Kind = Requested;
   bool UseCustom = Custom != nullptr;
-  if (const PlanDecision *Decision = lookupPlan(Ctx)) {
-    if (Decision->Impl) {
-      if (std::optional<ImplKind> Adapted =
-              adaptImplToAdt(*Decision->Impl, Adt)) {
-        Kind = *Adapted;
-        UseCustom = false;
-      }
+  const PlanDecision *Planned = Ctx ? Plan.lookup(Ctx->label()) : nullptr;
+  if (Planned) {
+    if (std::optional<ImplKind> Impl = Planned->apply(Adt, Capacity)) {
+      Kind = *Impl;
+      UseCustom = false;
     }
-    if (Decision->Capacity)
-      Capacity = *Decision->Capacity;
   }
   if (Selector && !UseCustom)
     Kind = Selector->chooseImpl(Ctx, Adt, Kind, Capacity);

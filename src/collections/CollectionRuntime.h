@@ -359,9 +359,6 @@ private:
                                uint32_t Capacity,
                                const CustomImpl *Custom = nullptr);
 
-  /// The effective decision for a context, memoised per ContextInfo.
-  const PlanDecision *lookupPlan(const ContextInfo *Info);
-
   void registerTypes();
 
   /// The EmptyList flyweight's reference, creating it on first use.
@@ -382,14 +379,6 @@ private:
   std::unordered_map<std::string, WrapperTypeInfo> WrapperTypes;
   ReplacementPlan Plan;
   OnlineSelector *Selector = nullptr;
-  /// Memoised plan lookups (label building is the expensive part), tagged
-  /// with the plan version so mid-run plan edits invalidate them.
-  struct CachedDecision {
-    uint64_t PlanVersion = 0;
-    const PlanDecision *Decision = nullptr;
-  };
-  std::mutex PlanCacheMu;
-  std::unordered_map<const ContextInfo *, CachedDecision> PlanCache;
   std::array<std::atomic<uint64_t>, NumImplKinds> ImplAllocCounts{};
   /// Guards the lazy creation of the two shared flyweights below. Waiters
   /// park in a GcSafeRegion, because the holder allocates (and so may

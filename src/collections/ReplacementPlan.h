@@ -26,7 +26,8 @@
 
 namespace chameleon {
 
-/// One corrective decision for an allocation context.
+/// One corrective decision for an allocation context, whether it came from
+/// an offline plan or from the online adaptor.
 struct PlanDecision {
   /// Replace the backing implementation (nullopt = keep the requested one).
   std::optional<ImplKind> Impl;
@@ -34,16 +35,26 @@ struct PlanDecision {
   std::optional<uint32_t> Capacity;
 
   bool empty() const { return !Impl && !Capacity; }
+
+  /// Applies the decision to an allocation of \p Adt: sets \p Cap when the
+  /// decision carries a capacity, and returns the decided implementation
+  /// adapted to \p Adt (see adaptImplToAdt) — nullopt when the decision
+  /// keeps the implementation or its target cannot back \p Adt.
+  std::optional<ImplKind> apply(AdtKind Adt, uint32_t &Cap) const {
+    if (Capacity)
+      Cap = *Capacity;
+    return Impl ? adaptImplToAdt(*Impl, Adt) : std::nullopt;
+  }
 };
 
-/// Decisions keyed by the context label produced by
-/// `SemanticProfiler::contextLabel` ("HashMap:site;caller;caller").
+/// Decisions keyed by `ContextInfo::label()` ("HashMap:site;caller;caller").
+/// The factory reads the plan on every profiled allocation without a lock:
+/// edit it only while no other thread allocates.
 class ReplacementPlan {
 public:
   /// Installs (or overwrites) the decision for a context label.
   void add(const std::string &ContextLabel, PlanDecision Decision) {
     Decisions[ContextLabel] = Decision;
-    ++Version;
   }
 
   /// The decision for a label, or null when the plan has none.
@@ -58,14 +69,7 @@ public:
   bool empty() const { return Decisions.empty(); }
 
   /// Drops all decisions.
-  void clear() {
-    Decisions.clear();
-    ++Version;
-  }
-
-  /// Bumped on every mutation; lets per-context lookup caches detect
-  /// plans edited while the program runs.
-  uint64_t version() const { return Version; }
+  void clear() { Decisions.clear(); }
 
   /// Read access for reporting.
   const std::unordered_map<std::string, PlanDecision> &decisions() const {
@@ -74,7 +78,6 @@ public:
 
 private:
   std::unordered_map<std::string, PlanDecision> Decisions;
-  uint64_t Version = 0;
 };
 
 } // namespace chameleon

@@ -54,21 +54,14 @@ OnlineAdaptor::evaluateLocked(const ContextInfo *Info) {
   Fresh.AtAllocationCount = Info->allocations();
   std::vector<rules::Suggestion> Suggs;
   Engine.evaluateContext(*Info, Profiler, Suggs);
-  for (const rules::Suggestion &S : Suggs) {
-    if (S.Action == rules::ActionKind::Replace && !Fresh.Impl) {
-      Fresh.Impl = S.NewImpl;
-      if (S.Capacity && !Fresh.Capacity)
-        Fresh.Capacity = S.Capacity;
-    } else if (S.Action == rules::ActionKind::SetCapacity && !Fresh.Capacity) {
-      Fresh.Capacity = S.Capacity;
-    }
-  }
+  for (const rules::Suggestion &S : Suggs)
+    rules::foldSuggestion(Fresh.Plan, S);
   obs::DecisionLog &Ledger = obs::DecisionLog::instance();
   if (Ledger.enabled()) {
     obs::DecisionRecord Rec = ledgerRecord(Info, obs::DecisionKind::Choice);
-    if (Fresh.Impl)
-      Rec.Impl = static_cast<uint8_t>(implIndex(*Fresh.Impl));
-    Rec.Capacity = Fresh.Capacity.value_or(0);
+    if (Fresh.Plan.Impl)
+      Rec.Impl = static_cast<uint8_t>(implIndex(*Fresh.Plan.Impl));
+    Rec.Capacity = Fresh.Plan.Capacity.value_or(0);
     Rec.Allocations = Fresh.AtAllocationCount;
     Ledger.record(Rec);
   }
@@ -83,18 +76,13 @@ ImplKind OnlineAdaptor::chooseImpl(const ContextInfo *Info, AdtKind Adt,
     return Requested;
 
   std::lock_guard<std::mutex> Lock(Mu);
-  const Decision &D = evaluateLocked(Info);
-  if (D.Capacity)
-    Capacity = *D.Capacity;
-  if (D.Impl) {
-    if (std::optional<ImplKind> Adapted = adaptImplToAdt(*D.Impl, Adt);
-        Adapted && *Adapted != Requested) {
-      Replacements.inc();
-      CHAM_TRACE_INSTANT_ARG("online", "replace", "ctx", ctxArg(Info));
-      return *Adapted;
-    }
-  }
-  return Requested;
+  std::optional<ImplKind> Chosen =
+      evaluateLocked(Info).Plan.apply(Adt, Capacity);
+  if (!Chosen || *Chosen == Requested)
+    return Requested;
+  Replacements.inc();
+  CHAM_TRACE_INSTANT_ARG("online", "replace", "ctx", ctxArg(Info));
+  return *Chosen;
 }
 
 std::optional<ImplKind> OnlineAdaptor::reviseImpl(const ContextInfo *Info,
@@ -113,16 +101,12 @@ std::optional<ImplKind> OnlineAdaptor::reviseImpl(const ContextInfo *Info,
   if (D.RetryAtAllocations != 0
       && Info->allocations() < D.RetryAtAllocations)
     return std::nullopt;
-  if (!D.Impl)
+  std::optional<ImplKind> Target = D.Plan.apply(Adt, Capacity);
+  if (!Target || *Target == Current)
     return std::nullopt;
-  std::optional<ImplKind> Adapted = adaptImplToAdt(*D.Impl, Adt);
-  if (!Adapted || *Adapted == Current)
-    return std::nullopt;
-  if (D.Capacity)
-    Capacity = *D.Capacity;
   MigrationsRequested.inc();
   CHAM_TRACE_INSTANT_ARG("online", "migrate_request", "ctx", ctxArg(Info));
-  return Adapted;
+  return Target;
 }
 
 void OnlineAdaptor::onMigrationResult(const ContextInfo *Info,
@@ -177,9 +161,9 @@ std::string OnlineAdaptor::describeContext(const ContextInfo *Info) const {
     return std::string();
   const Decision &D = It->second;
   std::string Out = "online: plan=";
-  Out += D.Impl ? implKindName(*D.Impl) : "keep";
-  if (D.Capacity)
-    Out += " cap=" + std::to_string(*D.Capacity);
+  Out += D.Plan.Impl ? implKindName(*D.Plan.Impl) : "keep";
+  if (D.Plan.Capacity)
+    Out += " cap=" + std::to_string(*D.Plan.Capacity);
   if (D.Evaluated)
     Out += " evaluatedAtAlloc=" + std::to_string(D.AtAllocationCount);
   if (D.Aborts)

@@ -100,8 +100,8 @@ public:
 
 private:
   struct Decision {
-    std::optional<ImplKind> Impl;
-    std::optional<uint32_t> Capacity;
+    /// The rules' verdict (rules::foldSuggestion), applied like a plan.
+    PlanDecision Plan;
     uint64_t AtAllocationCount = 0;
     bool Evaluated = false;
     /// Consecutive aborted migrations for this context.

@@ -99,8 +99,10 @@ struct ContextStatsBundle {
 /// over GC cycles, fed by the collector.
 class ContextInfo {
 public:
-  ContextInfo(uint32_t Id, std::vector<FrameId> Frames, std::string TypeName)
-      : Id(Id), Frames(std::move(Frames)), TypeName(std::move(TypeName)) {}
+  ContextInfo(uint32_t Id, std::vector<FrameId> Frames, std::string TypeName,
+              std::string Label)
+      : Id(Id), Frames(std::move(Frames)), TypeName(std::move(TypeName)),
+        Label(std::move(Label)) {}
 
   /// Dense id in allocation order (used for stable report labels).
   uint32_t id() const { return Id; }
@@ -111,6 +113,11 @@ public:
 
   /// The source-level collection type allocated here ("HashMap", ...).
   const std::string &typeName() const { return TypeName; }
+
+  /// "Type:frame;frame" in the format of the paper's §2.1 report: the key
+  /// of replacement plans, report rows and canonical context order. Built
+  /// once, when the profiler creates the context.
+  const std::string &label() const { return Label; }
 
   /// -- Recording ---------------------------------------------------------
 
@@ -205,6 +212,7 @@ private:
   uint32_t Id;
   std::vector<FrameId> Frames;
   std::string TypeName;
+  std::string Label;
 
   std::array<RunningStat, NumOpKinds> OpStats;
   RunningStat MaxSizeStat;

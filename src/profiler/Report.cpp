@@ -52,7 +52,7 @@ chameleon::topContexts(const SemanticProfiler &Profiler, size_t N) {
   for (const ContextInfo *Info : Ranked) {
     ContextSummary S;
     S.Info = Info;
-    S.Label = Profiler.contextLabel(*Info);
+    S.Label = Info->label();
     S.PotentialOfHeap =
         HeapLiveTotal == 0.0
             ? 0.0
@@ -111,9 +111,8 @@ chameleon::renderTypeDistribution(const std::vector<TypeShare> &Shares,
 }
 
 std::string
-chameleon::renderContextDetail(const SemanticProfiler &Profiler,
-                               const ContextInfo &Info) {
-  std::string Out = "context: " + Profiler.contextLabel(Info) + "\n";
+chameleon::renderContextDetail(const ContextInfo &Info) {
+  std::string Out = "context: " + Info.label() + "\n";
   Out += "  allocations: " + std::to_string(Info.allocations())
          + ", folded instances: " + std::to_string(Info.foldedInstances())
          + "\n";

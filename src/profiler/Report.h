@@ -77,8 +77,7 @@ std::string renderTypeDistribution(const std::vector<TypeShare> &Shares,
 /// "comprehensive information" view of §2.1: identity, instance counts,
 /// size distributions (avg/stddev/min/max), the full non-zero operation
 /// distribution, and the Table-1 heap Total/Max rows.
-std::string renderContextDetail(const SemanticProfiler &Profiler,
-                                const ContextInfo &Info);
+std::string renderContextDetail(const ContextInfo &Info);
 
 } // namespace chameleon
 

@@ -205,29 +205,35 @@ ContextInfo *SemanticProfiler::contextForAllocation(FrameId SiteId,
     (void)Sink;
   }
 
-  // Registry miss path: one shard lock, selected by key hash, so threads
-  // allocating at different contexts rarely contend.
-  uint64_t Hash = ContextKeyHash{}(Key);
-  RegistryShard &Shard = Registry[(Hash >> 16) & (NumRegistryShards - 1)];
-  ContextInfo *Info;
-  {
-    std::lock_guard<std::mutex> SL(Shard.Mu);
-    auto It = Shard.Map.find(Key);
-    if (It != Shard.Map.end()) {
-      Info = It->second.get();
-    } else {
-      std::string TypeName = frameName(TypeNameId);
-      std::lock_guard<std::mutex> OL(OrderedMu);
-      auto Owned = std::make_unique<ContextInfo>(
-          static_cast<uint32_t>(Ordered.size()), Key.Frames,
-          std::move(TypeName));
-      Info = Owned.get();
-      Shard.Map.emplace(std::move(Key), std::move(Owned));
-      Ordered.push_back(Info);
-    }
-  }
+  ContextInfo *Info = findOrCreateContext(std::move(Key));
   if (Cached)
     *Cached = {Fingerprint, SiteId, TypeNameId, Info};
+  return Info;
+}
+
+ContextInfo *SemanticProfiler::findOrCreateContext(ContextKey Key) {
+  // One shard lock, selected by key hash, so threads allocating at
+  // different contexts rarely contend.
+  uint64_t Hash = ContextKeyHash{}(Key);
+  RegistryShard &Shard = Registry[(Hash >> 16) & (NumRegistryShards - 1)];
+  std::lock_guard<std::mutex> SL(Shard.Mu);
+  auto It = Shard.Map.find(Key);
+  if (It != Shard.Map.end())
+    return It->second.get();
+  std::string TypeName = frameName(Key.TypeNameId);
+  std::string Label = TypeName + ':';
+  for (size_t I = 0; I < Key.Frames.size(); ++I) {
+    if (I != 0)
+      Label += ';';
+    Label += frameName(Key.Frames[I]);
+  }
+  std::lock_guard<std::mutex> OL(OrderedMu);
+  auto Owned = std::make_unique<ContextInfo>(
+      static_cast<uint32_t>(Ordered.size()), Key.Frames, std::move(TypeName),
+      std::move(Label));
+  ContextInfo *Info = Owned.get();
+  Shard.Map.emplace(std::move(Key), std::move(Owned));
+  Ordered.push_back(Info);
   return Info;
 }
 
@@ -239,20 +245,7 @@ SemanticProfiler::internContext(const std::string &TypeName,
   Key.Frames.reserve(FrameLabels.size());
   for (const std::string &Label : FrameLabels)
     Key.Frames.push_back(internFrame(Label));
-
-  uint64_t Hash = ContextKeyHash{}(Key);
-  RegistryShard &Shard = Registry[(Hash >> 16) & (NumRegistryShards - 1)];
-  std::lock_guard<std::mutex> SL(Shard.Mu);
-  auto It = Shard.Map.find(Key);
-  if (It != Shard.Map.end())
-    return It->second.get();
-  std::lock_guard<std::mutex> OL(OrderedMu);
-  auto Owned = std::make_unique<ContextInfo>(
-      static_cast<uint32_t>(Ordered.size()), Key.Frames, TypeName);
-  ContextInfo *Info = Owned.get();
-  Shard.Map.emplace(std::move(Key), std::move(Owned));
-  Ordered.push_back(Info);
-  return Info;
+  return findOrCreateContext(std::move(Key));
 }
 
 void SemanticProfiler::restoreHeapAggregates(const TotalMax &Live,
@@ -399,8 +392,8 @@ void SemanticProfiler::flushEpoch() {
 void SemanticProfiler::canonicalizeContextOrder() {
   std::lock_guard<std::mutex> L(OrderedMu);
   std::stable_sort(Ordered.begin(), Ordered.end(),
-                   [this](const ContextInfo *A, const ContextInfo *B) {
-                     return contextLabel(*A) < contextLabel(*B);
+                   [](const ContextInfo *A, const ContextInfo *B) {
+                     return A->label() < B->label();
                    });
   for (size_t I = 0; I < Ordered.size(); ++I)
     Ordered[I]->setId(static_cast<uint32_t>(I));
@@ -543,13 +536,3 @@ std::vector<ContextInfo *> SemanticProfiler::rankedByPotential() const {
   return Result;
 }
 
-std::string SemanticProfiler::contextLabel(const ContextInfo &Info) const {
-  std::string Label = Info.typeName();
-  Label += ':';
-  for (size_t I = 0; I < Info.frames().size(); ++I) {
-    if (I != 0)
-      Label += ';';
-    Label += frameName(Info.frames()[I]);
-  }
-  return Label;
-}

@@ -248,9 +248,6 @@ public:
   /// the order of the paper's ranked report (Fig. 3).
   std::vector<ContextInfo *> rankedByPotential() const;
 
-  /// "Type:frame;frame" label in the format of the paper's §2.1 report.
-  std::string contextLabel(const ContextInfo &Info) const;
-
   /// Whole-heap Total/Max aggregates over all observed cycles, for
   /// potential-relative-to-heap thresholds and Fig. 2 style ratios.
   const TotalMax &heapLiveData() const { return HeapLive; }
@@ -359,6 +356,11 @@ private:
   bool cachedContextMatchesStack(const ProfilerThreadState &S,
                                  const ContextInfo &Info,
                                  FrameId SiteId) const;
+
+  /// The context for \p Key, created on first sight: its label is built
+  /// here, once, and it is numbered in creation order. The one creation
+  /// path of contextForAllocation's registry miss and internContext.
+  ContextInfo *findOrCreateContext(ContextKey Key);
 
   /// Renumbers Ordered into label-sorted order (see flushEpoch).
   void canonicalizeContextOrder();

@@ -62,6 +62,16 @@ std::string Suggestion::fixDescription() const {
   CHAM_UNREACHABLE("unknown ActionKind");
 }
 
+void rules::foldSuggestion(PlanDecision &Decision, const Suggestion &S) {
+  if (S.Action == ActionKind::Replace && !Decision.Impl) {
+    Decision.Impl = S.NewImpl;
+    if (S.Capacity && !Decision.Capacity)
+      Decision.Capacity = S.Capacity;
+  } else if (S.Action == ActionKind::SetCapacity && !Decision.Capacity) {
+    Decision.Capacity = S.Capacity;
+  }
+}
+
 RuleEngine::RuleEngine(RuleEngineConfig Config) : Config(Config) {}
 
 ParseResult RuleEngine::addRules(const std::string &Source, SemaMode Mode) {
@@ -282,7 +292,7 @@ RuleEngine::evaluateRule(const Rule &R, const ContextInfo &Info,
 
   if (Out) {
     Out->Context = &Info;
-    Out->ContextLabel = Profiler.contextLabel(Info);
+    Out->ContextLabel = Info.label();
     Out->RuleName = R.Name;
     Out->Action = R.Action;
     Out->NewImpl = R.NewImpl;
@@ -310,7 +320,7 @@ void RuleEngine::evaluateContext(const ContextInfo &Info,
       Names.push_back(R.Name);
     Ledger.noteRuleNames(Names);
     Ledger.noteImplNames(implNameTable());
-    Ledger.noteContextLabel(Info.id(), Profiler.contextLabel(Info));
+    Ledger.noteContextLabel(Info.id(), Info.label());
     obs::DecisionRecord Snap;
     Snap.CtxId = Info.id();
     Snap.Epoch = Ledger.currentEpoch();
@@ -361,7 +371,7 @@ RuleEngine::explainContext(const ContextInfo &Info,
                            const SemanticProfiler &Profiler,
                            const OnlineSelector *Selector,
                            size_t TraceInstantLimit) const {
-  std::string Text = "rules for " + Profiler.contextLabel(Info) + ":\n";
+  std::string Text = "rules for " + Info.label() + ":\n";
   for (const Rule &R : Rules) {
     Suggestion S;
     unsigned DivGuardHits = 0;
@@ -435,17 +445,9 @@ ReplacementPlan
 RuleEngine::buildPlan(const std::vector<Suggestion> &Suggs) {
   ReplacementPlan Plan;
   for (const Suggestion &S : Suggs) {
-    if (S.Action == ActionKind::Warn)
-      continue;
     const PlanDecision *Existing = Plan.lookup(S.ContextLabel);
     PlanDecision Decision = Existing ? *Existing : PlanDecision();
-    if (S.Action == ActionKind::Replace && !Decision.Impl) {
-      Decision.Impl = S.NewImpl;
-      if (S.Capacity && !Decision.Capacity)
-        Decision.Capacity = S.Capacity;
-    } else if (S.Action == ActionKind::SetCapacity && !Decision.Capacity) {
-      Decision.Capacity = S.Capacity;
-    }
+    foldSuggestion(Decision, S);
     if (!Decision.empty())
       Plan.add(S.ContextLabel, Decision);
   }

@@ -60,6 +60,13 @@ struct Suggestion {
   std::string fixDescription() const;
 };
 
+/// Folds \p S into its context's decision. Offline plans (buildPlan) and
+/// online decisions (OnlineAdaptor) are both this fold over a context's
+/// suggestions in rule order: the first Replace decides the implementation
+/// (and the capacity, when it carries one); otherwise the first
+/// capacity-bearing suggestion decides the capacity. Warn decides nothing.
+void foldSuggestion(PlanDecision &Decision, const Suggestion &S);
+
 /// The rule engine: an ordered rule list plus evaluation.
 class RuleEngine {
 public:
@@ -143,9 +150,8 @@ public:
   /// Evaluates every context in the profiler, ranked by saving potential.
   std::vector<Suggestion> evaluate(const SemanticProfiler &Profiler) const;
 
-  /// Compiles suggestions into a replacement plan: per context, the first
-  /// Replace rule (in rule order) decides the implementation and the first
-  /// capacity-bearing rule decides the capacity.
+  /// Compiles suggestions into a replacement plan: one foldSuggestion
+  /// decision per context label.
   static ReplacementPlan buildPlan(const std::vector<Suggestion> &Suggs);
 
   /// Renders suggestions in the succinct per-context format of §2.1

@@ -93,9 +93,9 @@ struct SemaResult {
 SemaResult analyzeRules(const std::vector<Rule> &Rules,
                         const SemaOptions &Opts = SemaOptions());
 
-/// Parse + sema in one call: the front end shared by chameleon-rulelint,
-/// chameleon-rulefmt and tests. Diags merges parse and sema diagnostics in
-/// source order; Rules holds what parsed (even in the presence of errors).
+/// Parse + sema in one call: the front end shared by chameleon-rulefmt and
+/// tests. Diags merges parse and sema diagnostics in source order; Rules
+/// holds what parsed (even in the presence of errors).
 struct LintResult {
   std::vector<Rule> Rules;
   std::vector<Diagnostic> Diags;

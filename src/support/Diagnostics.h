@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The diagnostic model shared by the rule front end (parser and sema,
-/// behind chameleon-rulelint and chameleon-rulefmt) and chameleon-checker.
+/// behind chameleon-rulefmt) and chameleon-checker.
 /// A diagnostic carries a position, a severity, a stable identifier
 /// ("sema-never-fires", "check-lock-rank", ...) that tools and golden tests
 /// match on rather than the wording, and the symbol it is about. Messages
@@ -67,7 +67,7 @@ void sortDiagnostics(std::vector<Diagnostic> &Diags);
 std::string formatDiagnostics(const std::vector<Diagnostic> &Diags);
 
 /// Renders a diagnostic list as one JSON array: the `--json` output of
-/// chameleon-rulelint, chameleon-rulefmt and chameleon-checker.
+/// chameleon-rulefmt and chameleon-checker.
 std::string diagnosticsToJson(const std::vector<Diagnostic> &Diags);
 
 } // namespace chameleon

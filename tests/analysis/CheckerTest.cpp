@@ -69,6 +69,12 @@ TEST(CheckerGolden, FaultTagDup) { checkGolden("check_fault_tag_dup"); }
 /// a suppression comment) and must produce zero diagnostics.
 TEST(CheckerGolden, CleanFixtureHasNoFindings) { checkGolden("check_clean"); }
 
+/// A `= {}` default on a constructor's last parameter must not hand the
+/// constructor body to the callee of its mem-initializer list.
+TEST(CheckerGolden, DefaultedParamBeforeInitListIsClean) {
+  checkGolden("check_defaulted_param_init");
+}
+
 //===----------------------------------------------------------------------===//
 // Tier-1: the real tree analyzes clean modulo the committed baseline
 //===----------------------------------------------------------------------===//

@@ -86,8 +86,7 @@ TEST(AppConfig, SootSingletonFractionIsRespected) {
   RT.harvestLiveStatistics();
   const ContextInfo *CondBox = nullptr;
   for (const ContextInfo *Info : RT.profiler().contexts())
-    if (RT.profiler().contextLabel(*Info).find("JIfStmt")
-        != std::string::npos)
+    if (Info->label().find("JIfStmt") != std::string::npos)
       CondBox = Info;
   ASSERT_NE(CondBox, nullptr);
   EXPECT_EQ(CondBox->allocations(),
@@ -105,8 +104,7 @@ TEST(AppConfig, FindbugsAnnotationEmptinessTracksConfig) {
   runFindbugs(RT, Config);
   RT.harvestLiveStatistics();
   for (const ContextInfo *Info : RT.profiler().contexts()) {
-    if (RT.profiler().contextLabel(*Info).find("getAnnotations")
-        == std::string::npos)
+    if (Info->label().find("getAnnotations") == std::string::npos)
       continue;
     EXPECT_DOUBLE_EQ(Info->maxSizeStat().mean(), 0.0);
     EXPECT_DOUBLE_EQ(Info->maxSizeStat().max(), 0.0);
@@ -124,8 +122,7 @@ TEST(AppConfig, PmdChildListCapacityIsTheMistakenOne) {
   RT.harvestLiveStatistics();
   const ContextInfo *Children = nullptr;
   for (const ContextInfo *Info : RT.profiler().contexts())
-    if (RT.profiler().contextLabel(*Info).find("SimpleNode")
-        != std::string::npos)
+    if (Info->label().find("SimpleNode") != std::string::npos)
       Children = Info;
   ASSERT_NE(Children, nullptr);
   EXPECT_DOUBLE_EQ(Children->initialCapacityStat().mean(), 17.0);

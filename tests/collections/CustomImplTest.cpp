@@ -147,7 +147,7 @@ TEST_F(CustomImplTest, ProfiledLikeABuiltin) {
     L.add(Value::ofInt(1));
     ASSERT_NE(L.context(), nullptr);
     EXPECT_EQ(L.context()->typeName(), "ChunkList");
-    EXPECT_EQ(RT.profiler().contextLabel(*L.context()),
+    EXPECT_EQ(L.context()->label(),
               "ChunkList:Custom.make:5");
   }
   RT.heap().collect(true);
@@ -194,7 +194,7 @@ TEST_F(CustomImplTest, PlanRedirectsCustomToBuiltin) {
   List Probe = RT.newCustomList(ChunkId, Site);
   PlanDecision Decision;
   Decision.Impl = ImplKind::SingletonList;
-  RT.plan().add(RT.profiler().contextLabel(*Probe.context()), Decision);
+  RT.plan().add(Probe.context()->label(), Decision);
 
   List Redirected = RT.newCustomList(ChunkId, Site);
   EXPECT_FALSE(Redirected.isCustomBacked());

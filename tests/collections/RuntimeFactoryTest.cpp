@@ -47,7 +47,7 @@ TEST_F(RuntimeFactoryTest, PlanRedirectsMatchingContexts) {
   // Discover the context label the factory will see.
   Map Probe = RT.newHashMap(Site);
   ASSERT_NE(Probe.context(), nullptr);
-  std::string Label = RT.profiler().contextLabel(*Probe.context());
+  std::string Label = Probe.context()->label();
 
   PlanDecision Decision;
   Decision.Impl = ImplKind::ArrayMap;
@@ -69,7 +69,7 @@ TEST_F(RuntimeFactoryTest, PlanDoesNotTouchOtherContexts) {
   Map Probe = RT.newHashMap(Site);
   PlanDecision Decision;
   Decision.Impl = ImplKind::ArrayMap;
-  RT.plan().add(RT.profiler().contextLabel(*Probe.context()), Decision);
+  RT.plan().add(Probe.context()->label(), Decision);
 
   FrameId Other = RT.site("Other.make:2");
   EXPECT_EQ(RT.newHashMap(Other).backing(), ImplKind::HashMap);
@@ -79,7 +79,7 @@ TEST_F(RuntimeFactoryTest, PlanCapacityOnlyDecision) {
   List Probe = RT.newArrayList(Site);
   PlanDecision Decision;
   Decision.Capacity = 2;
-  RT.plan().add(RT.profiler().contextLabel(*Probe.context()), Decision);
+  RT.plan().add(Probe.context()->label(), Decision);
 
   List Tuned = RT.newArrayList(Site);
   EXPECT_EQ(Tuned.backing(), ImplKind::ArrayList);
@@ -90,9 +90,10 @@ TEST_F(RuntimeFactoryTest, PlanCapacityOnlyDecision) {
 }
 
 TEST_F(RuntimeFactoryTest, PlanEditsMidRunAreObserved) {
-  // The factory memoises plan lookups per context; edits must invalidate.
+  // The factory reads the plan on every allocation: edits between
+  // allocations take effect at the next one.
   Map Probe = RT.newHashMap(Site);
-  std::string Label = RT.profiler().contextLabel(*Probe.context());
+  std::string Label = Probe.context()->label();
 
   EXPECT_EQ(RT.newHashMap(Site).backing(), ImplKind::HashMap);
 
@@ -109,11 +110,31 @@ TEST_F(RuntimeFactoryTest, PlanEditsMidRunAreObserved) {
   EXPECT_EQ(RT.newHashMap(Site).backing(), ImplKind::LazyMap);
 }
 
+TEST_F(RuntimeFactoryTest, AssignedPlanReplacesEveryDecision) {
+  // Assigning a whole plan must drop the old plan's decisions, even when
+  // the new plan was edited exactly as often as the old one.
+  FrameId A = RT.site("Factory.a:1");
+  FrameId B = RT.site("Factory.b:2");
+  std::string LabelA = RT.newHashMap(A).context()->label();
+  std::string LabelB = RT.newHashMap(B).context()->label();
+
+  ReplacementPlan RedirectA;
+  RedirectA.add(LabelA, PlanDecision{ImplKind::ArrayMap, std::nullopt});
+  RT.plan() = RedirectA;
+  EXPECT_EQ(RT.newHashMap(A).backing(), ImplKind::ArrayMap);
+
+  ReplacementPlan RedirectB;
+  RedirectB.add(LabelB, PlanDecision{ImplKind::LazyMap, std::nullopt});
+  RT.plan() = RedirectB;
+  EXPECT_EQ(RT.newHashMap(A).backing(), ImplKind::HashMap);
+  EXPECT_EQ(RT.newHashMap(B).backing(), ImplKind::LazyMap);
+}
+
 TEST_F(RuntimeFactoryTest, PlanAdaptsSetSuggestionsForLists) {
   List Probe = RT.newArrayList(Site);
   PlanDecision Decision;
   Decision.Impl = ImplKind::LinkedHashSet; // the paper's Table-2 target
-  RT.plan().add(RT.profiler().contextLabel(*Probe.context()), Decision);
+  RT.plan().add(Probe.context()->label(), Decision);
 
   List Adapted = RT.newArrayList(Site);
   EXPECT_EQ(Adapted.backing(), ImplKind::HashedList);

@@ -46,7 +46,7 @@ TEST(ObjectContextInfo, AllOpsExcludesCopiedFrom) {
 }
 
 TEST(ContextInfo, RecordDeathAggregatesPerInstanceSamples) {
-  ContextInfo Info(0, {1, 2}, "HashMap");
+  ContextInfo Info(0, {1, 2}, "HashMap", "HashMap:site");
   ObjectContextInfo A = makeUsage(3, 10, 4);
   ObjectContextInfo B = makeUsage(5, 20, 6);
   Info.recordDeath(A);
@@ -59,7 +59,7 @@ TEST(ContextInfo, RecordDeathAggregatesPerInstanceSamples) {
 }
 
 TEST(ContextInfo, RecordDeathIsIdempotentPerInstance) {
-  ContextInfo Info(0, {1}, "ArrayList");
+  ContextInfo Info(0, {1}, "ArrayList", "ArrayList:site");
   ObjectContextInfo A = makeUsage(1, 0, 1);
   Info.recordDeath(A);
   Info.recordDeath(A); // harvest-then-sweep double fold
@@ -67,7 +67,7 @@ TEST(ContextInfo, RecordDeathIsIdempotentPerInstance) {
 }
 
 TEST(ContextInfo, RecordAllocationTracksCapacity) {
-  ContextInfo Info(0, {1}, "ArrayList");
+  ContextInfo Info(0, {1}, "ArrayList", "ArrayList:site");
   Info.recordAllocation(10);
   Info.recordAllocation(20);
   EXPECT_EQ(Info.allocations(), 2u);
@@ -75,7 +75,7 @@ TEST(ContextInfo, RecordAllocationTracksCapacity) {
 }
 
 TEST(ContextInfo, CycleAccumulationFoldsIntoTotalMax) {
-  ContextInfo Info(0, {1}, "HashMap");
+  ContextInfo Info(0, {1}, "HashMap", "HashMap:site");
   CollectionSizes S1{100, 80, 40};
   CollectionSizes S2{60, 50, 20};
 
@@ -97,14 +97,14 @@ TEST(ContextInfo, CycleAccumulationFoldsIntoTotalMax) {
 }
 
 TEST(ContextInfo, SavingPotentialIsLiveMinusUsed) {
-  ContextInfo Info(0, {1}, "HashMap");
+  ContextInfo Info(0, {1}, "HashMap", "HashMap:site");
   Info.accumulateCycle(1, {100, 30, 10});
   Info.finishCycle();
   EXPECT_EQ(Info.savingPotential(), 70u);
 }
 
 TEST(ContextInfo, AvgAllOpsSumsOperationMeans) {
-  ContextInfo Info(0, {1}, "ArrayList");
+  ContextInfo Info(0, {1}, "ArrayList", "ArrayList:site");
   ObjectContextInfo A = makeUsage(2, 4, 3);
   Info.recordDeath(A);
   EXPECT_DOUBLE_EQ(Info.avgAllOps(), 6.0);

@@ -108,7 +108,7 @@ TEST(ContextDetail, RendersSizesOpsAndHeapRows) {
   Rec.LiveBytes = 400;
   P.onCycleEnd(Rec);
 
-  std::string Out = renderContextDetail(P, *Info);
+  std::string Out = renderContextDetail(*Info);
   EXPECT_NE(Out.find("context: HashMap:site:9;caller"),
             std::string::npos);
   EXPECT_NE(Out.find("allocations: 1, folded instances: 1"),

@@ -129,7 +129,7 @@ TEST(SemanticProfiler, ContextLabelHasPaperFormat) {
   CallFrame Caller(P, "tvla.core.base.BaseTVS:50");
   ContextInfo *Info = P.contextForAllocation(Site, Type);
   ASSERT_NE(Info, nullptr);
-  EXPECT_EQ(P.contextLabel(*Info),
+  EXPECT_EQ(Info->label(),
             "HashMap:tvla.util.HashMapFactory:31;tvla.core.base.BaseTVS:50");
 }
 
@@ -222,15 +222,15 @@ TEST(SemanticProfiler, FastPathMatchesSlowPathAcrossStacks) {
       for (int CallerIdx = 0; CallerIdx < 5; ++CallerIdx) {
         CallFrame Outer(P, "outer" + std::to_string(CallerIdx));
         Labels.push_back(
-            P.contextLabel(*P.contextForAllocation(Site, Type)));
+            P.contextForAllocation(Site, Type)->label());
         {
           CallFrame Inner(P, "inner");
           Labels.push_back(
-              P.contextLabel(*P.contextForAllocation(Site, Type)));
+              P.contextForAllocation(Site, Type)->label());
         }
         // Same depth again after the pop: must re-match the outer context.
         Labels.push_back(
-            P.contextLabel(*P.contextForAllocation(Site, Type)));
+            P.contextForAllocation(Site, Type)->label());
       }
     }
     return std::make_pair(Labels, P.contexts().size());

@@ -365,8 +365,7 @@ TEST_F(RuleEngineTest, BuildPlanMergesReplaceAndCapacity) {
                                   /*InitialCapacity=*/16);
   std::vector<Suggestion> Suggs = suggestionsFor(*Info);
   ReplacementPlan Plan = RuleEngine::buildPlan(Suggs);
-  const PlanDecision *Decision =
-      Plan.lookup(Profiler.contextLabel(*Info));
+  const PlanDecision *Decision = Plan.lookup(Info->label());
   ASSERT_NE(Decision, nullptr);
   ASSERT_TRUE(Decision->Impl.has_value());
   EXPECT_EQ(*Decision->Impl, ImplKind::ArrayMap);
@@ -384,7 +383,7 @@ TEST_F(RuleEngineTest, WarnSuggestionsStayOutOfThePlan) {
                                   /*InitialCapacity=*/2);
   std::vector<Suggestion> Suggs = suggestionsFor(*Info);
   ReplacementPlan Plan = RuleEngine::buildPlan(Suggs);
-  EXPECT_EQ(Plan.lookup(Profiler.contextLabel(*Info)), nullptr);
+  EXPECT_EQ(Plan.lookup(Info->label()), nullptr);
 }
 
 TEST_F(RuleEngineTest, ExplainContextNamesEveryOutcome) {

@@ -283,7 +283,7 @@ std::string profileSignature(const CollectionRuntime &RT) {
   }
   const SemanticProfiler &P = RT.profiler();
   for (const ContextInfo *Info : P.contexts()) {
-    Sig += P.contextLabel(*Info);
+    Sig += Info->label();
     Sig += ':';
     Add(Info->allocations());
     Add(Info->foldedInstances());

@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "collections/Handles.h"
+#include "profiler/Report.h"
 
 #include <gtest/gtest.h>
 
@@ -166,6 +167,58 @@ TEST(ConcurrentMutator, FoldedStatsInvariantAcrossThreadCounts) {
                       Ctx.finalSizeStat().mean());
   };
   EXPECT_EQ(Run(1), Run(4));
+}
+
+TEST(ConcurrentMutator, PlanLookupsAgreeAcrossThreads) {
+  // Every mutator reads the installed plan on every allocation, with no
+  // lock: planned allocations must all get the planned backing, unplanned
+  // ones the default, and the report must match a 1-thread run.
+  auto Run = [](unsigned Threads) {
+    RuntimeConfig Config;
+    Config.Profiler.ConcurrentMutators = true;
+    CollectionRuntime RT(Config);
+    FrameId Planned = RT.site("cm.plan:planned");
+    FrameId Unplanned = RT.site("cm.plan:unplanned");
+    {
+      Map Probe = RT.newHashMap(Planned);
+      RT.plan().add(Probe.context()->label(),
+                    PlanDecision{ImplKind::ArrayMap, 3});
+      Probe.retire();
+    }
+    constexpr int Tasks = 400;
+    std::atomic<int> WrongBacking{0};
+    onMutators(RT, Threads, [&](unsigned Tid) {
+      for (int Task = 0; Task < Tasks; ++Task) {
+        if (Task % Threads != Tid)
+          continue;
+        RT.profiler().setCurrentTask(Task + 1);
+        Map P = RT.newHashMap(Planned);
+        Map U = RT.newHashMap(Unplanned);
+        if (P.backing() != ImplKind::ArrayMap
+            || U.backing() != ImplKind::HashMap)
+          WrongBacking.fetch_add(1, std::memory_order_relaxed);
+        for (int E = 0; E < Task % 5; ++E) {
+          P.put(Value::ofInt(E), Value::ofInt(Task));
+          U.put(Value::ofInt(E), Value::ofInt(Task));
+        }
+        P.retire();
+        U.retire();
+      }
+    });
+    RT.profiler().flushEpoch();
+    EXPECT_EQ(WrongBacking.load(), 0) << "at " << Threads << " threads";
+    auto Count = [&RT](ImplKind Kind) {
+      return std::to_string(RT.allocationsWithImpl(Kind));
+    };
+    std::string Report = "ArrayMap=" + Count(ImplKind::ArrayMap)
+                         + " HashMap=" + Count(ImplKind::HashMap) + "\n";
+    for (const ContextInfo *Ctx : RT.profiler().contexts())
+      Report += renderContextDetail(*Ctx);
+    return Report;
+  };
+  std::string One = Run(1);
+  EXPECT_NE(One.find("ArrayMap=400 HashMap=401"), std::string::npos) << One;
+  EXPECT_EQ(One, Run(4));
 }
 
 TEST(ConcurrentMutator, HandlesMigrateAcrossThreads) {
