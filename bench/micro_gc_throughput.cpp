@@ -9,7 +9,10 @@
 ///
 ///  1. full mark+sweep cycles at 1/2/4/8 collector threads, large ones
 ///     and frequent small ones (where the persistent worker pool's
-///     per-cycle wake cost shows);
+///     per-cycle wake cost shows), on a heap a registered mutator thread
+///     built, so 2/4/8 threads time the pool; one row per table times a
+///     heap with no registered mutator, which collects on the calling
+///     thread (GcCycles.h);
 ///  2. sweep-heavy cycles (most of the heap garbage each cycle) where the
 ///     parallel sweep partitions the slot walk;
 ///  3. `contextForAllocation` throughput with and without the stack-
@@ -25,6 +28,7 @@
 #include "support/Format.h"
 #include "support/SplitMix64.h"
 
+#include "GcCycles.h"
 #include "Harness.h"
 
 #include <cstdio>
@@ -37,9 +41,11 @@ namespace {
 constexpr int CyclesPerMeasurement = 9;
 
 /// Median wall-clock milliseconds per forced GC cycle on a runtime holding
-/// a large live set; \p GarbageChurn additionally allocates a garbage wave
-/// before every cycle so the sweep has real work.
-double cycleMillis(unsigned Threads, bool GarbageChurn,
+/// a large live set, built and mutated by a registered mutator thread or,
+/// without \p Registered, by the calling thread; \p GarbageChurn
+/// additionally allocates a garbage wave before every cycle so the sweep
+/// has real work.
+double cycleMillis(unsigned Threads, bool Registered, bool GarbageChurn,
                    uint64_t *LiveObjectsOut = nullptr) {
   RuntimeConfig Config;
   Config.Profiler.Enabled = false;
@@ -49,35 +55,38 @@ double cycleMillis(unsigned Threads, bool GarbageChurn,
 
   std::vector<Map> Maps;
   std::vector<List> Lists;
-  for (int I = 0; I < 30000; ++I) {
-    Map M = RT.newHashMap(Site, 4);
-    for (int E = 0; E < 3; ++E)
-      M.put(Value::ofInt(E), Value::ofInt(I));
-    Maps.push_back(std::move(M));
-    if (I % 8 == 0) {
-      List L = RT.newLinkedList(Site);
-      for (int E = 0; E < 10; ++E)
-        L.add(Value::ofInt(E));
-      Lists.push_back(std::move(L));
-    }
-  }
+  bench::collectCycles(
+      RT, Registered, CyclesPerMeasurement, [&](uint32_t Cycle) {
+        if (Cycle == 0) {
+          for (int I = 0; I < 30000; ++I) {
+            Map M = RT.newHashMap(Site, 4);
+            for (int E = 0; E < 3; ++E)
+              M.put(Value::ofInt(E), Value::ofInt(I));
+            Maps.push_back(std::move(M));
+            if (I % 8 == 0) {
+              List L = RT.newLinkedList(Site);
+              for (int E = 0; E < 10; ++E)
+                L.add(Value::ofInt(E));
+              Lists.push_back(std::move(L));
+            }
+          }
+        }
+        if (GarbageChurn) {
+          // A dying wave: wrappers scoped to this cycle's mutation.
+          std::vector<List> Wave;
+          for (int I = 0; I < 8000; ++I) {
+            List L = RT.newArrayList(Site, 4);
+            L.add(Value::ofInt(I));
+            Wave.push_back(std::move(L));
+          }
+        }
+      });
 
-  std::vector<double> Times(CyclesPerMeasurement);
-  for (double &T : Times) {
-    if (GarbageChurn) {
-      // A dying wave: wrappers scoped to this iteration.
-      std::vector<List> Wave;
-      for (int I = 0; I < 8000; ++I) {
-        List L = RT.newArrayList(Site, 4);
-        L.add(Value::ofInt(I));
-        Wave.push_back(std::move(L));
-      }
-    }
-    const GcCycleRecord &Rec = RT.heap().collect(/*Forced=*/true);
-    T = static_cast<double>(Rec.DurationNanos) / 1e6;
-    if (LiveObjectsOut)
-      *LiveObjectsOut = Rec.LiveObjects;
-  }
+  std::vector<double> Times;
+  for (const GcCycleRecord &Rec : RT.heap().cycles())
+    Times.push_back(static_cast<double>(Rec.DurationNanos) / 1e6);
+  if (LiveObjectsOut)
+    *LiveObjectsOut = RT.heap().cycles().back().LiveObjects;
   return bench::median(std::move(Times));
 }
 
@@ -85,27 +94,30 @@ double cycleMillis(unsigned Threads, bool GarbageChurn,
 /// high frequency — the profiled-run regime (a statistics-sampling cycle
 /// every few hundred KiB of allocation), where the per-cycle fixed cost
 /// (the pool wake) dominates the phase work itself.
-double frequentCycleMicros(unsigned Threads) {
+double frequentCycleMicros(unsigned Threads, bool Registered) {
   RuntimeConfig Config;
   Config.Profiler.Enabled = false;
   Config.GcThreads = Threads;
   CollectionRuntime RT(Config);
   FrameId Site = RT.site("gc:2");
 
+  constexpr uint32_t WarmupCycles = 5;
+  constexpr uint32_t TimedCycles = 120;
   std::vector<Map> Maps;
-  for (int I = 0; I < 800; ++I) {
-    Map M = RT.newHashMap(Site, 4);
-    M.put(Value::ofInt(0), Value::ofInt(I));
-    Maps.push_back(std::move(M));
-  }
+  bench::collectCycles(RT, Registered, WarmupCycles + TimedCycles,
+                       [&](uint32_t Cycle) {
+                         if (Cycle != 0)
+                           return;
+                         for (int I = 0; I < 800; ++I) {
+                           Map M = RT.newHashMap(Site, 4);
+                           M.put(Value::ofInt(0), Value::ofInt(I));
+                           Maps.push_back(std::move(M));
+                         }
+                       });
 
-  constexpr int WarmupCycles = 5;
-  constexpr int TimedCycles = 120;
-  for (int I = 0; I < WarmupCycles; ++I)
-    RT.heap().collect(/*Forced=*/true);
   uint64_t Nanos = 0;
-  for (int I = 0; I < TimedCycles; ++I)
-    Nanos += RT.heap().collect(/*Forced=*/true).DurationNanos;
+  for (uint32_t I = WarmupCycles; I < WarmupCycles + TimedCycles; ++I)
+    Nanos += RT.heap().cycles()[I].DurationNanos;
   return static_cast<double>(Nanos) / TimedCycles / 1e3;
 }
 
@@ -143,30 +155,49 @@ int main(int argc, char **argv) {
               "context fast path) ==\n\n");
   std::printf("host cores: %u\n\n", std::thread::hardware_concurrency());
 
+  // Rows: a registered mutator at 1/2/4/8 threads (the pool at 2-8), then
+  // no registered mutator at the pool size offline-apps runs with.
+  struct RowSpec {
+    unsigned Threads;
+    bool Registered;
+  };
+  const RowSpec Rows[] = {{1, true}, {2, true}, {4, true}, {8, true},
+                          {4, false}};
+  auto MutatorCell = [](bool Registered) {
+    return bench::Cell(Registered ? "registered" : "none");
+  };
+
   double Base = 0;
   uint64_t LiveObjects = 0;
   bench::Table &Large = H.table("gc_cycles", {{"threads"},
+                                              {"mutator"},
                                               {"cycle (ms)", {3}},
                                               {"vs 1 thread", {2, "x"}},
                                               {"churn (ms)", {3}}});
-  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    double Cycle = cycleMillis(Threads, /*GarbageChurn=*/false, &LiveObjects);
-    double Churn = cycleMillis(Threads, /*GarbageChurn=*/true);
-    if (Threads == 1)
+  for (const RowSpec &Row : Rows) {
+    double Cycle = cycleMillis(Row.Threads, Row.Registered,
+                               /*GarbageChurn=*/false, &LiveObjects);
+    double Churn = cycleMillis(Row.Threads, Row.Registered,
+                               /*GarbageChurn=*/true);
+    if (Row.Threads == 1)
       Base = Cycle;
-    Large.addRow({static_cast<double>(Threads), Cycle, Base / Cycle, Churn});
+    Large.addRow({static_cast<double>(Row.Threads),
+                  MutatorCell(Row.Registered), Cycle, Base / Cycle, Churn});
   }
   H.metric("live_objects", static_cast<double>(LiveObjects));
   std::printf("%s\n", Large.render().c_str());
 
   bench::Table &Frequent = H.table(
-      "frequent_cycles",
-      {{"threads"}, {"cycle (us)", {1}}, {"vs 1 thread", {2, "x"}}});
-  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    double Cycle = frequentCycleMicros(Threads);
-    if (Threads == 1)
+      "frequent_cycles", {{"threads"},
+                          {"mutator"},
+                          {"cycle (us)", {1}},
+                          {"vs 1 thread", {2, "x"}}});
+  for (const RowSpec &Row : Rows) {
+    double Cycle = frequentCycleMicros(Row.Threads, Row.Registered);
+    if (Row.Threads == 1)
       Base = Cycle;
-    Frequent.addRow({static_cast<double>(Threads), Cycle, Base / Cycle});
+    Frequent.addRow({static_cast<double>(Row.Threads),
+                     MutatorCell(Row.Registered), Cycle, Base / Cycle});
   }
   std::printf("frequent small cycles (profiled-run regime):\n%s\n",
               Frequent.render().c_str());
@@ -187,8 +218,10 @@ int main(int argc, char **argv) {
   std::printf("shape: extra collector threads pay off only when a cycle's "
               "mark and sweep work\noutweighs the pool wake and phase "
               "barriers; on frequent small cycles they cost\nmore than they "
-              "save. The fingerprint cache removes the per-capture "
-              "ContextKey\nbuild and hash probe. Statistics are identical "
-              "at every thread count.\n");
+              "save. A heap with no registered mutator never wakes the "
+              "pool:\nits calling thread built it and finds it in cache. The "
+              "fingerprint cache removes\nthe per-capture ContextKey build "
+              "and hash probe. Statistics are identical at\nevery thread "
+              "count.\n");
   return H.finish();
 }

@@ -555,8 +555,8 @@ private:
   std::vector<HeapObject *> Worklist;
 };
 
-void GcHeap::markPhase(GcCycleRecord &Record) {
-  if (GcThreads > 1) {
+void GcHeap::markPhase(GcCycleRecord &Record, bool OnPool) {
+  if (OnPool) {
     markPhaseParallel(Record);
     return;
   }
@@ -811,8 +811,8 @@ void GcHeap::markPhaseParallel(GcCycleRecord &Record) {
 // Sweeping
 //===----------------------------------------------------------------------===//
 
-void GcHeap::sweepPhase(GcCycleRecord &Record) {
-  if (GcThreads > 1) {
+void GcHeap::sweepPhase(GcCycleRecord &Record, bool OnPool) {
+  if (OnPool) {
     sweepPhaseParallel(Record);
     return;
   }
@@ -960,6 +960,12 @@ const GcCycleRecord &GcHeap::collectStopped(bool Forced) {
                       static_cast<int64_t>(CycleRecords.size() + 1));
   auto Start = std::chrono::steady_clock::now();
 
+  // One pool-or-not decision per cycle (DESIGN.md §4). With no registered
+  // mutator the calling thread is the heap's only mutator and finds the
+  // heap warm in its own cache, where pool workers would find it cold; the
+  // pool pays only once other threads have mutated the heap.
+  const bool OnPool = GcThreads > 1 && concurrentMutatorsActive();
+
   // Return every thread's ungranted cached slots first (un-bumping the
   // frontier where possible): the slot table then looks exactly as if the
   // locked path had served every allocation, which keeps sweep order and
@@ -978,11 +984,11 @@ const GcCycleRecord &GcHeap::collectStopped(bool Forced) {
 
   {
     CHAM_TRACE_SPAN("gc", "mark");
-    markPhase(Record);
+    markPhase(Record, OnPool);
   }
   {
     CHAM_TRACE_SPAN("gc", "sweep");
-    sweepPhase(Record);
+    sweepPhase(Record, OnPool);
   }
 
   // Deferred emergency shrink (see allocateLocked): caches are flushed and

@@ -13,9 +13,11 @@
 /// minimal-heap-size experiments of Fig. 6 bisect on).
 ///
 /// The collector follows the paper's base parallel mark-and-sweep design
-/// (§4.3.2): tracing runs on `gcThreads()` workers (1 by default) that
-/// claim objects with a CAS on the mark epoch, and sweeping partitions the
-/// slot table into one contiguous range per worker. The workers live in a
+/// (§4.3.2): on a heap with registered mutator threads, tracing runs on
+/// `gcThreads()` workers (1 by default) that claim objects with a CAS on
+/// the mark epoch, and sweeping partitions the slot table into one
+/// contiguous range per worker. A heap with no registered mutator marks and
+/// sweeps on the calling thread at any `gcThreads()`. The workers live in a
 /// persistent `GcWorkerPool` owned by the heap (created lazily on the first
 /// parallel cycle), so a cycle costs a wake/notify rather than a thread
 /// spawn/join. Every cycle statistic is a commutative sum and every
@@ -32,8 +34,10 @@
 /// thread registers through `registerMutatorThread` (see the runtime
 /// layer's `MutatorScope`) and gets its own root-list segment and temp-root
 /// stack; object references read lock-free through a chunked slot table
-/// whose chunks are published once and never move; allocation serialises on
-/// one mutex; and a collection triggered while mutators run stops the world
+/// whose chunks are published once and never move; allocation grants slots
+/// from per-thread caches (DESIGN.md §12) and takes the one allocation
+/// mutex only when a collection trigger is pending or the caches are off;
+/// and a collection triggered while mutators run stops the world
 /// through a safepoint protocol — mutators poll at operation boundaries
 /// (`safepointPoll`) or park in a `GcSafeRegion` while blocked. With no
 /// registered mutators every path compiles down to the single-threaded
@@ -179,13 +183,19 @@ public:
   void setRecordTypeDistribution(bool On) { RecordTypeDistribution = On; }
 
   /// Number of collector threads (paper §4.3.2: "several parallel collector
-  /// threads perform the tracing phase"). 1 (default) marks and sweeps on
-  /// the calling thread. All cycle statistics are commutative sums and all
-  /// profiler events are replayed in deterministic order, so the recorded
-  /// results are identical regardless of the thread count; profiler hooks
-  /// always run on the calling thread after the phase barrier. Changing the
-  /// count retires any existing worker pool; the next parallel cycle
-  /// re-creates it at the new size.
+  /// threads perform the tracing phase"): the worker-pool size for cycles
+  /// that run while mutator threads are registered. A cycle on a heap with
+  /// no registered mutator, and every cycle at 1 (default), marks and
+  /// sweeps on the calling thread, which last touched the heap and so finds
+  /// it in its own cache; pool workers would find it cold. On a 4-core
+  /// host, a single-threaded heap's cycle took 2.1 ms on its calling thread
+  /// against 3.8 ms on 4 workers, while a barrier cycle after 4 mutators
+  /// took 21 ms against 11 ms (DESIGN.md §4). All cycle statistics are
+  /// commutative sums and all profiler events are replayed in deterministic
+  /// order, so the recorded results are identical regardless of the thread
+  /// count; profiler hooks always run on the calling thread after the phase
+  /// barrier. Changing the count retires any existing worker pool; the next
+  /// pool cycle re-creates it at the new size.
   void setGcThreads(unsigned Threads);
   unsigned gcThreads() const { return GcThreads; }
 
@@ -216,8 +226,11 @@ public:
   /// worker stay valid after it exits.
   void unregisterMutatorThread(MutatorThread *M);
 
-  /// True while any mutator thread is registered. While true, allocation
-  /// takes the heap's allocation mutex and collections stop the world; the
+  /// True while any mutator thread is registered. While true, slot-cache
+  /// refills take the heap's slot spinlock, an allocation takes its
+  /// allocation mutex only when a collection trigger is pending or the
+  /// thread caches are off, and collections stop the world and run on the
+  /// worker pool when `gcThreads() > 1`; the
   /// *unregistered* threads (typically the coordinating main thread) must
   /// stay quiescent except while every registered mutator is parked.
   bool concurrentMutatorsActive() const {
@@ -469,15 +482,17 @@ private:
   void enterSafeRegion();
   void leaveSafeRegion();
 
-  /// Marks from roots; fills the cycle record's live statistics. The
-  /// phase bodies run with the world stopped and must never re-enter the
-  /// safepoint machinery.
-  CHAM_NO_SAFEPOINT void markPhase(GcCycleRecord &Record);
-  /// The multi-threaded tracing phase (GcThreads > 1).
+  /// Marks from roots, on the worker pool when \p OnPool (collectStopped's
+  /// per-cycle decision) and on the calling thread otherwise; fills the
+  /// cycle record's live statistics. The phase bodies run with the world
+  /// stopped and must never re-enter the safepoint machinery.
+  CHAM_NO_SAFEPOINT void markPhase(GcCycleRecord &Record, bool OnPool);
+  /// The multi-threaded tracing phase (pool cycles).
   CHAM_NO_SAFEPOINT void markPhaseParallel(GcCycleRecord &Record);
-  /// Sweeps unmarked objects; fills the record's freed statistics.
-  CHAM_NO_SAFEPOINT void sweepPhase(GcCycleRecord &Record);
-  /// The multi-threaded sweep (GcThreads > 1): one contiguous slot range
+  /// Sweeps unmarked objects, on the pool when \p OnPool; fills the
+  /// record's freed statistics.
+  CHAM_NO_SAFEPOINT void sweepPhase(GcCycleRecord &Record, bool OnPool);
+  /// The multi-threaded sweep (pool cycles): one contiguous slot range
   /// per worker, per-worker freed/death buffers, deterministic replay.
   CHAM_NO_SAFEPOINT void sweepPhaseParallel(GcCycleRecord &Record);
   /// Runs `Task(WorkerIndex)` on the persistent pool's GcThreads workers

@@ -10,13 +10,13 @@
 /// joining those threads on every cycle costs far more than the wake/notify
 /// of parked workers once cycles are frequent (profiled runs force a
 /// statistics-sampling cycle every few hundred KiB of allocation). The pool
-/// is owned by `GcHeap`, created lazily on the first parallel cycle, and
-/// keeps its workers parked on a condition variable between dispatches.
+/// is owned by `GcHeap`, created lazily on the first cycle that runs on it
+/// (one with `GcThreads > 1` and registered mutator threads), and keeps its
+/// workers parked on a condition variable between dispatches.
 ///
 /// `run(Task)` executes `Task(WorkerIndex)` on every worker and returns when
-/// all of them have finished — the same barrier semantics as the former
-/// spawn-per-cycle code, so the mark and sweep phases use it unchanged. The
-/// pool mutex is acquired/released around each dispatch, which provides the
+/// all of them have finished, a barrier the mark and sweep phases rely on.
+/// The pool mutex is acquired/released around each dispatch, which provides the
 /// happens-before edges between the calling thread's phase setup and the
 /// workers (and back again for the workers' buffered results).
 ///
@@ -52,9 +52,6 @@ public:
   /// pool threads and blocks until all of them return. Not reentrant; only
   /// the thread driving the collection may call it.
   void run(const std::function<void(unsigned)> &Task);
-
-  /// Number of dispatches served (one per phase per parallel cycle).
-  uint64_t dispatchCount() const { return Generation; }
 
 private:
   void workerMain(unsigned Index);

@@ -6,16 +6,19 @@
 ///
 /// \file
 /// Shared helpers for the test suite: a simple traceable heap object for
-/// runtime-level tests and small factories for profiler/collection tests.
+/// runtime-level tests, small factories for profiler/collection tests, and
+/// a reader for the metrics registry.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHAMELEON_TESTS_TESTHELPERS_H
 #define CHAMELEON_TESTS_TESTHELPERS_H
 
+#include "obs/Metrics.h"
 #include "runtime/GcHeap.h"
 
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace chameleon::testing {
@@ -50,6 +53,16 @@ inline TypeId registerNodeType(GcHeap &Heap, const char *Name = "Node") {
 inline ObjectRef allocNode(GcHeap &Heap, TypeId Type, unsigned Slots,
                            uint64_t Bytes = 16) {
   return Heap.allocate(std::make_unique<Node>(Type, Bytes, Slots));
+}
+
+/// Sum of every live instance of one metric (for instance
+/// "cham.gc.pool_tasks", one increment per pool-thread task).
+inline uint64_t metricValue(const std::string &Name) {
+  uint64_t V = 0;
+  for (const obs::MetricSnapshot &S :
+       obs::MetricsRegistry::instance().snapshot(Name))
+    V += S.Value;
+  return V;
 }
 
 } // namespace chameleon::testing

@@ -17,6 +17,8 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
+#include "TestHelpers.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -24,6 +26,7 @@
 
 using namespace chameleon;
 using namespace chameleon::apps;
+using chameleon::testing::metricValue;
 
 namespace {
 
@@ -61,15 +64,6 @@ std::string slurp(const std::string &Path) {
     Out.append(Buf, N);
   std::fclose(F);
   return Out;
-}
-
-/// Sum of every live instance of one metric.
-uint64_t metricValue(const std::string &Name) {
-  uint64_t V = 0;
-  for (const obs::MetricSnapshot &S :
-       obs::MetricsRegistry::instance().snapshot(Name))
-    V += S.Value;
-  return V;
 }
 
 /// Telemetry is strictly read-only: exporting a bundle must not perturb

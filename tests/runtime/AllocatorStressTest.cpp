@@ -310,11 +310,17 @@ TEST(AllocatorDifferential, TvlaCachesOnOffIdentical) {
     Config.GcSampleEveryBytes = 64 * 1024;
     auto RT = std::make_unique<CollectionRuntime>(Config);
     RT->heap().setUseThreadCaches(UseCaches);
+    // Registered, so that GcThreads > 1 collects on the worker pool.
+    const uint64_t PoolTasks = metricValue("cham.gc.pool_tasks");
+    MutatorScope Mutator(*RT);
     apps::TvlaConfig App;
     App.NumStates = 500;
     App.LiveWindow = 300;
     apps::runTvla(*RT, App);
     RT->heap().collect(true);
+    if (GcThreads > 1) {
+      EXPECT_GT(metricValue("cham.gc.pool_tasks"), PoolTasks);
+    }
     RT->harvestLiveStatistics();
     return profileSignature(*RT);
   };

@@ -8,7 +8,10 @@
 /// The paper's collector marks with parallel threads (§4.3.2) and we keep
 /// that orthogonal to every reported metric: these tests build identical
 /// heaps and check that parallel marking produces bit-identical cycle
-/// statistics and per-context profiles to sequential marking.
+/// statistics and per-context profiles to sequential marking. A heap runs
+/// its cycles on the worker pool only while mutator threads are registered
+/// (GcHeap::setGcThreads), so each test registers its own thread on both
+/// sides and checks that the pool really ran (cham.gc.pool_tasks grew).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,15 +49,21 @@ std::vector<Handle> buildGraph(GcHeap &Heap, TypeId NodeType) {
 
 TEST(ParallelGc, CycleStatisticsMatchSequential) {
   GcHeap Sequential;
+  MutatorThread *SeqMutator = Sequential.registerMutatorThread();
   TypeId SeqType = registerNodeType(Sequential);
   std::vector<Handle> SeqRoots = buildGraph(Sequential, SeqType);
   const GcCycleRecord &SeqRec = Sequential.collect(true);
+  Sequential.unregisterMutatorThread(SeqMutator);
 
+  const uint64_t PoolTasks = metricValue("cham.gc.pool_tasks");
   GcHeap Parallel;
   Parallel.setGcThreads(4);
+  MutatorThread *ParMutator = Parallel.registerMutatorThread();
   TypeId ParType = registerNodeType(Parallel);
   std::vector<Handle> ParRoots = buildGraph(Parallel, ParType);
   const GcCycleRecord &ParRec = Parallel.collect(true);
+  Parallel.unregisterMutatorThread(ParMutator);
+  EXPECT_GT(metricValue("cham.gc.pool_tasks"), PoolTasks);
 
   EXPECT_EQ(ParRec.LiveBytes, SeqRec.LiveBytes);
   EXPECT_EQ(ParRec.LiveObjects, SeqRec.LiveObjects);
@@ -66,13 +75,17 @@ TEST(ParallelGc, CycleStatisticsMatchSequential) {
 TEST(ParallelGc, RepeatedCyclesStayConsistent) {
   GcHeap Heap;
   Heap.setGcThreads(4);
+  MutatorThread *Mutator = Heap.registerMutatorThread();
   TypeId NodeType = registerNodeType(Heap);
   std::vector<Handle> Roots = buildGraph(Heap, NodeType);
+  const uint64_t PoolTasks = metricValue("cham.gc.pool_tasks");
   uint64_t Live1 = Heap.collect(true).LiveObjects;
   uint64_t Live2 = Heap.collect(true).LiveObjects;
   EXPECT_EQ(Live1, Live2);
   Roots.clear();
   EXPECT_EQ(Heap.collect(true).LiveObjects, 0u);
+  Heap.unregisterMutatorThread(Mutator);
+  EXPECT_GT(metricValue("cham.gc.pool_tasks"), PoolTasks);
 }
 
 TEST(ParallelGc, CollectionProfilesMatchSequential) {
@@ -81,6 +94,8 @@ TEST(ParallelGc, CollectionProfilesMatchSequential) {
     Config.GcThreads = Threads;
     Config.RecordTypeDistribution = true;
     auto RT = std::make_unique<CollectionRuntime>(Config);
+    const uint64_t PoolTasks = metricValue("cham.gc.pool_tasks");
+    MutatorScope Mutator(*RT);
     FrameId Site = RT->site("par:1");
     std::vector<Map> Live;
     for (int I = 0; I < 500; ++I) {
@@ -95,6 +110,9 @@ TEST(ParallelGc, CollectionProfilesMatchSequential) {
     }
     Live.clear();
     RT->heap().collect(true);
+    if (Threads > 1) {
+      EXPECT_GT(metricValue("cham.gc.pool_tasks"), PoolTasks);
+    }
     return RT;
   };
 
@@ -128,6 +146,7 @@ TEST(ParallelGc, CollectionProfilesMatchSequential) {
 TEST(ParallelGc, DeepChainMarksCompletely) {
   GcHeap Heap;
   Heap.setGcThreads(4);
+  MutatorThread *Mutator = Heap.registerMutatorThread();
   TypeId NodeType = registerNodeType(Heap);
   ObjectRef Head = allocNode(Heap, NodeType, 1);
   Handle Root(Heap, Head);
@@ -137,7 +156,50 @@ TEST(ParallelGc, DeepChainMarksCompletely) {
     Heap.getAs<Node>(Prev).setRef(0, Next);
     Prev = Next;
   }
+  const uint64_t PoolTasks = metricValue("cham.gc.pool_tasks");
   EXPECT_EQ(Heap.collect(true).LiveObjects, 100001u);
+  Heap.unregisterMutatorThread(Mutator);
+  EXPECT_GT(metricValue("cham.gc.pool_tasks"), PoolTasks);
+}
+
+/// With no registered mutator the calling thread is the heap's only
+/// mutator, so a cycle marks and sweeps there at any GcThreads and never
+/// wakes the pool; its records equal a 1-thread heap's. Registering the
+/// thread routes the same heap's next cycle to the pool.
+TEST(ParallelGc, UnregisteredHeapCollectsOnCallingThread) {
+  GcHeap Serial;
+  TypeId SerialType = registerNodeType(Serial);
+  std::vector<Handle> SerialRoots = buildGraph(Serial, SerialType);
+
+  GcHeap Heap;
+  Heap.setGcThreads(4);
+  TypeId NodeType = registerNodeType(Heap);
+  std::vector<Handle> Roots = buildGraph(Heap, NodeType);
+
+  auto ExpectSameCycle = [](const GcCycleRecord &A, const GcCycleRecord &B) {
+    EXPECT_EQ(A.Cycle, B.Cycle);
+    EXPECT_EQ(A.LiveBytes, B.LiveBytes) << "cycle " << A.Cycle;
+    EXPECT_EQ(A.LiveObjects, B.LiveObjects) << "cycle " << A.Cycle;
+    EXPECT_EQ(A.FreedBytes, B.FreedBytes) << "cycle " << A.Cycle;
+    EXPECT_EQ(A.FreedObjects, B.FreedObjects) << "cycle " << A.Cycle;
+  };
+
+  const uint64_t PoolTasks = metricValue("cham.gc.pool_tasks");
+  for (int Cycle = 0; Cycle < 3; ++Cycle) {
+    ExpectSameCycle(Heap.collect(true), Serial.collect(true));
+    // Drop half the roots so every cycle after the first frees something.
+    Roots.resize(Roots.size() / 2);
+    SerialRoots.resize(SerialRoots.size() / 2);
+  }
+  EXPECT_EQ(metricValue("cham.gc.pool_tasks"), PoolTasks)
+      << "an unregistered heap woke its GC pool";
+
+  MutatorThread *Mutator = Heap.registerMutatorThread();
+  const GcCycleRecord &Pooled = Heap.collect(true);
+  Heap.unregisterMutatorThread(Mutator);
+  EXPECT_GT(metricValue("cham.gc.pool_tasks"), PoolTasks)
+      << "a heap with a registered mutator did not wake its GC pool";
+  ExpectSameCycle(Pooled, Serial.collect(true));
 }
 
 } // namespace

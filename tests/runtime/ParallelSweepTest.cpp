@@ -12,8 +12,9 @@
 /// sweep's slot order, recycles slots in the same order (so future
 /// allocations land in identical slots), and that whole profiled workloads
 /// produce byte-identical records, per-context aggregates, and reports at
-/// GcThreads 1, 2, and 8 — with the pool and with the spawn-per-cycle
-/// fallback.
+/// GcThreads 1, 2, and 8. The pool runs only cycles of a heap with
+/// registered mutator threads, so each test registers its own thread at
+/// every thread count and checks that the pool ran (cham.gc.pool_tasks).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,15 +52,21 @@ std::vector<Handle> buildMixedGraph(GcHeap &Heap, TypeId NodeType) {
 
 TEST(ParallelSweep, SweepStatisticsMatchSequential) {
   GcHeap Sequential;
+  MutatorThread *SeqMutator = Sequential.registerMutatorThread();
   TypeId SeqType = registerNodeType(Sequential);
   std::vector<Handle> SeqRoots = buildMixedGraph(Sequential, SeqType);
   const GcCycleRecord &SeqRec = Sequential.collect(true);
+  Sequential.unregisterMutatorThread(SeqMutator);
 
+  const uint64_t PoolTasks = metricValue("cham.gc.pool_tasks");
   GcHeap Parallel;
   Parallel.setGcThreads(4);
+  MutatorThread *ParMutator = Parallel.registerMutatorThread();
   TypeId ParType = registerNodeType(Parallel);
   std::vector<Handle> ParRoots = buildMixedGraph(Parallel, ParType);
   const GcCycleRecord &ParRec = Parallel.collect(true);
+  Parallel.unregisterMutatorThread(ParMutator);
+  EXPECT_GT(metricValue("cham.gc.pool_tasks"), PoolTasks);
 
   EXPECT_EQ(ParRec.FreedBytes, SeqRec.FreedBytes);
   EXPECT_EQ(ParRec.FreedObjects, SeqRec.FreedObjects);
@@ -118,6 +125,7 @@ TEST(ParallelSweep, DeathEventsReplayInSlotOrder) {
   auto Run = [](unsigned Threads) {
     GcHeap Heap;
     Heap.setGcThreads(Threads);
+    MutatorThread *Mutator = Heap.registerMutatorThread();
     DeathOrderRecorder Recorder;
     Heap.setProfilerHooks(&Recorder);
     TypeId Wrapper = registerFakeWrapperType(Heap);
@@ -129,7 +137,12 @@ TEST(ParallelSweep, DeathEventsReplayInSlotOrder) {
       if (Rng.nextBool(0.2))
         Roots.emplace_back(Heap, R);
     }
+    const uint64_t PoolTasks = metricValue("cham.gc.pool_tasks");
     Heap.collect(true);
+    Heap.unregisterMutatorThread(Mutator);
+    if (Threads > 1) {
+      EXPECT_GT(metricValue("cham.gc.pool_tasks"), PoolTasks);
+    }
     Heap.setProfilerHooks(nullptr);
     return Recorder.DeathSlots;
   };
@@ -191,11 +204,16 @@ TEST(GcThreadsInvariance, ProfiledTvlaIdenticalAt128Threads) {
     Config.RecordTypeDistribution = true;
     Config.GcSampleEveryBytes = 64 * 1024;
     auto RT = std::make_unique<CollectionRuntime>(Config);
+    const uint64_t PoolTasks = metricValue("cham.gc.pool_tasks");
+    MutatorScope Mutator(*RT);
     apps::TvlaConfig App;
     App.NumStates = 500;
     App.LiveWindow = 300;
     apps::runTvla(*RT, App);
     RT->heap().collect(true);
+    if (Threads > 1) {
+      EXPECT_GT(metricValue("cham.gc.pool_tasks"), PoolTasks);
+    }
     RT->harvestLiveStatistics();
     return profileSignature(*RT);
   };
@@ -215,8 +233,15 @@ TEST(GcThreadsInvariance, ProfiledBloatReportIdenticalAt128Threads) {
     App.Phases = 4;
     App.NodesPerPhase = 400;
     App.SpikePhase = 2;
-    return Tool.profile(
-        [&](CollectionRuntime &RT) { apps::runBloat(RT, App); });
+    const uint64_t PoolTasks = metricValue("cham.gc.pool_tasks");
+    RunResult Result = Tool.profile([&](CollectionRuntime &RT) {
+      MutatorScope Mutator(RT);
+      apps::runBloat(RT, App);
+    });
+    if (Threads > 1) {
+      EXPECT_GT(metricValue("cham.gc.pool_tasks"), PoolTasks);
+    }
+    return Result;
   };
 
   RunResult Baseline = Profile(1);
