@@ -124,16 +124,16 @@ double disarmedHookNs(uint64_t Iters, CollectionRuntime &RT) {
 ProcessProfile syntheticProfile(size_t Contexts, uint64_t Epoch) {
   ProcessProfile P;
   P.Epoch = Epoch;
-  P.CyclesSeen = Epoch;
-  P.HeapLive = {Epoch * 4096, 4096, Epoch};
+  P.Heap.CyclesSeen = Epoch;
+  P.Heap.Live = TotalMax::fromParts(Epoch * 4096, 4096, Epoch);
   P.Contexts.reserve(Contexts);
   for (size_t I = 0; I < Contexts; ++I) {
     ContextProfile C;
     C.TypeName = I % 2 ? "HashMap" : "ArrayList";
     C.Frames = {"site:" + std::to_string(I), "caller:" + std::to_string(I)};
-    C.Allocations = Epoch * (I + 1);
-    C.MaxSizeStat = {Epoch, 32.0, 1.0, 1.0, 64.0};
-    C.Live = {Epoch * 64, 64, Epoch};
+    C.Stats.Allocations = Epoch * (I + 1);
+    C.Stats.MaxSizeStat = RunningStat::fromMoments(Epoch, 32.0, 1.0, 1.0, 64.0);
+    C.Stats.Live = TotalMax::fromParts(Epoch * 64, 64, Epoch);
     P.Contexts.push_back(std::move(C));
   }
   return P;

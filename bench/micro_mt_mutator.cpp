@@ -140,8 +140,8 @@ uint64_t runOps(CollectionRuntime &RT, const BenchParams &P, uint32_t Tid,
 /// Ops/second with \p Threads mutators on one shared runtime.
 double throughput(unsigned Threads, const BenchParams &P) {
   RuntimeConfig Config;
-  Config.Profiler.ConcurrentMutators = true;
   CollectionRuntime RT(Config);
+  RT.profiler().enableConcurrentMutators();
   FrameId TempSite = RT.site("mt.temp:1");
 
   StartGate Gate;
@@ -210,7 +210,6 @@ uint64_t runContendOps(CollectionRuntime &RT, const BenchParams &P,
 /// Allocations/second with \p Threads mutators.
 double contendThroughput(unsigned Threads, const BenchParams &P) {
   RuntimeConfig Config;
-  Config.Profiler.ConcurrentMutators = true;
   // No heap limit: the timed region must stay GC-free. Every allocated
   // object is swept exactly once whatever the limit, so an in-region
   // collection would add per-object sweep cost to every thread count —
@@ -219,6 +218,7 @@ double contendThroughput(unsigned Threads, const BenchParams &P) {
   // the GC-interleaved paths are AllocatorStressTest's job, not this
   // bench's.
   CollectionRuntime RT(Config);
+  RT.profiler().enableConcurrentMutators();
 
   StartGate Gate;
   std::vector<std::thread> Workers;

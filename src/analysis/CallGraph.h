@@ -74,8 +74,6 @@ public:
   /// is found within the depth cap.
   std::string explainSafepointPath(const FunctionDef &F) const;
 
-  const std::vector<FunctionDef *> &allFunctions() const { return All; }
-
 private:
   void computeFixpoint(bool FunctionDef::*Prop,
                        bool (FunctionIndex::*Seed)(const FunctionDef &) const);

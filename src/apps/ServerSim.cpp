@@ -300,6 +300,29 @@ void chameleon::apps::runEpochs(
     W.join();
 }
 
+void chameleon::apps::appendChaosFaults(std::string &Out) {
+  FaultStats FS = FaultInjector::instance().stats();
+  appendf(Out,
+          "faults: hits=%llu thrown=%llu forcedGcs=%llu suppressed=%llu\n",
+          static_cast<unsigned long long>(FS.Hits),
+          static_cast<unsigned long long>(FS.AllocFailuresThrown),
+          static_cast<unsigned long long>(FS.ForcedGcs),
+          static_cast<unsigned long long>(FS.SuppressedFailures));
+}
+
+void chameleon::apps::appendChaosEvents(std::string &Out,
+                                        const ProfilerDegradationStats &D) {
+  appendf(Out,
+          "events: notedAllocs=%llu foldedAllocs=%llu droppedAllocs=%llu "
+          "notedDeaths=%llu foldedDeaths=%llu droppedDeaths=%llu\n",
+          static_cast<unsigned long long>(D.NotedAllocs),
+          static_cast<unsigned long long>(D.FoldedAllocs),
+          static_cast<unsigned long long>(D.DroppedAllocs),
+          static_cast<unsigned long long>(D.NotedDeaths),
+          static_cast<unsigned long long>(D.FoldedDeaths),
+          static_cast<unsigned long long>(D.DroppedDeaths));
+}
+
 FaultPlan chameleon::apps::buildChaosPlan(uint64_t Seed) {
   SplitMix64 Rng(Seed ^ Gamma);
   FaultPlan Plan;
@@ -348,13 +371,7 @@ std::string buildChaosReport(CollectionRuntime &RT,
           static_cast<unsigned long long>(Config.ChaosSeed),
           static_cast<unsigned long long>(Config.ChaosSoftHeapLimitBytes));
 
-  FaultStats FS = FaultInjector::instance().stats();
-  appendf(Out,
-          "faults: hits=%llu thrown=%llu forcedGcs=%llu suppressed=%llu\n",
-          static_cast<unsigned long long>(FS.Hits),
-          static_cast<unsigned long long>(FS.AllocFailuresThrown),
-          static_cast<unsigned long long>(FS.ForcedGcs),
-          static_cast<unsigned long long>(FS.SuppressedFailures));
+  appendChaosFaults(Out);
   for (const FaultInjector::RuleReport &R :
        FaultInjector::instance().ruleReports())
     appendf(Out, "  rule %s: hits=%llu fires=%llu\n", R.SitePattern.c_str(),
@@ -381,15 +398,7 @@ std::string buildChaosReport(CollectionRuntime &RT,
           static_cast<unsigned long long>(RT.heap().emergencyCollects()),
           D.ShedMultiplier,
           static_cast<unsigned long long>(D.ShedSampledOut));
-  appendf(Out,
-          "events: notedAllocs=%llu foldedAllocs=%llu droppedAllocs=%llu "
-          "notedDeaths=%llu foldedDeaths=%llu droppedDeaths=%llu\n",
-          static_cast<unsigned long long>(D.NotedAllocs),
-          static_cast<unsigned long long>(D.FoldedAllocs),
-          static_cast<unsigned long long>(D.DroppedAllocs),
-          static_cast<unsigned long long>(D.NotedDeaths),
-          static_cast<unsigned long long>(D.FoldedDeaths),
-          static_cast<unsigned long long>(D.DroppedDeaths));
+  appendChaosEvents(Out, D);
   return Out;
 }
 
@@ -397,7 +406,6 @@ std::string buildChaosReport(CollectionRuntime &RT,
 
 RuntimeConfig chameleon::apps::serverSimRuntimeConfig() {
   RuntimeConfig Config;
-  Config.Profiler.ConcurrentMutators = true;
   Config.Profiler.SamplingPeriod = 1; // exact: no per-thread sampling drift
   Config.HeapLimitBytes = 0;          // GC only at the epoch barriers
   Config.GcSampleEveryBytes = 0;
@@ -432,8 +440,8 @@ ServerSimResult chameleon::apps::runServerSim(CollectionRuntime &RT,
       !Config.TelemetryOutDir.empty() || Config.TelemetryTicker;
   if (Telemetry)
     obs::TraceRecorder::instance().arm();
-  // Buffer statistics from the first event even when the caller's config
-  // did not opt in (sticky; required before any worker touches the heap).
+  // Buffer statistics from the first event (sticky; required before any
+  // worker touches the heap).
   Prof.enableConcurrentMutators();
 
   // Chaos mode: builtin rules behind an online adaptor (so live migrations

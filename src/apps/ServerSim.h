@@ -32,6 +32,7 @@
 
 namespace chameleon {
 struct FaultPlan;
+struct ProfilerDegradationStats;
 } // namespace chameleon
 
 namespace chameleon::apps {
@@ -112,8 +113,9 @@ struct ServerSimResult {
 };
 
 /// The RuntimeConfig under which the report's byte-identity across
-/// MutatorThreads counts is guaranteed: buffered concurrent-mutator
-/// profiling, exact sampling, and GC only at the epoch barriers.
+/// MutatorThreads counts is guaranteed: exact sampling and GC only at the
+/// epoch barriers. runServerSim switches the profiler into buffered
+/// concurrent-mutator mode itself, before any profiled work.
 RuntimeConfig serverSimRuntimeConfig();
 
 /// Runs the server simulacrum on \p RT.
@@ -145,6 +147,13 @@ void runEpochs(
 /// at allocation instants, and injected failures inside migration
 /// transactions and in the allocations a shadow build performs.
 FaultPlan buildChaosPlan(uint64_t Seed);
+
+/// The accounting lines a chaos run's ChaosReport and a chaos replay's
+/// AdaptReport share: `faults:` (the fault injector's totals) and `events:`
+/// (the profiler's noted / folded / dropped allocation and death events
+/// in \p D).
+void appendChaosFaults(std::string &Out);
+void appendChaosEvents(std::string &Out, const ProfilerDegradationStats &D);
 
 } // namespace chameleon::apps
 

@@ -397,23 +397,8 @@ std::string buildAdaptReport(CollectionRuntime &RT,
     appendf(Out, " %s=%u", implKindName(Impl), Count);
   Out += "\n";
   if (Config.Chaos) {
-    FaultStats FS = FaultInjector::instance().stats();
-    appendf(Out,
-            "faults: hits=%llu thrown=%llu forcedGcs=%llu suppressed=%llu\n",
-            static_cast<unsigned long long>(FS.Hits),
-            static_cast<unsigned long long>(FS.AllocFailuresThrown),
-            static_cast<unsigned long long>(FS.ForcedGcs),
-            static_cast<unsigned long long>(FS.SuppressedFailures));
-    ProfilerDegradationStats D = RT.profiler().degradationStats();
-    appendf(Out,
-            "events: notedAllocs=%llu foldedAllocs=%llu droppedAllocs=%llu "
-            "notedDeaths=%llu foldedDeaths=%llu droppedDeaths=%llu\n",
-            static_cast<unsigned long long>(D.NotedAllocs),
-            static_cast<unsigned long long>(D.FoldedAllocs),
-            static_cast<unsigned long long>(D.DroppedAllocs),
-            static_cast<unsigned long long>(D.NotedDeaths),
-            static_cast<unsigned long long>(D.FoldedDeaths),
-            static_cast<unsigned long long>(D.DroppedDeaths));
+    appendChaosFaults(Out);
+    appendChaosEvents(Out, RT.profiler().degradationStats());
   }
   return Out;
 }

@@ -536,28 +536,6 @@ List CollectionRuntime::newArrayListCopy(FrameId Site, const List &Source) {
   return Fresh;
 }
 
-Set CollectionRuntime::newHashSetCopy(FrameId Site, const Set &Source) {
-  Set Fresh = newHashSet(Site, Source.size() * 2);
-  // The wrapper is rooted by Fresh's handle and the GC is non-moving.
-  // cham-checker-ok(check-raw-across-safepoint): rooted via Fresh
-  CollectionObject &W = Heap.getAs<CollectionObject>(Fresh.wrapperRef());
-  if (W.Ctx)
-    W.Usage.count(OpKind::CopiedFrom);
-  Source.countOp(OpKind::CopiedInto);
-  SeqImpl &Dst = Heap.getAs<SeqImpl>(W.Impl);
-  const SeqImpl &Src = Heap.getAs<SeqImpl>(
-      Heap.getAs<CollectionObject>(Source.wrapperRef()).Impl);
-  IterState It;
-  Value V;
-  while (Src.iterNext(It, V)) {
-    TempRootScope Guard(Heap, V.refOrNull());
-    Dst.add(V);
-  }
-  if (W.Ctx)
-    W.Usage.noteSize(Dst.size());
-  return Fresh;
-}
-
 List CollectionRuntime::adoptList(ObjectRef Wrapper) {
   assert(Heap.getAs<CollectionObject>(Wrapper).Adt == AdtKind::List
          && "wrapper is not a List");

@@ -191,7 +191,6 @@ public:
   SemanticProfiler &profiler() { return Profiler; }
   const SemanticProfiler &profiler() const { return Profiler; }
   const RuntimeConfig &config() const { return Config; }
-  const CollectionTypeIds &typeIds() const { return Types; }
 
   /// Interns an allocation-site label (e.g. "BaseTVS.java:50").
   FrameId site(const std::string &Label) {
@@ -214,9 +213,8 @@ public:
   Map newHashMap(FrameId Site, uint32_t Capacity = 0);
   Map newMapOf(ImplKind Impl, FrameId Site, uint32_t Capacity = 0);
 
-  /// Copy constructors: record the copy interaction counters on both sides.
+  /// Copy constructor: records the copy interaction counters on both sides.
   List newArrayListCopy(FrameId Site, const List &Source);
-  Set newHashSetCopy(FrameId Site, const Set &Source);
 
   /// Rebuilds a typed handle for a wrapper reference obtained earlier
   /// (e.g. one stored as a Value inside a data object). The wrapper's ADT
@@ -411,9 +409,9 @@ private:
 /// profiler-side switch into concurrent-mutator mode. Construct as the
 /// first act of every worker thread that touches a shared runtime, destroy
 /// (on the same thread) before it exits; surviving handles migrate to the
-/// main thread's root segment at destruction. The runtime should be
-/// configured with `ProfilerConfig::ConcurrentMutators` so statistics
-/// buffer from the very first event.
+/// main thread's root segment at destruction. Call
+/// `RT.profiler().enableConcurrentMutators()` before any profiled work on
+/// the main thread so statistics buffer from the very first event.
 class MutatorScope {
 public:
   explicit MutatorScope(CollectionRuntime &RT) : RT(RT) {

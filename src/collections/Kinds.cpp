@@ -100,17 +100,7 @@ const char *chameleon::adtKindName(AdtKind Kind) {
 }
 
 bool chameleon::implSupportsAdt(ImplKind Impl, AdtKind Adt) {
-  AdtKind Native = adtOfImpl(Impl);
-  if (Native == Adt)
-    return true;
-  // A List wrapper may be backed by set-semantics structures when the rule
-  // engine has established (from the profile) that the client never relies
-  // on duplicates or positional updates.
-  if (Adt == AdtKind::List
-      && (Impl == ImplKind::LinkedHashSet || Impl == ImplKind::HashSet
-          || Impl == ImplKind::ArraySet))
-    return false; // those remain Set-only; HashedList is the List adapter
-  return false;
+  return adtOfImpl(Impl) == Adt;
 }
 
 uint32_t chameleon::defaultCapacityOf(ImplKind Kind) {

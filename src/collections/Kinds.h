@@ -74,10 +74,10 @@ AdtKind adtOfImpl(ImplKind Kind);
 /// The rule-language spelling of an abstract type ("List", "Set", "Map").
 const char *adtKindName(AdtKind Kind);
 
-/// True when a wrapper exposing \p Adt can be backed by \p Impl. List
-/// wrappers additionally accept set-shaped backings (HashedList) because
-/// the paper's rules may migrate a List to set semantics when the usage
-/// profile shows it is safe (contains-dominated, no positional updates).
+/// True when a wrapper exposing \p Adt can be backed by \p Impl, i.e. when
+/// \p Impl is native to \p Adt. Set implementations never back a List:
+/// for a HashSet or LinkedHashSet suggestion on a List, adaptImplToAdt
+/// substitutes HashedList, the List-native hashed adapter.
 bool implSupportsAdt(ImplKind Impl, AdtKind Adt);
 
 /// The default backing for a source-level type name, e.g. "ArrayList" ->

@@ -236,24 +236,26 @@ FleetAggregatorStats FleetAggregator::stats() const {
 // Report rendering
 //===----------------------------------------------------------------------===//
 
-static std::string fmtStat(const StatMoments &M) {
-  if (M.N == 0)
+static std::string fmtStat(const RunningStat &S) {
+  if (S.count() == 0)
     return "-";
   std::ostringstream Os;
   Os.precision(2);
-  Os << std::fixed << "n=" << M.N << " avg=" << M.Mean << " max=" << M.Max;
+  Os << std::fixed << "n=" << S.count() << " avg=" << S.mean()
+     << " max=" << S.max();
   return Os.str();
 }
 
 std::string fleet::renderProfileReport(const ProcessProfile &P) {
   std::ostringstream Os;
   Os << "Fleet profile: epoch-sum " << P.Epoch << ", " << P.Contexts.size()
-     << " contexts, " << P.CyclesSeen << " GC cycles\n";
-  Os << "heap: live total=" << P.HeapLive.Total << " max=" << P.HeapLive.Max
-     << "; coll-used total=" << P.HeapCollUsed.Total
-     << " max=" << P.HeapCollUsed.Max
-     << "; coll-core total=" << P.HeapCollCore.Total
-     << " max=" << P.HeapCollCore.Max << "\n";
+     << " contexts, " << P.Heap.CyclesSeen << " GC cycles\n";
+  Os << "heap: live total=" << P.Heap.Live.total()
+     << " max=" << P.Heap.Live.max()
+     << "; coll-used total=" << P.Heap.CollUsed.total()
+     << " max=" << P.Heap.CollUsed.max()
+     << "; coll-core total=" << P.Heap.CollCore.total()
+     << " max=" << P.Heap.CollCore.max() << "\n";
 
   TextTable Table({"context", "type", "allocs", "max-size", "final-size",
                    "live-max", "migr c/a"});
@@ -261,11 +263,12 @@ std::string fleet::renderProfileReport(const ProcessProfile &P) {
     std::string Site = C.Frames.empty() ? "?" : C.Frames.front();
     if (C.Frames.size() > 1)
       Site += " <- " + C.Frames[1];
-    Table.addRow({Site, C.TypeName, std::to_string(C.Allocations),
-                  fmtStat(C.MaxSizeStat), fmtStat(C.FinalSizeStat),
-                  std::to_string(C.Live.Max),
-                  std::to_string(C.MigrationCommits) + "/" +
-                      std::to_string(C.MigrationAborts)});
+    const ContextStats &S = C.Stats;
+    Table.addRow({Site, C.TypeName, std::to_string(S.Allocations),
+                  fmtStat(S.MaxSizeStat), fmtStat(S.FinalSizeStat),
+                  std::to_string(S.Live.max()),
+                  std::to_string(S.MigrationCommits) + "/" +
+                      std::to_string(S.MigrationAborts)});
   }
   Os << Table.render();
 

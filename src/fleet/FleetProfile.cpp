@@ -9,101 +9,9 @@
 #include "profiler/SemanticProfiler.h"
 
 #include <algorithm>
-#include <cstring>
 
 using namespace chameleon;
 using namespace chameleon::fleet;
-
-//===----------------------------------------------------------------------===//
-// Stat state conversions
-//===----------------------------------------------------------------------===//
-
-static uint64_t bitsOf(double V) {
-  uint64_t Bits;
-  std::memcpy(&Bits, &V, sizeof(Bits));
-  return Bits;
-}
-
-bool StatMoments::operator==(const StatMoments &O) const {
-  // Bit-pattern compare: the determinism guarantee is about bytes, and a
-  // NaN (which never == itself) must still compare equal to its copy.
-  return N == O.N && bitsOf(Mean) == bitsOf(O.Mean) &&
-         bitsOf(M2) == bitsOf(O.M2) && bitsOf(Min) == bitsOf(O.Min) &&
-         bitsOf(Max) == bitsOf(O.Max);
-}
-
-StatMoments fleet::momentsOf(const RunningStat &S) {
-  StatMoments M;
-  M.N = S.count();
-  M.Mean = S.count() == 0 ? 0.0 : S.mean();
-  M.M2 = S.m2();
-  M.Min = S.min();
-  M.Max = S.max();
-  return M;
-}
-
-RunningStat fleet::statFromMoments(const StatMoments &M) {
-  return RunningStat::fromMoments(M.N, M.Mean, M.M2, M.Min, M.Max);
-}
-
-TotalMaxState fleet::stateOf(const TotalMax &T) {
-  return {T.total(), T.max(), T.cycles()};
-}
-
-TotalMax fleet::totalMaxFromState(const TotalMaxState &S) {
-  return TotalMax::fromParts(S.Total, S.Max, S.Cycles);
-}
-
-//===----------------------------------------------------------------------===//
-// ContextProfile
-//===----------------------------------------------------------------------===//
-
-ContextStatsBundle ContextProfile::statsBundle() const {
-  ContextStatsBundle B;
-  for (unsigned I = 0; I < NumOpKinds; ++I)
-    B.OpStats[I] = statFromMoments(OpStats[I]);
-  B.MaxSizeStat = statFromMoments(MaxSizeStat);
-  B.FinalSizeStat = statFromMoments(FinalSizeStat);
-  B.InitialCapacityStat = statFromMoments(InitialCapacityStat);
-  B.Allocations = Allocations;
-  B.Folded = Folded;
-  B.MigrationAborts = MigrationAborts;
-  B.MigrationCommits = MigrationCommits;
-  B.Live = totalMaxFromState(Live);
-  B.Used = totalMaxFromState(Used);
-  B.Core = totalMaxFromState(Core);
-  B.Objects = totalMaxFromState(Objects);
-  return B;
-}
-
-static StatMoments mergeMoments(const StatMoments &A, const StatMoments &B) {
-  RunningStat S = statFromMoments(A);
-  S.merge(statFromMoments(B));
-  return momentsOf(S);
-}
-
-static TotalMaxState mergeTotalMax(const TotalMaxState &A,
-                                   const TotalMaxState &B) {
-  TotalMax T = totalMaxFromState(A);
-  T.merge(totalMaxFromState(B));
-  return stateOf(T);
-}
-
-void ContextProfile::mergeStats(const ContextProfile &O) {
-  for (unsigned I = 0; I < NumOpKinds; ++I)
-    OpStats[I] = mergeMoments(OpStats[I], O.OpStats[I]);
-  MaxSizeStat = mergeMoments(MaxSizeStat, O.MaxSizeStat);
-  FinalSizeStat = mergeMoments(FinalSizeStat, O.FinalSizeStat);
-  InitialCapacityStat = mergeMoments(InitialCapacityStat, O.InitialCapacityStat);
-  Allocations += O.Allocations;
-  Folded += O.Folded;
-  MigrationAborts += O.MigrationAborts;
-  MigrationCommits += O.MigrationCommits;
-  Live = mergeTotalMax(Live, O.Live);
-  Used = mergeTotalMax(Used, O.Used);
-  Core = mergeTotalMax(Core, O.Core);
-  Objects = mergeTotalMax(Objects, O.Objects);
-}
 
 //===----------------------------------------------------------------------===//
 // Capture
@@ -114,11 +22,7 @@ ProcessProfile fleet::captureProcessProfile(const SemanticProfiler &P,
                                             const std::string &MetricsPrefix) {
   ProcessProfile Out;
   Out.Epoch = Epoch;
-  Out.CyclesSeen = P.cyclesSeen();
-  Out.HeapLive = stateOf(P.heapLiveData());
-  Out.HeapCollLive = stateOf(P.heapCollectionLiveData());
-  Out.HeapCollUsed = stateOf(P.heapCollectionUsedData());
-  Out.HeapCollCore = stateOf(P.heapCollectionCoreData());
+  Out.Heap = P.heapStats();
 
   Out.Contexts.reserve(P.contexts().size());
   for (const ContextInfo *Ctx : P.contexts()) {
@@ -127,20 +31,7 @@ ProcessProfile fleet::captureProcessProfile(const SemanticProfiler &P,
     C.Frames.reserve(Ctx->frames().size());
     for (FrameId F : Ctx->frames())
       C.Frames.push_back(P.frameName(F));
-    ContextStatsBundle B = Ctx->exportStats();
-    for (unsigned I = 0; I < NumOpKinds; ++I)
-      C.OpStats[I] = momentsOf(B.OpStats[I]);
-    C.MaxSizeStat = momentsOf(B.MaxSizeStat);
-    C.FinalSizeStat = momentsOf(B.FinalSizeStat);
-    C.InitialCapacityStat = momentsOf(B.InitialCapacityStat);
-    C.Allocations = B.Allocations;
-    C.Folded = B.Folded;
-    C.MigrationAborts = B.MigrationAborts;
-    C.MigrationCommits = B.MigrationCommits;
-    C.Live = stateOf(B.Live);
-    C.Used = stateOf(B.Used);
-    C.Core = stateOf(B.Core);
-    C.Objects = stateOf(B.Objects);
+    C.Stats = Ctx->exportStats();
     Out.Contexts.push_back(std::move(C));
   }
   // Canonical identity order regardless of the profiler's current
@@ -162,27 +53,39 @@ ProcessProfile fleet::captureProcessProfile(const SemanticProfiler &P,
 // Serialization
 //===----------------------------------------------------------------------===//
 
-static void encodeMoments(std::string &Out, const StatMoments &M) {
-  putVarint(Out, M.N);
-  putF64(Out, M.Mean);
-  putF64(Out, M.M2);
-  putF64(Out, M.Min);
-  putF64(Out, M.Max);
+// A RunningStat travels as its complete state (count, mean, M2, min, max;
+// an empty one as zeros) with the doubles as bit patterns, so a decoded
+// accumulator merges to the exact bits a local one would reach.
+static void encodeStat(std::string &Out, const RunningStat &S) {
+  putVarint(Out, S.count());
+  putF64(Out, S.mean());
+  putF64(Out, S.m2());
+  putF64(Out, S.min());
+  putF64(Out, S.max());
 }
 
-static bool decodeMoments(ByteReader &R, StatMoments &M) {
-  return R.varint(M.N) && R.f64(M.Mean) && R.f64(M.M2) && R.f64(M.Min) &&
-         R.f64(M.Max);
+static bool decodeStat(ByteReader &R, RunningStat &S) {
+  uint64_t N;
+  double Mean, M2, Min, Max;
+  if (!R.varint(N) || !R.f64(Mean) || !R.f64(M2) || !R.f64(Min) ||
+      !R.f64(Max))
+    return false;
+  S = RunningStat::fromMoments(N, Mean, M2, Min, Max);
+  return true;
 }
 
-static void encodeTotalMax(std::string &Out, const TotalMaxState &T) {
-  putVarint(Out, T.Total);
-  putVarint(Out, T.Max);
-  putVarint(Out, T.Cycles);
+static void encodeTotalMax(std::string &Out, const TotalMax &T) {
+  putVarint(Out, T.total());
+  putVarint(Out, T.max());
+  putVarint(Out, T.cycles());
 }
 
-static bool decodeTotalMax(ByteReader &R, TotalMaxState &T) {
-  return R.varint(T.Total) && R.varint(T.Max) && R.varint(T.Cycles);
+static bool decodeTotalMax(ByteReader &R, TotalMax &T) {
+  uint64_t Total, Max, Cycles;
+  if (!R.varint(Total) || !R.varint(Max) || !R.varint(Cycles))
+    return false;
+  T = TotalMax::fromParts(Total, Max, Cycles);
+  return true;
 }
 
 static void encodeMetricSnapshot(std::string &Out,
@@ -327,19 +230,20 @@ static void encodeContext(std::string &Out, const ContextProfile &C) {
   putVarint(Out, C.Frames.size());
   for (const std::string &F : C.Frames)
     putStr(Out, F);
-  for (unsigned I = 0; I < NumOpKinds; ++I)
-    encodeMoments(Out, C.OpStats[I]);
-  encodeMoments(Out, C.MaxSizeStat);
-  encodeMoments(Out, C.FinalSizeStat);
-  encodeMoments(Out, C.InitialCapacityStat);
-  putVarint(Out, C.Allocations);
-  putVarint(Out, C.Folded);
-  putVarint(Out, C.MigrationAborts);
-  putVarint(Out, C.MigrationCommits);
-  encodeTotalMax(Out, C.Live);
-  encodeTotalMax(Out, C.Used);
-  encodeTotalMax(Out, C.Core);
-  encodeTotalMax(Out, C.Objects);
+  const ContextStats &S = C.Stats;
+  for (const RunningStat &Op : S.OpStats)
+    encodeStat(Out, Op);
+  encodeStat(Out, S.MaxSizeStat);
+  encodeStat(Out, S.FinalSizeStat);
+  encodeStat(Out, S.InitialCapacityStat);
+  putVarint(Out, S.Allocations);
+  putVarint(Out, S.Folded);
+  putVarint(Out, S.MigrationAborts);
+  putVarint(Out, S.MigrationCommits);
+  encodeTotalMax(Out, S.Live);
+  encodeTotalMax(Out, S.Used);
+  encodeTotalMax(Out, S.Core);
+  encodeTotalMax(Out, S.Objects);
 }
 
 static bool decodeContext(ByteReader &R, ContextProfile &C) {
@@ -352,26 +256,27 @@ static bool decodeContext(ByteReader &R, ContextProfile &C) {
   for (std::string &F : C.Frames)
     if (!R.str(F, MaxLabelLen))
       return false;
-  for (unsigned I = 0; I < NumOpKinds; ++I)
-    if (!decodeMoments(R, C.OpStats[I]))
+  ContextStats &S = C.Stats;
+  for (RunningStat &Op : S.OpStats)
+    if (!decodeStat(R, Op))
       return false;
-  if (!decodeMoments(R, C.MaxSizeStat) || !decodeMoments(R, C.FinalSizeStat) ||
-      !decodeMoments(R, C.InitialCapacityStat))
+  if (!decodeStat(R, S.MaxSizeStat) || !decodeStat(R, S.FinalSizeStat) ||
+      !decodeStat(R, S.InitialCapacityStat))
     return false;
-  if (!R.varint(C.Allocations) || !R.varint(C.Folded) ||
-      !R.varint(C.MigrationAborts) || !R.varint(C.MigrationCommits))
+  if (!R.varint(S.Allocations) || !R.varint(S.Folded) ||
+      !R.varint(S.MigrationAborts) || !R.varint(S.MigrationCommits))
     return false;
-  return decodeTotalMax(R, C.Live) && decodeTotalMax(R, C.Used) &&
-         decodeTotalMax(R, C.Core) && decodeTotalMax(R, C.Objects);
+  return decodeTotalMax(R, S.Live) && decodeTotalMax(R, S.Used) &&
+         decodeTotalMax(R, S.Core) && decodeTotalMax(R, S.Objects);
 }
 
 void fleet::encodeProcessProfile(std::string &Out, const ProcessProfile &P) {
   putVarint(Out, P.Epoch);
-  putVarint(Out, P.CyclesSeen);
-  encodeTotalMax(Out, P.HeapLive);
-  encodeTotalMax(Out, P.HeapCollLive);
-  encodeTotalMax(Out, P.HeapCollUsed);
-  encodeTotalMax(Out, P.HeapCollCore);
+  putVarint(Out, P.Heap.CyclesSeen);
+  encodeTotalMax(Out, P.Heap.Live);
+  encodeTotalMax(Out, P.Heap.CollLive);
+  encodeTotalMax(Out, P.Heap.CollUsed);
+  encodeTotalMax(Out, P.Heap.CollCore);
   putVarint(Out, P.Contexts.size());
   for (const ContextProfile &C : P.Contexts)
     encodeContext(Out, C);
@@ -387,11 +292,11 @@ bool fleet::decodeProcessProfile(ByteReader &R, ProcessProfile &Out,
     Err = What;
     return false;
   };
-  if (!R.varint(Out.Epoch) || !R.varint(Out.CyclesSeen))
+  HeapStats &H = Out.Heap;
+  if (!R.varint(Out.Epoch) || !R.varint(H.CyclesSeen))
     return Fail("truncated profile header");
-  if (!decodeTotalMax(R, Out.HeapLive) || !decodeTotalMax(R, Out.HeapCollLive) ||
-      !decodeTotalMax(R, Out.HeapCollUsed) ||
-      !decodeTotalMax(R, Out.HeapCollCore))
+  if (!decodeTotalMax(R, H.Live) || !decodeTotalMax(R, H.CollLive) ||
+      !decodeTotalMax(R, H.CollUsed) || !decodeTotalMax(R, H.CollCore))
     return Fail("truncated heap aggregates");
   uint64_t NContexts;
   if (!R.varint(NContexts) || NContexts > MaxContextsPerProfile)
@@ -581,11 +486,7 @@ ProcessProfile FleetState::mergedProfile() const {
   for (const auto &[Key, S] : Streams) {
     const ProcessProfile &P = S.Latest;
     Merged.Epoch += P.Epoch;
-    Merged.CyclesSeen += P.CyclesSeen;
-    Merged.HeapLive = mergeTotalMax(Merged.HeapLive, P.HeapLive);
-    Merged.HeapCollLive = mergeTotalMax(Merged.HeapCollLive, P.HeapCollLive);
-    Merged.HeapCollUsed = mergeTotalMax(Merged.HeapCollUsed, P.HeapCollUsed);
-    Merged.HeapCollCore = mergeTotalMax(Merged.HeapCollCore, P.HeapCollCore);
+    Merged.Heap.merge(P.Heap);
     MetricInputs.push_back(&P.Metrics);
     LedgerInputs.push_back(&P.Ledger);
     for (const ContextProfile &C : P.Contexts) {
@@ -595,7 +496,7 @@ ProcessProfile FleetState::mergedProfile() const {
             return A.identityLess(B);
           });
       if (It != Merged.Contexts.end() && It->sameIdentity(C))
-        It->mergeStats(C);
+        It->Stats.merge(C.Stats);
       else
         Merged.Contexts.insert(It, C);
     }
@@ -607,12 +508,7 @@ ProcessProfile FleetState::mergedProfile() const {
 
 void FleetState::restoreInto(SemanticProfiler &P) const {
   ProcessProfile Merged = mergedProfile();
-  for (const ContextProfile &C : Merged.Contexts) {
-    ContextInfo *Ctx = P.internContext(C.TypeName, C.Frames);
-    Ctx->mergeStats(C.statsBundle());
-  }
-  P.restoreHeapAggregates(
-      totalMaxFromState(Merged.HeapLive), totalMaxFromState(Merged.HeapCollLive),
-      totalMaxFromState(Merged.HeapCollUsed),
-      totalMaxFromState(Merged.HeapCollCore), Merged.CyclesSeen);
+  for (const ContextProfile &C : Merged.Contexts)
+    P.internContext(C.TypeName, C.Frames)->mergeStats(C.Stats);
+  P.mergeHeapStats(Merged.Heap);
 }

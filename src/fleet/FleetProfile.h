@@ -17,9 +17,15 @@
 /// harmless, because the aggregator only ever keeps the highest-numbered
 /// epoch per stream.
 ///
+/// A profile carries the profiler's own statistics records: one
+/// `ContextStats` per context and one `HeapStats` per process
+/// (profiler/ContextInfo.h). The wire encodes them field by field, and
+/// every merge (fleet-wide, and into an aggregator-side profiler) is those
+/// records' `merge`.
+///
 /// Merge determinism: RunningStat merges (Welford/Chan) are exact-valued
-/// but not bitwise commutative, so `FleetState::mergedProfile` folds
-/// context bundles in a canonical order — streams sorted by (AgentId,
+/// but not bitwise commutative, so `FleetState::mergedProfile` merges
+/// context records in a canonical order — streams sorted by (AgentId,
 /// RunSeed), contexts sorted by (TypeName, Frames) — and the merged bytes
 /// are identical no matter in which order agents arrived or how many
 /// mutator threads each process ran (per-process profiles are already
@@ -33,10 +39,8 @@
 #include "obs/DecisionLog.h"
 #include "obs/Metrics.h"
 #include "profiler/ContextInfo.h"
-#include "profiler/OpKind.h"
 #include "support/Wire.h"
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -57,53 +61,13 @@ inline constexpr size_t MaxMetricsPerProfile = 1u << 16;
 inline constexpr size_t MaxLedgerEvents = 1u << 20;
 inline constexpr size_t MaxLedgerNames = 1u << 12;
 
-/// A RunningStat's complete exported state (see RunningStat::fromMoments).
-struct StatMoments {
-  uint64_t N = 0;
-  double Mean = 0.0;
-  double M2 = 0.0;
-  double Min = 0.0;
-  double Max = 0.0;
-
-  bool operator==(const StatMoments &O) const;
-};
-
-StatMoments momentsOf(const RunningStat &S);
-RunningStat statFromMoments(const StatMoments &M);
-
-/// A TotalMax's exported state.
-struct TotalMaxState {
-  uint64_t Total = 0;
-  uint64_t Max = 0;
-  uint64_t Cycles = 0;
-
-  bool operator==(const TotalMaxState &O) const {
-    return Total == O.Total && Max == O.Max && Cycles == O.Cycles;
-  }
-};
-
-TotalMaxState stateOf(const TotalMax &T);
-TotalMax totalMaxFromState(const TotalMaxState &S);
-
 /// One allocation context's identity + full statistical state, detached
 /// from any profiler (frame ids are resolved to their label strings).
 struct ContextProfile {
   std::string TypeName;
   /// Frame labels: allocation site first, then callers outward.
   std::vector<std::string> Frames;
-
-  std::array<StatMoments, NumOpKinds> OpStats;
-  StatMoments MaxSizeStat;
-  StatMoments FinalSizeStat;
-  StatMoments InitialCapacityStat;
-  uint64_t Allocations = 0;
-  uint64_t Folded = 0;
-  uint64_t MigrationAborts = 0;
-  uint64_t MigrationCommits = 0;
-  TotalMaxState Live;
-  TotalMaxState Used;
-  TotalMaxState Core;
-  TotalMaxState Objects;
+  ContextStats Stats;
 
   /// Canonical identity ordering: (TypeName, Frames), lexicographic.
   bool identityLess(const ContextProfile &O) const {
@@ -114,12 +78,6 @@ struct ContextProfile {
   bool sameIdentity(const ContextProfile &O) const {
     return TypeName == O.TypeName && Frames == O.Frames;
   }
-
-  /// The stats half as a ContextInfo bundle (for mergeStats).
-  ContextStatsBundle statsBundle() const;
-
-  /// Folds another context's stats into this one (canonical-order caller).
-  void mergeStats(const ContextProfile &O);
 };
 
 /// One process's cumulative profile at an epoch barrier: the per-context
@@ -128,11 +86,7 @@ struct ContextProfile {
 struct ProcessProfile {
   /// Commit sequence number, monotonic per stream, starting at 1.
   uint64_t Epoch = 0;
-  uint64_t CyclesSeen = 0;
-  TotalMaxState HeapLive;
-  TotalMaxState HeapCollLive;
-  TotalMaxState HeapCollUsed;
-  TotalMaxState HeapCollCore;
+  HeapStats Heap;
   /// Contexts in canonical (label-sorted) order — capture after flushEpoch.
   std::vector<ContextProfile> Contexts;
   /// The process's metric snapshot at the same instant.
@@ -208,7 +162,7 @@ public:
   ProcessProfile mergedProfile() const;
 
   /// Rebuilds the merged profile into \p P: contexts interned + stats
-  /// folded, heap aggregates restored — after this, RuleEngine::evaluate
+  /// merged, heap statistics merged — after this, RuleEngine::evaluate
   /// over \p P is fleet-wide rule evaluation.
   void restoreInto(SemanticProfiler &P) const;
 

@@ -39,8 +39,6 @@ public:
   bool receive(std::string &Out) override;
   void close() override;
 
-  int fd() const { return Fd; }
-
 private:
   bool flushSendBuf();
 

@@ -17,10 +17,10 @@ void ContextInfo::recordDeath(ObjectContextInfo &Info) {
 
 void ContextInfo::foldSnapshot(const ObjectContextInfo &Info) {
   for (unsigned I = 0; I < NumOpKinds; ++I)
-    OpStats[I].add(Info.Counts[I]);
-  MaxSizeStat.add(Info.MaxSize);
-  FinalSizeStat.add(Info.CurrentSize);
-  ++Folded;
+    Stats.OpStats[I].add(Info.Counts[I]);
+  Stats.MaxSizeStat.add(Info.MaxSize);
+  Stats.FinalSizeStat.add(Info.CurrentSize);
+  ++Stats.Folded;
 }
 
 bool ContextInfo::accumulateCycle(uint64_t Cycle,
@@ -37,53 +37,34 @@ bool ContextInfo::accumulateCycle(uint64_t Cycle,
 }
 
 void ContextInfo::finishCycle() {
-  Live.observe(CycleSizes.Live);
-  Used.observe(CycleSizes.Used);
-  Core.observe(CycleSizes.Core);
-  Objects.observe(CycleObjects);
+  Stats.Live.observe(CycleSizes.Live);
+  Stats.Used.observe(CycleSizes.Used);
+  Stats.Core.observe(CycleSizes.Core);
+  Stats.Objects.observe(CycleObjects);
   CycleSizes = CollectionSizes();
   CycleObjects = 0;
 }
 
-ContextStatsBundle ContextInfo::exportStats() const {
-  ContextStatsBundle B;
-  B.OpStats = OpStats;
-  B.MaxSizeStat = MaxSizeStat;
-  B.FinalSizeStat = FinalSizeStat;
-  B.InitialCapacityStat = InitialCapacityStat;
-  B.Allocations = Allocations;
-  B.Folded = Folded;
-  B.MigrationAborts = MigrationAbortCount.load(std::memory_order_relaxed);
-  B.MigrationCommits = MigrationCommitCount.load(std::memory_order_relaxed);
-  B.Live = Live;
-  B.Used = Used;
-  B.Core = Core;
-  B.Objects = Objects;
-  return B;
-}
-
-void ContextInfo::mergeStats(const ContextStatsBundle &B) {
+void ContextStats::merge(const ContextStats &O) {
   for (unsigned I = 0; I < NumOpKinds; ++I)
-    OpStats[I].merge(B.OpStats[I]);
-  MaxSizeStat.merge(B.MaxSizeStat);
-  FinalSizeStat.merge(B.FinalSizeStat);
-  InitialCapacityStat.merge(B.InitialCapacityStat);
-  Allocations += B.Allocations;
-  Folded += B.Folded;
-  MigrationAbortCount.fetch_add(B.MigrationAborts,
-                                std::memory_order_relaxed);
-  MigrationCommitCount.fetch_add(B.MigrationCommits,
-                                 std::memory_order_relaxed);
-  Live.merge(B.Live);
-  Used.merge(B.Used);
-  Core.merge(B.Core);
-  Objects.merge(B.Objects);
+    OpStats[I].merge(O.OpStats[I]);
+  MaxSizeStat.merge(O.MaxSizeStat);
+  FinalSizeStat.merge(O.FinalSizeStat);
+  InitialCapacityStat.merge(O.InitialCapacityStat);
+  Allocations += O.Allocations;
+  Folded += O.Folded;
+  MigrationAborts += O.MigrationAborts;
+  MigrationCommits += O.MigrationCommits;
+  Live.merge(O.Live);
+  Used.merge(O.Used);
+  Core.merge(O.Core);
+  Objects.merge(O.Objects);
 }
 
 double ContextInfo::avgAllOps() const {
   double Sum = 0;
   for (unsigned I = 0; I < NumOpKinds; ++I)
     if (countsTowardAllOps(static_cast<OpKind>(I)))
-      Sum += OpStats[I].mean();
+      Sum += Stats.OpStats[I].mean();
   return Sum;
 }

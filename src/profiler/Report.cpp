@@ -45,7 +45,7 @@ chameleon::topContexts(const SemanticProfiler &Profiler, size_t N) {
     Ranked.resize(N);
 
   double HeapLiveTotal =
-      static_cast<double>(Profiler.heapLiveData().total());
+      static_cast<double>(Profiler.heapStats().Live.total());
 
   std::vector<ContextSummary> Summaries;
   Summaries.reserve(Ranked.size());

@@ -57,8 +57,6 @@ SemanticProfiler::SemanticProfiler(ProfilerConfig Config)
   MainState.AllocCache = alloc::threadCache().liveCell();
   if (Config.ContextFastPath && !Config.ExpensiveContextCapture)
     MainState.ContextCache.resize(ContextCacheSize);
-  if (Config.ConcurrentMutators)
-    MtActive.store(true, std::memory_order_relaxed);
 }
 
 SemanticProfiler::~SemanticProfiler() = default;
@@ -248,18 +246,6 @@ SemanticProfiler::internContext(const std::string &TypeName,
   return findOrCreateContext(std::move(Key));
 }
 
-void SemanticProfiler::restoreHeapAggregates(const TotalMax &Live,
-                                             const TotalMax &CollLive,
-                                             const TotalMax &CollUsed,
-                                             const TotalMax &CollCore,
-                                             uint64_t Cycles) {
-  HeapLive.merge(Live);
-  HeapCollLive.merge(CollLive);
-  HeapCollUsed.merge(CollUsed);
-  HeapCollCore.merge(CollCore);
-  CyclesSeen += Cycles;
-}
-
 void SemanticProfiler::noteAllocation(ContextInfo *Ctx,
                                       uint32_t InitialCapacity) {
   if (!Ctx)
@@ -409,7 +395,7 @@ void SemanticProfiler::onLiveCollection(const HeapObject &Obj,
   // The stamp is the number of the cycle currently being marked; contexts
   // track it so that per-cycle scratch resets exactly once per cycle and
   // finishCycle runs exactly once per touched context.
-  uint64_t Stamp = CyclesSeen + 1;
+  uint64_t Stamp = Heap.CyclesSeen + 1;
   if (Info->accumulateCycle(Stamp, Sizes))
     TouchedThisCycle.push_back(Info);
 }
@@ -472,7 +458,7 @@ void SemanticProfiler::onCycleEnd(const GcCycleRecord &Record) {
   for (ContextInfo *Info : TouchedThisCycle)
     Info->finishCycle();
   TouchedThisCycle.clear();
-  ++CyclesSeen;
+  ++Heap.CyclesSeen;
 
   // Additive restore: once pressure has cleared, step the sampling rate
   // back toward full — one step per GC cycle (AIMD, like congestion
@@ -485,10 +471,10 @@ void SemanticProfiler::onCycleEnd(const GcCycleRecord &Record) {
     }
   }
 
-  HeapLive.observe(Record.LiveBytes);
-  HeapCollLive.observe(Record.CollectionLiveBytes);
-  HeapCollUsed.observe(Record.CollectionUsedBytes);
-  HeapCollCore.observe(Record.CollectionCoreBytes);
+  Heap.Live.observe(Record.LiveBytes);
+  Heap.CollLive.observe(Record.CollectionLiveBytes);
+  Heap.CollUsed.observe(Record.CollectionUsedBytes);
+  Heap.CollCore.observe(Record.CollectionCoreBytes);
 }
 
 uint64_t SemanticProfiler::contextAcquisitions() const {

@@ -19,14 +19,14 @@
 /// the fully-automatic online mode measurably slower (§5.4).
 ///
 /// Threading (DESIGN.md §9): single-threaded by default, with every hot
-/// path untouched. With `ProfilerConfig::ConcurrentMutators` (or after
-/// `enableConcurrentMutators()`), each mutator thread gets its own
-/// `ProfilerThreadState` — call stack, fingerprint, context cache, sampling
-/// counters, and an event buffer — so captures stay lock-free on cache
-/// hits; the ContextInfo registry is striped across sharded locks for the
-/// miss path; and allocation/death statistics are buffered per thread and
-/// folded in deterministic (Task, Seq) order at epoch flushes and GC
-/// safepoints, keeping reports byte-identical across thread counts.
+/// path untouched. After `enableConcurrentMutators()` (which `MutatorScope`
+/// calls), each mutator thread gets its own `ProfilerThreadState` — call
+/// stack, fingerprint, context cache, sampling counters, and an event
+/// buffer — so captures stay lock-free on cache hits; the ContextInfo
+/// registry is striped across sharded locks for the miss path; and
+/// allocation/death statistics are buffered per thread and folded in
+/// deterministic (Task, Seq) order at epoch flushes and GC safepoints,
+/// keeping reports byte-identical across thread counts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,11 +74,6 @@ struct ProfilerConfig {
   /// frames, so results are identical with the cache on or off. Ignored
   /// (always off) under ExpensiveContextCapture, whose point is the cost.
   bool ContextFastPath = true;
-  /// Start in concurrent-mutator mode: allocation/death statistics buffer
-  /// per thread from the first event (task 0 until setCurrentTask), rather
-  /// than folding directly. Equivalent to calling
-  /// enableConcurrentMutators() before any profiled work.
-  bool ConcurrentMutators = false;
 };
 
 /// Snapshot of the profiler's load-shedding state and loss accounting,
@@ -214,14 +209,12 @@ public:
   ContextInfo *internContext(const std::string &TypeName,
                              const std::vector<std::string> &FrameLabels);
 
-  /// Merges exported whole-heap Total/Max aggregates and a cycle count into
-  /// this profiler (fleet snapshot restore). The rule evaluator reads
-  /// heapLiveData() for its potential-relative-to-heap thresholds; a
-  /// restored profiler must carry them for fleet-wide evaluation to see
-  /// the same ratios the originating processes saw.
-  void restoreHeapAggregates(const TotalMax &Live, const TotalMax &CollLive,
-                             const TotalMax &CollUsed,
-                             const TotalMax &CollCore, uint64_t Cycles);
+  /// Merges exported whole-heap statistics into this profiler (fleet
+  /// snapshot restore). The rule evaluator reads the live-bytes aggregate
+  /// for its potential-relative-to-heap thresholds; a restored profiler
+  /// must carry it for fleet-wide evaluation to see the same ratios the
+  /// originating processes saw.
+  void mergeHeapStats(const HeapStats &H) { Heap.merge(H); }
 
   /// -- HeapProfilerHooks (fed by the collection-aware GC) ------------------
 
@@ -248,15 +241,10 @@ public:
   /// the order of the paper's ranked report (Fig. 3).
   std::vector<ContextInfo *> rankedByPotential() const;
 
-  /// Whole-heap Total/Max aggregates over all observed cycles, for
-  /// potential-relative-to-heap thresholds and Fig. 2 style ratios.
-  const TotalMax &heapLiveData() const { return HeapLive; }
-  const TotalMax &heapCollectionLiveData() const { return HeapCollLive; }
-  const TotalMax &heapCollectionUsedData() const { return HeapCollUsed; }
-  const TotalMax &heapCollectionCoreData() const { return HeapCollCore; }
-
-  /// Number of GC cycles observed through the hooks.
-  uint64_t cyclesSeen() const { return CyclesSeen; }
+  /// Whole-heap Total/Max aggregates over, and the number of, the GC
+  /// cycles observed through the hooks: potential-relative-to-heap
+  /// thresholds, Fig. 2 style ratios, and the fleet's per-process record.
+  const HeapStats &heapStats() const { return Heap; }
 
   /// Profiling-cost counters (for the overhead experiments), summed over
   /// every thread's state.
@@ -269,12 +257,6 @@ public:
   uint64_t contextCacheMisses() const;
 
   /// -- Graceful degradation under heap pressure ----------------------------
-
-  /// True while the profiler is shedding load (between onHeapPressure and
-  /// onHeapPressureCleared).
-  bool shedActive() const {
-    return ShedActive.load(std::memory_order_relaxed);
-  }
 
   /// The current sampling-period multiplier (1 = full rate). Doubles on
   /// every pressure event (capped at 64), restores additively — one step
@@ -398,7 +380,6 @@ private:
   void boundPending(ProfilerThreadState &S);
 
   std::vector<ContextInfo *> TouchedThisCycle;
-  uint64_t CyclesSeen = 0;
 
   /// Shed-mode state. ShedActive / ShedMultiplier are written from the
   /// heap's allocation path (onHeapPressure*) and read by every mutator's
@@ -414,10 +395,7 @@ private:
   uint64_t FoldedAllocs = 0;
   uint64_t FoldedDeaths = 0;
 
-  TotalMax HeapLive;
-  TotalMax HeapCollLive;
-  TotalMax HeapCollUsed;
-  TotalMax HeapCollCore;
+  HeapStats Heap;
 };
 
 /// RAII frame on the simulated call stack. Prefer the pre-interned-id form

@@ -48,9 +48,9 @@ double Evaluator::metricValue(MetricKind Kind) {
   case MetricKind::Potential:
     return static_cast<double>(Info.savingPotential());
   case MetricKind::HeapTotLive:
-    return static_cast<double>(Profiler.heapLiveData().total());
+    return static_cast<double>(Profiler.heapStats().Live.total());
   case MetricKind::HeapMaxLive:
-    return static_cast<double>(Profiler.heapLiveData().max());
+    return static_cast<double>(Profiler.heapStats().Live.max());
   }
   CHAM_UNREACHABLE("unknown MetricKind");
 }

@@ -169,7 +169,6 @@ public:
   /// its time collecting, and the heap declares OutOfMemory (HotSpot's
   /// GC-overhead criterion). 0 disables the check.
   void setMinFreeFraction(double Fraction) { MinFreeFraction = Fraction; }
-  double minFreeFraction() const { return MinFreeFraction; }
 
   /// When nonzero, forces a (statistics-sampling) collection every time
   /// this many bytes have been allocated. Profiled runs use it so that the
@@ -208,7 +207,6 @@ public:
   /// path would have produced; safe to call only while no mutator threads
   /// are running.
   void setUseThreadCaches(bool On);
-  bool useThreadCaches() const { return UseThreadCaches; }
 
   /// -- Concurrent mutators (DESIGN.md §9) ----------------------------------
 

@@ -111,6 +111,9 @@ public:
     Cycles += Other.Cycles;
   }
 
+  /// Field-wise equality (`chameleon-stats --diff`).
+  bool operator==(const TotalMax &) const = default;
+
   /// Rebuilds an accumulator from exported state (fleet snapshot restore).
   static TotalMax fromParts(uint64_t Total, uint64_t Maximum,
                             uint64_t Cycles) {

@@ -89,12 +89,12 @@ FaultPlan fleetPlan(uint64_t Seed) {
 ProcessProfile chaosProfile(uint64_t Salt, uint64_t Epoch) {
   ProcessProfile P;
   P.Epoch = Epoch;
-  P.CyclesSeen = Epoch;
-  P.HeapLive = {Epoch * (100 + Salt), 100 + Salt, Epoch};
+  P.Heap.CyclesSeen = Epoch;
+  P.Heap.Live = TotalMax::fromParts(Epoch * (100 + Salt), 100 + Salt, Epoch);
   ContextProfile C;
   C.TypeName = Salt % 2 ? "HashMap" : "ArrayList";
   C.Frames = {"site:" + std::to_string(Salt)};
-  C.Allocations = Epoch * (10 + Salt);
+  C.Stats.Allocations = Epoch * (10 + Salt);
   P.Contexts.push_back(std::move(C));
   return P;
 }
@@ -220,7 +220,7 @@ TEST(FleetChaosTest, StormThenEveryCommittedEpochConverges) {
     StreamKey Key{"chaos-" + std::to_string(I), Seed};
     EXPECT_EQ(Final.latestEpoch(Key), EpochsPerAgent);
     // The merged view carries the cumulative (latest-epoch) contents.
-    EXPECT_EQ(Final.streams().at(Key).Latest.Contexts[0].Allocations,
+    EXPECT_EQ(Final.streams().at(Key).Latest.Contexts[0].Stats.Allocations,
               EpochsPerAgent * (10 + I));
 
     // WAL ledger: structurally intact end to end — no torn frames, no
@@ -295,7 +295,7 @@ TEST(FleetChaosTest, AggregatorKillRestartLosesNoCommittedEpoch) {
   EXPECT_TRUE(Agent.drained());
   EXPECT_EQ(Agent.stats().DurableEpoch, 4u);
   EXPECT_EQ(Agg.stateCopy().latestEpoch({"survivor", Seed}), 4u);
-  EXPECT_EQ(Agg.mergedProfile().Contexts[0].Allocations, 4u * 17);
+  EXPECT_EQ(Agg.mergedProfile().Contexts[0].Stats.Allocations, 4u * 17);
 }
 
 TEST(FleetChaosTest, CorruptSnapshotQuarantinesThenSelfHeals) {
@@ -363,7 +363,7 @@ TEST(FleetChaosTest, CorruptSnapshotQuarantinesThenSelfHeals) {
 
   EXPECT_TRUE(Agent.drained());
   EXPECT_EQ(Agg.stateCopy().latestEpoch({"healer", Seed}), 4u);
-  EXPECT_EQ(Agg.mergedProfile().Contexts[0].Allocations, 4u * 21);
+  EXPECT_EQ(Agg.mergedProfile().Contexts[0].Stats.Allocations, 4u * 21);
   FleetState Reloaded;
   SnapshotLoadResult RL = loadSnapshot(SnapPath, Reloaded, false);
   ASSERT_TRUE(RL.ok()) << RL.Message;

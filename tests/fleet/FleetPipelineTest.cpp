@@ -14,7 +14,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "apps/TraceWorkload.h"
+#include "FleetFixtures.h"
+
 #include "apps/WorkloadGen.h"
 #include "fleet/Agent.h"
 #include "fleet/Aggregator.h"
@@ -31,6 +32,7 @@
 using namespace chameleon;
 using namespace chameleon::apps;
 using namespace chameleon::fleet;
+using fixtures::replayAndCapture;
 
 namespace {
 
@@ -41,12 +43,12 @@ namespace fs = std::filesystem;
 ProcessProfile tinyProfile(uint64_t Epoch) {
   ProcessProfile P;
   P.Epoch = Epoch;
-  P.CyclesSeen = Epoch;
-  P.HeapLive = {100 * Epoch, 100, Epoch};
+  P.Heap.CyclesSeen = Epoch;
+  P.Heap.Live = TotalMax::fromParts(100 * Epoch, 100, Epoch);
   ContextProfile C;
   C.TypeName = "ArrayList";
   C.Frames = {"site:1"};
-  C.Allocations = 10 * Epoch;
+  C.Stats.Allocations = 10 * Epoch;
   P.Contexts.push_back(std::move(C));
   return P;
 }
@@ -101,7 +103,7 @@ TEST(FleetPipelineTest, CommitsFlowToDurable) {
   ProcessProfile Merged = Agg.mergedProfile();
   EXPECT_EQ(Merged.Epoch, 5u);
   ASSERT_EQ(Merged.Contexts.size(), 1u);
-  EXPECT_EQ(Merged.Contexts[0].Allocations, 50u); // cumulative epoch 5 only
+  EXPECT_EQ(Merged.Contexts[0].Stats.Allocations, 50u); // cumulative epoch 5 only
 }
 
 TEST(FleetPipelineTest, BackoffIsExponentialAndSeedDeterministic) {
@@ -197,7 +199,7 @@ TEST(FleetPipelineTest, BackpressureShedsCountedAndLosslessly) {
   uint64_t Tick = 1000;
   ASSERT_GT(pumpUntilDrained(Agent, Agg, Hub, Tick, 4000), 0u);
   EXPECT_EQ(Agent.stats().DurableEpoch, 64u);
-  EXPECT_EQ(Agg.mergedProfile().Contexts[0].Allocations, 640u);
+  EXPECT_EQ(Agg.mergedProfile().Contexts[0].Stats.Allocations, 640u);
 }
 
 TEST(FleetPipelineTest, WalReplaysAcrossAgentRestart) {
@@ -268,26 +270,6 @@ TEST(FleetPipelineTest, VersionSkewDropsCleanly) {
 //===----------------------------------------------------------------------===//
 // Acceptance byte-identity: arrival order x mutator threads
 //===----------------------------------------------------------------------===//
-
-/// Replays one workload-zoo trace at \p Threads mutator threads and
-/// returns the profile captured at the final epoch barrier.
-ProcessProfile replayAndCapture(const WorkloadGenerator &G, uint32_t Threads) {
-  WorkloadGenConfig GC;
-  applyWorkloadScale(WorkloadScale::Ci, GC);
-  GC.Seed = 0x5CA1E;
-  Trace T = G.Generate(GC);
-
-  ProcessProfile Last;
-  ReplayConfig RC;
-  RC.MutatorThreads = Threads;
-  RC.OnEpochBarrier = [&](uint32_t Epoch, CollectionRuntime &RT) {
-    Last = captureProcessProfile(RT.profiler(), Epoch + 1);
-  };
-  CollectionRuntime RT(traceReplayRuntimeConfig(RC));
-  ReplayResult R = replayTrace(RT, T, RC);
-  EXPECT_TRUE(R.Ok) << R.Error;
-  return Last;
-}
 
 TEST(FleetPipelineTest, MergedProfileByteIdenticalAcrossThreadCounts) {
   const WorkloadGenerator *G = findWorkloadGenerator("zipf");

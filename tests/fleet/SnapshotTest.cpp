@@ -58,13 +58,14 @@ FleetState sampleState() {
   for (int I = 0; I < 2; ++I) {
     ProcessProfile P;
     P.Epoch = 3 + I;
-    P.CyclesSeen = 5;
-    P.HeapLive = {1000u + static_cast<uint64_t>(I), 400, 5};
+    P.Heap.CyclesSeen = 5;
+    P.Heap.Live =
+        TotalMax::fromParts(1000u + static_cast<uint64_t>(I), 400, 5);
     ContextProfile C;
     C.TypeName = I == 0 ? "ArrayList" : "HashMap";
     C.Frames = {"site:1", "caller"};
-    C.Allocations = 10 + static_cast<uint64_t>(I);
-    C.MaxSizeStat = {9, 4.5, 1.25, 1.0, 9.0};
+    C.Stats.Allocations = 10 + static_cast<uint64_t>(I);
+    C.Stats.MaxSizeStat = RunningStat::fromMoments(9, 4.5, 1.25, 1.0, 9.0);
     P.Contexts.push_back(std::move(C));
     S.fold({I == 0 ? "agent-a" : "agent-b", 7}, std::move(P));
   }

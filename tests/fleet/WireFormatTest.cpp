@@ -13,6 +13,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "FleetFixtures.h"
+
 #include "fleet/FleetProfile.h"
 #include "fleet/WireFormat.h"
 #include "support/Wire.h"
@@ -25,6 +27,7 @@
 
 using namespace chameleon;
 using namespace chameleon::fleet;
+using fixtures::sampleProfile;
 
 namespace {
 
@@ -173,60 +176,6 @@ TEST(FramingTest, RejectsFlippedDigestBit) {
 // Messages
 //===----------------------------------------------------------------------===//
 
-/// A profile exercising every field: several contexts (deliberately out of
-/// canonical construction order is NOT allowed — callers sort), metrics of
-/// all kinds, and awkward doubles.
-ProcessProfile sampleProfile(uint64_t Epoch) {
-  ProcessProfile P;
-  P.Epoch = Epoch;
-  P.CyclesSeen = 7;
-  P.HeapLive = {1000, 400, 7};
-  P.HeapCollLive = {600, 300, 7};
-  P.HeapCollUsed = {500, 250, 7};
-  P.HeapCollCore = {400, 200, 7};
-
-  ContextProfile A;
-  A.TypeName = "ArrayList";
-  A.Frames = {"site.a:1", "caller.b"};
-  A.Allocations = 42;
-  A.Folded = 40;
-  A.MigrationAborts = 1;
-  A.MigrationCommits = 2;
-  A.MaxSizeStat = {40, 12.5, 3.75, 1.0, 64.0};
-  A.OpStats[0] = {10, 0.5, std::nan(""), -0.0, 1e300};
-  A.Live = {4096, 512, 7};
-  A.Used = {2048, 256, 7};
-  A.Core = {1024, 128, 7};
-  A.Objects = {64, 8, 7};
-
-  ContextProfile B;
-  B.TypeName = "HashMap";
-  B.Frames = {"site.b:2"};
-  B.Allocations = 7;
-  B.FinalSizeStat = {7, 3.0, 0.25, 2.0, 4.0};
-
-  P.Contexts = {std::move(A), std::move(B)};
-
-  obs::MetricSnapshot C;
-  C.Name = "cham.fleet.test_counter";
-  C.Kind = obs::MetricKind::Counter;
-  C.Value = 123;
-  obs::MetricSnapshot G;
-  G.Name = "cham.fleet.test_gauge";
-  G.Kind = obs::MetricKind::Gauge;
-  G.GaugeValue = -5;
-  obs::MetricSnapshot H;
-  H.Name = "cham.fleet.test_hdr";
-  H.Kind = obs::MetricKind::Hdr;
-  H.HdrBuckets = {{5, 3}, {190, 2}, {222, 1}};
-  H.Count = 6;
-  H.Sum = 4015;
-  H.MinValue = 5;
-  H.MaxValue = 2000;
-  P.Metrics = {C, G, H};
-  return P;
-}
-
 TEST(MessageTest, HelloRoundTrips) {
   HelloMsg M;
   M.AgentId = "agent-007";
@@ -330,7 +279,7 @@ TEST(FleetStateTest, KeepsHighestEpochPerStream) {
 TEST(FleetStateTest, MergedProfileInvariantToArrivalOrder) {
   ProcessProfile P1 = sampleProfile(2);
   ProcessProfile P2 = sampleProfile(5);
-  P2.Contexts[0].Allocations = 1000; // make the streams distinguishable
+  P2.Contexts[0].Stats.Allocations = 1000; // make the streams distinguishable
   ProcessProfile P3 = sampleProfile(1);
 
   std::string Baseline;
@@ -359,10 +308,10 @@ TEST(FleetStateTest, MergeSumsCountersAndStats) {
   ProcessProfile M = S.mergedProfile();
   EXPECT_EQ(M.Epoch, 6u); // fleet version: sum of stream epochs
   ASSERT_EQ(M.Contexts.size(), 2u);
-  EXPECT_EQ(M.Contexts[0].Allocations, 84u); // 42 + 42, same identity
-  EXPECT_EQ(M.Contexts[0].MaxSizeStat.N, 80u);
-  EXPECT_EQ(M.HeapLive.Total, 2000u);
-  EXPECT_EQ(M.HeapLive.Max, 400u);
+  EXPECT_EQ(M.Contexts[0].Stats.Allocations, 84u); // 42 + 42, same identity
+  EXPECT_EQ(M.Contexts[0].Stats.MaxSizeStat.count(), 80u);
+  EXPECT_EQ(M.Heap.Live.total(), 2000u);
+  EXPECT_EQ(M.Heap.Live.max(), 400u);
   // Metrics merged by name: counter doubled, HDR buckets added.
   ASSERT_EQ(M.Metrics.size(), 3u);
   EXPECT_EQ(M.Metrics[0].Value, 246u);

@@ -573,7 +573,7 @@ FleetDeltas measureFleetExchange() {
   for (uint64_t E = 1; E <= 4; ++E) {
     fleet::ProcessProfile P;
     P.Epoch = E;
-    P.HeapLive = {E * 100, 100, E};
+    P.Heap.Live = TotalMax::fromParts(E * 100, 100, E);
     Agent.commitEpoch(std::move(P));
   }
   uint64_t Tick = 0;

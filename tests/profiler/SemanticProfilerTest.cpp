@@ -151,8 +151,8 @@ TEST(SemanticProfiler, HooksAggregateHeapStats) {
 
   EXPECT_EQ(Info->liveData().total(), 100u);
   EXPECT_EQ(Info->usedData().total(), 60u);
-  EXPECT_EQ(P.heapLiveData().total(), 500u);
-  EXPECT_EQ(P.cyclesSeen(), 1u);
+  EXPECT_EQ(P.heapStats().Live.total(), 500u);
+  EXPECT_EQ(P.heapStats().CyclesSeen, 1u);
 }
 
 TEST(SemanticProfiler, DeathHookFoldsObjectInfo) {

@@ -164,11 +164,11 @@ TEST(AllocatorStress, BlocksSurviveModeSwitches) {
 /// and off — the same invariants hold on both paths.
 void churnAcrossClasses(bool UseCaches) {
   RuntimeConfig Config;
-  Config.Profiler.ConcurrentMutators = true;
   // Frequent sampling GCs: safepoints interrupt the churn constantly, so
   // slot-cache flush/unbump and storage recycling run under load.
   Config.GcSampleEveryBytes = 48 * 1024;
   CollectionRuntime RT(Config);
+  RT.profiler().enableConcurrentMutators();
   RT.heap().setUseThreadCaches(UseCaches);
 
   constexpr unsigned Threads = 4;

@@ -45,11 +45,11 @@ void onMutators(CollectionRuntime &RT, unsigned Threads,
 
 TEST(ConcurrentMutator, DisjointOpsUnderPressureGc) {
   RuntimeConfig Config;
-  Config.Profiler.ConcurrentMutators = true;
   // Statistics-sampling GCs fire in the middle of handle operations, so
   // workers are stopped at countOp safepoint polls, not just at barriers.
   Config.GcSampleEveryBytes = 64 * 1024;
   CollectionRuntime RT(Config);
+  RT.profiler().enableConcurrentMutators();
 
   constexpr unsigned Threads = 4;
   constexpr int PerThread = 600;
@@ -86,9 +86,9 @@ TEST(ConcurrentMutator, DisjointOpsUnderPressureGc) {
 
 TEST(ConcurrentMutator, SamplingCountersExactPerThread) {
   RuntimeConfig Config;
-  Config.Profiler.ConcurrentMutators = true;
   Config.Profiler.SamplingPeriod = 4;
   CollectionRuntime RT(Config);
+  RT.profiler().enableConcurrentMutators();
 
   constexpr unsigned Threads = 4;
   constexpr int PerThread = 400; // divisible by the period
@@ -111,8 +111,8 @@ TEST(ConcurrentMutator, SamplingCountersExactPerThread) {
 
 TEST(ConcurrentMutator, StripedRegistrySameContextAcrossThreads) {
   RuntimeConfig Config;
-  Config.Profiler.ConcurrentMutators = true;
   CollectionRuntime RT(Config);
+  RT.profiler().enableConcurrentMutators();
   FrameId Site = RT.site("cm.shared:1");
   FrameId Caller = RT.profiler().internFrame("cm.caller");
 
@@ -143,8 +143,8 @@ TEST(ConcurrentMutator, FoldedStatsInvariantAcrossThreadCounts) {
   // the thread schedule).
   auto Run = [](unsigned Threads) {
     RuntimeConfig Config;
-    Config.Profiler.ConcurrentMutators = true;
     CollectionRuntime RT(Config);
+    RT.profiler().enableConcurrentMutators();
     FrameId Site = RT.site("cm.invariant:1");
     constexpr int Tasks = 240;
     onMutators(RT, Threads, [&](unsigned Tid) {
@@ -175,8 +175,8 @@ TEST(ConcurrentMutator, PlanLookupsAgreeAcrossThreads) {
   // ones the default, and the report must match a 1-thread run.
   auto Run = [](unsigned Threads) {
     RuntimeConfig Config;
-    Config.Profiler.ConcurrentMutators = true;
     CollectionRuntime RT(Config);
+    RT.profiler().enableConcurrentMutators();
     FrameId Planned = RT.site("cm.plan:planned");
     FrameId Unplanned = RT.site("cm.plan:unplanned");
     {
@@ -223,8 +223,8 @@ TEST(ConcurrentMutator, PlanLookupsAgreeAcrossThreads) {
 
 TEST(ConcurrentMutator, HandlesMigrateAcrossThreads) {
   RuntimeConfig Config;
-  Config.Profiler.ConcurrentMutators = true;
   CollectionRuntime RT(Config);
+  RT.profiler().enableConcurrentMutators();
   FrameId Site = RT.site("cm.migrate:1");
 
   // Built on worker threads; the handles (and their root entries) outlive
@@ -247,8 +247,8 @@ TEST(ConcurrentMutator, HandlesMigrateAcrossThreads) {
 
 TEST(ConcurrentMutator, ConcurrentForcedCollections) {
   RuntimeConfig Config;
-  Config.Profiler.ConcurrentMutators = true;
   CollectionRuntime RT(Config);
+  RT.profiler().enableConcurrentMutators();
 
   // Several threads race to initiate stop-the-world cycles while the
   // rest keep mutating; initiators must serialise, and waiting out an
@@ -272,10 +272,10 @@ TEST(ConcurrentMutator, ParallelGcWithConcurrentMutators) {
   // Parallel collector workers (GcThreads=2) under registered mutator
   // threads: the STW protocol and the mark/sweep pool must compose.
   RuntimeConfig Config;
-  Config.Profiler.ConcurrentMutators = true;
   Config.GcThreads = 2;
   Config.GcSampleEveryBytes = 96 * 1024;
   CollectionRuntime RT(Config);
+  RT.profiler().enableConcurrentMutators();
 
   onMutators(RT, 4, [&](unsigned Tid) {
     FrameId Site = RT.site("cm.parallel:" + std::to_string(Tid));
@@ -300,8 +300,8 @@ TEST(ConcurrentMutator, DeathFoldsExactUnderConcurrentRetire) {
   // Regression for the death-event fold race: every retired instance is
   // folded exactly once, even when sweeps run between the retires.
   RuntimeConfig Config;
-  Config.Profiler.ConcurrentMutators = true;
   CollectionRuntime RT(Config);
+  RT.profiler().enableConcurrentMutators();
   FrameId Site = RT.site("cm.retire:1");
 
   constexpr unsigned Threads = 4;

@@ -245,10 +245,10 @@ int diffMode(const std::string &PathA, const std::string &PathB) {
               PathA.c_str(), static_cast<unsigned long long>(PA.Epoch),
               PathB.c_str(), static_cast<unsigned long long>(PB.Epoch));
   std::printf("heap live total: %llu -> %llu; coll-used max: %llu -> %llu\n",
-              static_cast<unsigned long long>(PA.HeapLive.Total),
-              static_cast<unsigned long long>(PB.HeapLive.Total),
-              static_cast<unsigned long long>(PA.HeapCollUsed.Max),
-              static_cast<unsigned long long>(PB.HeapCollUsed.Max));
+              static_cast<unsigned long long>(PA.Heap.Live.total()),
+              static_cast<unsigned long long>(PB.Heap.Live.total()),
+              static_cast<unsigned long long>(PA.Heap.CollUsed.max()),
+              static_cast<unsigned long long>(PB.Heap.CollUsed.max()));
 
   // Both context lists are in canonical identity order: a single sweep
   // classifies every context as removed, added, or common.
@@ -268,22 +268,24 @@ int diffMode(const std::string &PathA, const std::string &PathB) {
          PB.Contexts[IB].identityLess(PA.Contexts[IA]));
     if (TakeA) {
       const fleet::ContextProfile &C = PA.Contexts[IA++];
-      Table.addRow({"-", contextLabel(C), C.TypeName, u64Str(C.Allocations),
-                    u64Str(C.Live.Max)});
+      Table.addRow({"-", contextLabel(C), C.TypeName,
+                    u64Str(C.Stats.Allocations), u64Str(C.Stats.Live.max())});
       ++Changed;
     } else if (TakeB) {
       const fleet::ContextProfile &C = PB.Contexts[IB++];
-      Table.addRow({"+", contextLabel(C), C.TypeName, u64Str(C.Allocations),
-                    u64Str(C.Live.Max)});
+      Table.addRow({"+", contextLabel(C), C.TypeName,
+                    u64Str(C.Stats.Allocations), u64Str(C.Stats.Live.max())});
       ++Changed;
     } else {
       const fleet::ContextProfile &CA = PA.Contexts[IA++];
       const fleet::ContextProfile &CB = PB.Contexts[IB++];
-      if (CA.Allocations != CB.Allocations || !(CA.Live == CB.Live)) {
+      const ContextStats &SA = CA.Stats, &SB = CB.Stats;
+      if (SA.Allocations != SB.Allocations || SA.Live != SB.Live) {
         Table.addRow({"~", contextLabel(CB), CB.TypeName,
-                      u64Str(CA.Allocations) + " -> " +
-                          u64Str(CB.Allocations),
-                      u64Str(CA.Live.Max) + " -> " + u64Str(CB.Live.Max)});
+                      u64Str(SA.Allocations) + " -> " +
+                          u64Str(SB.Allocations),
+                      u64Str(SA.Live.max()) + " -> " +
+                          u64Str(SB.Live.max())});
         ++Changed;
       }
     }
