@@ -41,7 +41,7 @@ public:
         InitialCapacity(RequestedCapacity ? RequestedCapacity
                                           : DefaultCapacity) {}
 
-  void initEager() {
+  void initEager() override {
     Table = RT.allocValueArray(2 * InitialCapacity);
     Capacity = InitialCapacity;
   }
@@ -215,9 +215,6 @@ int main() {
   Trove.Make = [](CollectionRuntime &R, TypeId Type, uint32_t Capacity) {
     return std::make_unique<OpenAddressingMapImpl>(
         Type, R.heap().model().objectBytes(1, 16), R, Capacity);
-  };
-  Trove.InitEager = [](CollectionRuntime &R, ObjectRef Impl) {
-    R.heap().getAs<OpenAddressingMapImpl>(Impl).initEager();
   };
   CustomImplId TroveId = RT.registerCustomImpl(Trove);
 

@@ -39,7 +39,7 @@ public:
 
   /// Allocates the eager backing array; call once the object is rooted.
   /// No-op for the lazy variant.
-  void initEager();
+  void initEager() override;
 
   ImplKind kind() const override {
     return Lazy ? ImplKind::LazyArrayList : ImplKind::ArrayList;

@@ -31,7 +31,7 @@ public:
                uint32_t RequestedCapacity);
 
   /// Allocates the eager backing array; call once rooted.
-  void initEager() { ensureCapacity(InitialCapacity); }
+  void initEager() override { ensureCapacity(InitialCapacity); }
 
   ImplKind kind() const override { return ImplKind::ArrayMap; }
   uint32_t size() const override { return Count; }

@@ -194,7 +194,7 @@ ObjectRef CollectionRuntime::allocIterator(ObjectRef Coll,
 
 Value CollectionRuntime::allocData(uint32_t PointerFields,
                                    uint32_t ScalarBytes) {
-  ObjectRef Ref = Heap.allocate(std::make_unique<DataObject>(
+  ObjectRef Ref = Heap.allocate(std::make_unique<ValueArray>(
       Types.Data, Heap.model().objectBytes(PointerFields, ScalarBytes),
       PointerFields));
   return Value::ofRef(Ref);
@@ -260,52 +260,6 @@ ObjectRef CollectionRuntime::makeImpl(ImplKind Kind, uint32_t Capacity) {
   case ImplKind::SizeAdaptingMap:
     return Heap.allocate(std::make_unique<SizeAdaptingMapImpl>(
         Type, M.objectBytes(1, 8), *this, Capacity));
-  }
-  CHAM_UNREACHABLE("unknown ImplKind");
-}
-
-/// Runs the per-kind eager initialisation; \p Ref must be protected by a
-/// root when called.
-static void initImpl(GcHeap &Heap, ObjectRef Ref, ImplKind Kind) {
-  switch (Kind) {
-  case ImplKind::ArrayList:
-  case ImplKind::LazyArrayList:
-    Heap.getAs<ArrayListImpl>(Ref).initEager();
-    return;
-  case ImplKind::LinkedList:
-    Heap.getAs<LinkedListImpl>(Ref).initEager();
-    return;
-  case ImplKind::SingletonList:
-  case ImplKind::EmptyList:
-  case ImplKind::SingletonMap:
-    return; // nothing eager
-  case ImplKind::IntArrayList:
-    Heap.getAs<IntArrayListImpl>(Ref).initEager();
-    return;
-  case ImplKind::HashedList:
-  case ImplKind::LinkedHashSet:
-    Heap.getAs<LinkedHashSetImpl>(Ref).initEager();
-    return;
-  case ImplKind::HashSet:
-  case ImplKind::LazySet:
-    Heap.getAs<HashSetImpl>(Ref).initEager();
-    return;
-  case ImplKind::ArraySet:
-    Heap.getAs<ArraySetImpl>(Ref).initEager();
-    return;
-  case ImplKind::SizeAdaptingSet:
-    Heap.getAs<SizeAdaptingSetImpl>(Ref).initEager();
-    return;
-  case ImplKind::HashMap:
-  case ImplKind::LazyMap:
-    Heap.getAs<HashMapImpl>(Ref).initEager();
-    return;
-  case ImplKind::ArrayMap:
-    Heap.getAs<ArrayMapImpl>(Ref).initEager();
-    return;
-  case ImplKind::SizeAdaptingMap:
-    Heap.getAs<SizeAdaptingMapImpl>(Ref).initEager();
-    return;
   }
   CHAM_UNREACHABLE("unknown ImplKind");
 }
@@ -386,12 +340,7 @@ ObjectRef CollectionRuntime::allocateCollection(AdtKind Adt,
     ImplRef = makeImpl(Kind, Capacity);
   }
   TempRootScope Guard(Heap, ImplRef);
-  if (UseCustom) {
-    if (Custom->InitEager)
-      Custom->InitEager(*this, ImplRef);
-  } else {
-    initImpl(Heap, ImplRef, Kind);
-  }
+  Heap.getAs<CollectionImplBase>(ImplRef).initEager();
 
   uint64_t WrapperBytes = Heap.model().objectBytes(1)
                           + (Ctx ? Config.ObjectInfoSimBytes : 0);
@@ -632,7 +581,7 @@ MigrationOutcome CollectionRuntime::migrateCollection(ObjectRef Wrapper,
     {
       CHAM_TRACE_SPAN_ARG("migrate", "build", "ctx", CtxId);
       ShadowRoot.set(Heap, makeImpl(Target, TargetCapacity));
-      initImpl(Heap, ShadowRoot.ref(), Target);
+      Heap.getAs<CollectionImplBase>(ShadowRoot.ref()).initEager();
     }
     MigrateBuildHdrNanos.observe(nanosSince(BuildStart));
     if (Ledger.enabled()) {

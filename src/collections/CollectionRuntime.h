@@ -107,13 +107,12 @@ struct CustomImpl {
   AdtKind Adt = AdtKind::List;
   /// The TypeId the runtime registered for this implementation.
   TypeId Type = 0;
-  /// Creates a bare implementation object (not yet in the heap).
+  /// Creates a bare implementation object (not yet in the heap). The
+  /// runtime roots it and then calls its `initEager()`, which an
+  /// implementation that allocates internals up front overrides.
   std::function<std::unique_ptr<CollectionImplBase>(
       CollectionRuntime &RT, TypeId Type, uint32_t Capacity)>
       Make;
-  /// Optional eager initialisation, run once the object is rooted (for
-  /// implementations that allocate internals up front).
-  std::function<void(CollectionRuntime &RT, ObjectRef Impl)> InitEager;
 };
 
 /// Identifies a registered custom implementation.
@@ -295,9 +294,8 @@ public:
   /// empty and ShareEmptyIterators is on, returns the shared instance.
   ObjectRef allocIterator(ObjectRef Coll, bool CollectionIsEmpty = false);
 
-  /// Allocates a bare implementation object of \p Kind (post-initialised by
-  /// the caller; eager representations allocate their internals via
-  /// `SeqImpl`/`MapImpl` methods once the object is rooted).
+  /// Allocates a bare implementation object of \p Kind. The caller roots
+  /// it and then calls its `initEager()`.
   ObjectRef makeImpl(ImplKind Kind, uint32_t Capacity);
 
   /// -- Lifecycle -------------------------------------------------------------

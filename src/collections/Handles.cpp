@@ -8,6 +8,41 @@
 
 using namespace chameleon;
 
+//===----------------------------------------------------------------------===//
+// Iterators
+//===----------------------------------------------------------------------===//
+
+IterBase::IterBase(CollectionRuntime &RT, ObjectRef Wrapper,
+                   ObjectRef IterObj, uint32_t ModCount,
+                   uint32_t MigrationEpoch)
+    : RT(&RT), Wrapper(RT.heap(), Wrapper), IterObj(RT.heap(), IterObj),
+      ModAtStart(ModCount), EpochAtStart(MigrationEpoch) {}
+
+CollectionImplBase &IterBase::checkedImpl() const {
+  RT->heap().safepointPoll();
+  CollectionObject &W = RT->heap().getAs<CollectionObject>(Wrapper.ref());
+  // The epoch check must come first: after a migration the impl's
+  // modCount is a fresh object's count and could collide with ModAtStart.
+  assert(W.MigrationEpoch == EpochAtStart
+         && "backing implementation migrated during iteration");
+  CollectionImplBase &Impl = RT->heap().getAs<CollectionImplBase>(W.Impl);
+  assert(Impl.modCount() == ModAtStart
+         && "collection modified during iteration");
+  return Impl;
+}
+
+bool ValueIter::next(Value &Out) {
+  return static_cast<SeqImpl &>(checkedImpl()).iterNext(State, Out);
+}
+
+bool EntryIter::next(Value &Key, Value &Val) {
+  return static_cast<MapImpl &>(checkedImpl()).iterNext(State, Key, Val);
+}
+
+//===----------------------------------------------------------------------===//
+// Operations every ADT shares
+//===----------------------------------------------------------------------===//
+
 std::string CollectionHandleBase::backingName() const {
   const CollectionObject &W = obj();
   if (W.CustomId >= 0)
@@ -15,49 +50,69 @@ std::string CollectionHandleBase::backingName() const {
   return implKindName(W.CurrentImpl);
 }
 
-//===----------------------------------------------------------------------===//
-// Iterators
-//===----------------------------------------------------------------------===//
-
-ValueIter::ValueIter(CollectionRuntime &RT, ObjectRef Wrapper,
-                     ObjectRef IterObj, uint32_t ModCount,
-                     uint32_t MigrationEpoch)
-    : RT(&RT), Wrapper(RT.heap(), Wrapper), IterObj(RT.heap(), IterObj),
-      ModAtStart(ModCount), EpochAtStart(MigrationEpoch) {}
-
-bool ValueIter::next(Value &Out) {
-  RT->heap().safepointPoll();
-  CollectionObject &W = RT->heap().getAs<CollectionObject>(Wrapper.ref());
-  // The epoch check must come first: after a migration the impl's
-  // modCount is a fresh object's count and could collide with ModAtStart.
-  assert(W.MigrationEpoch == EpochAtStart
-         && "backing implementation migrated during iteration");
-  SeqImpl &Impl = RT->heap().getAs<SeqImpl>(W.Impl);
-  assert(Impl.modCount() == ModAtStart
-         && "collection modified during iteration");
-  return Impl.iterNext(State, Out);
+uint32_t CollectionHandleBase::size() const {
+  countOp(OpKind::Size);
+  return implBase().size();
 }
 
-EntryIter::EntryIter(CollectionRuntime &RT, ObjectRef Wrapper,
-                     ObjectRef IterObj, uint32_t ModCount,
-                     uint32_t MigrationEpoch)
-    : RT(&RT), Wrapper(RT.heap(), Wrapper), IterObj(RT.heap(), IterObj),
-      ModAtStart(ModCount), EpochAtStart(MigrationEpoch) {}
+bool CollectionHandleBase::isEmpty() const {
+  countOp(OpKind::IsEmpty);
+  return implBase().size() == 0;
+}
 
-bool EntryIter::next(Value &Key, Value &Val) {
-  RT->heap().safepointPoll();
-  CollectionObject &W = RT->heap().getAs<CollectionObject>(Wrapper.ref());
-  assert(W.MigrationEpoch == EpochAtStart
-         && "backing implementation migrated during iteration");
-  MapImpl &Impl = RT->heap().getAs<MapImpl>(W.Impl);
-  assert(Impl.modCount() == ModAtStart
-         && "map modified during iteration");
-  return Impl.iterNext(State, Key, Val);
+void CollectionHandleBase::clear() {
+  countOp(OpKind::Clear);
+  implBase().clear();
+  noteSize(0);
+  maybeRevise();
+}
+
+template <typename IterT> IterT CollectionHandleBase::iterateAs() const {
+  bool Empty = implBase().size() == 0;
+  countOp(Empty ? OpKind::IterateEmpty : OpKind::Iterate);
+  ObjectRef IterObj = RT->allocIterator(wrapperRef(), Empty);
+  return IterT(*RT, wrapperRef(), IterObj, implBase().modCount(),
+               obj().MigrationEpoch);
 }
 
 //===----------------------------------------------------------------------===//
-// List
+// List and Set
 //===----------------------------------------------------------------------===//
+
+bool SeqHandle::remove(Value V) {
+  countOp(OpKind::RemoveObject);
+  SeqImpl &I = impl();
+  bool Removed = I.removeValue(V);
+  noteSize(I.size());
+  maybeRevise();
+  return Removed;
+}
+
+bool SeqHandle::contains(Value V) const {
+  countOp(OpKind::Contains);
+  return impl().contains(V);
+}
+
+ValueIter SeqHandle::iterate() const { return iterateAs<ValueIter>(); }
+
+void SeqHandle::addAllFrom(const SeqHandle &Source, OpKind Op,
+                           uint32_t Index) {
+  countOp(Op);
+  Source.countOp(OpKind::CopiedInto);
+  SeqImpl &Dst = impl();
+  const SeqImpl &Src = Source.impl();
+  IterState It;
+  Value V;
+  while (Src.iterNext(It, V)) {
+    TempRootScope Guard(RT->heap(), V.refOrNull());
+    if (Op == OpKind::AddAllAtIndex)
+      Dst.addAt(Index++, V);
+    else
+      Dst.add(V);
+  }
+  noteSize(Dst.size());
+  maybeRevise();
+}
 
 void List::add(Value V) {
   TempRootScope Guard(RT->heap(), V.refOrNull());
@@ -108,82 +163,6 @@ Value List::removeFirst() {
   return Old;
 }
 
-bool List::remove(Value V) {
-  countOp(OpKind::RemoveObject);
-  SeqImpl &I = impl();
-  bool Removed = I.removeValue(V);
-  noteSize(I.size());
-  maybeRevise();
-  return Removed;
-}
-
-bool List::contains(Value V) const {
-  countOp(OpKind::Contains);
-  return impl().contains(V);
-}
-
-void List::addAll(const List &Source) {
-  countOp(OpKind::AddAll);
-  Source.countOp(OpKind::CopiedInto);
-  SeqImpl &Dst = impl();
-  const SeqImpl &Src = Source.impl();
-  IterState It;
-  Value V;
-  while (Src.iterNext(It, V)) {
-    TempRootScope Guard(RT->heap(), V.refOrNull());
-    Dst.add(V);
-  }
-  noteSize(Dst.size());
-  maybeRevise();
-}
-
-void List::addAll(uint32_t Index, const List &Source) {
-  countOp(OpKind::AddAllAtIndex);
-  Source.countOp(OpKind::CopiedInto);
-  SeqImpl &Dst = impl();
-  const SeqImpl &Src = Source.impl();
-  IterState It;
-  Value V;
-  uint32_t At = Index;
-  while (Src.iterNext(It, V)) {
-    TempRootScope Guard(RT->heap(), V.refOrNull());
-    Dst.addAt(At++, V);
-  }
-  noteSize(Dst.size());
-  maybeRevise();
-}
-
-uint32_t List::size() const {
-  countOp(OpKind::Size);
-  return impl().size();
-}
-
-bool List::isEmpty() const {
-  countOp(OpKind::IsEmpty);
-  return impl().size() == 0;
-}
-
-void List::clear() {
-  countOp(OpKind::Clear);
-  SeqImpl &I = impl();
-  I.clear();
-  noteSize(0);
-  maybeRevise();
-}
-
-ValueIter List::iterate() const {
-  SeqImpl &I = impl();
-  bool Empty = I.size() == 0;
-  countOp(Empty ? OpKind::IterateEmpty : OpKind::Iterate);
-  ObjectRef IterObj = RT->allocIterator(wrapperRef(), Empty);
-  return ValueIter(*RT, wrapperRef(), IterObj, impl().modCount(),
-                   obj().MigrationEpoch);
-}
-
-//===----------------------------------------------------------------------===//
-// Set
-//===----------------------------------------------------------------------===//
-
 bool Set::add(Value V) {
   TempRootScope Guard(RT->heap(), V.refOrNull());
   countOp(OpKind::Add);
@@ -192,62 +171,6 @@ bool Set::add(Value V) {
   noteSize(I.size());
   maybeRevise();
   return New;
-}
-
-bool Set::remove(Value V) {
-  countOp(OpKind::RemoveObject);
-  SeqImpl &I = impl();
-  bool Removed = I.removeValue(V);
-  noteSize(I.size());
-  maybeRevise();
-  return Removed;
-}
-
-bool Set::contains(Value V) const {
-  countOp(OpKind::Contains);
-  return impl().contains(V);
-}
-
-void Set::addAll(const Set &Source) {
-  countOp(OpKind::AddAll);
-  Source.countOp(OpKind::CopiedInto);
-  SeqImpl &Dst = impl();
-  const SeqImpl &Src = Source.impl();
-  IterState It;
-  Value V;
-  while (Src.iterNext(It, V)) {
-    TempRootScope Guard(RT->heap(), V.refOrNull());
-    Dst.add(V);
-  }
-  noteSize(Dst.size());
-  maybeRevise();
-}
-
-uint32_t Set::size() const {
-  countOp(OpKind::Size);
-  return impl().size();
-}
-
-bool Set::isEmpty() const {
-  countOp(OpKind::IsEmpty);
-  return impl().size() == 0;
-}
-
-void Set::clear() {
-  countOp(OpKind::Clear);
-  SeqImpl &I = impl();
-  I.clear();
-  noteSize(0);
-  maybeRevise();
-}
-
-ValueIter Set::iterate() const {
-  SeqImpl &I = impl();
-  bool Empty = I.size() == 0;
-  countOp(Empty ? OpKind::IterateEmpty : OpKind::Iterate);
-  ObjectRef IterObj = RT->allocIterator(wrapperRef(), Empty);
-  return ValueIter(*RT, wrapperRef(), IterObj, impl().modCount(),
-                   obj().MigrationEpoch);
 }
 
 //===----------------------------------------------------------------------===//
@@ -303,29 +226,4 @@ void Map::putAll(const Map &Source) {
   maybeRevise();
 }
 
-uint32_t Map::size() const {
-  countOp(OpKind::Size);
-  return impl().size();
-}
-
-bool Map::isEmpty() const {
-  countOp(OpKind::IsEmpty);
-  return impl().size() == 0;
-}
-
-void Map::clear() {
-  countOp(OpKind::Clear);
-  MapImpl &I = impl();
-  I.clear();
-  noteSize(0);
-  maybeRevise();
-}
-
-EntryIter Map::iterate() const {
-  MapImpl &I = impl();
-  bool Empty = I.size() == 0;
-  countOp(Empty ? OpKind::IterateEmpty : OpKind::Iterate);
-  ObjectRef IterObj = RT->allocIterator(wrapperRef(), Empty);
-  return EntryIter(*RT, wrapperRef(), IterObj, impl().modCount(),
-                   obj().MigrationEpoch);
-}
+EntryIter Map::iterate() const { return iterateAs<EntryIter>(); }

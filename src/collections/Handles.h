@@ -11,7 +11,8 @@
 /// counter in the wrapper's per-instance usage record when the allocation
 /// was profiled, and (ii) delegates to the backing implementation — the
 /// delegation wrappers of the paper's §4.2 (cf. Google Collections'
-/// Forwarding types).
+/// Forwarding types). Each operation has one body: those every ADT has in
+/// CollectionHandleBase, those List and Set share in SeqHandle.
 ///
 /// Iterators allocate a heap-visible iterator object per `iterate()` call,
 /// reproducing the iterator allocation pressure §5.4 discusses, and fail
@@ -27,20 +28,20 @@
 
 namespace chameleon {
 
-/// Iterator over element collections. C++-side object; the paired heap
-/// iterator object it roots exists for allocation-pressure realism.
-class ValueIter {
-public:
-  /// Advances; returns false at the end. Aborts if the collection was
-  /// structurally modified since the iterator was created.
-  bool next(Value &Out);
+/// What ValueIter and EntryIter share: the rooted wrapper, the rooted heap
+/// iterator object (it exists for allocation-pressure realism), the cursor,
+/// and the fail-fast check.
+class IterBase {
+protected:
+  friend class CollectionHandleBase;
 
-private:
-  friend class List;
-  friend class Set;
+  IterBase(CollectionRuntime &RT, ObjectRef Wrapper, ObjectRef IterObj,
+           uint32_t ModCount, uint32_t MigrationEpoch);
 
-  ValueIter(CollectionRuntime &RT, ObjectRef Wrapper, ObjectRef IterObj,
-            uint32_t ModCount, uint32_t MigrationEpoch);
+  /// Polls the safepoint and returns the backing implementation. Aborts if
+  /// it was migrated or structurally modified since the iterator was
+  /// created.
+  CollectionImplBase &checkedImpl() const;
 
   CollectionRuntime *RT;
   Handle Wrapper;
@@ -50,24 +51,24 @@ private:
   uint32_t EpochAtStart;
 };
 
+/// Iterator over element collections.
+class ValueIter : public IterBase {
+public:
+  /// Advances; returns false at the end.
+  bool next(Value &Out);
+
+private:
+  using IterBase::IterBase;
+};
+
 /// Iterator over map entries.
-class EntryIter {
+class EntryIter : public IterBase {
 public:
   /// Advances; returns false at the end.
   bool next(Value &Key, Value &Val);
 
 private:
-  friend class Map;
-
-  EntryIter(CollectionRuntime &RT, ObjectRef Wrapper, ObjectRef IterObj,
-            uint32_t ModCount, uint32_t MigrationEpoch);
-
-  CollectionRuntime *RT;
-  Handle Wrapper;
-  Handle IterObj;
-  IterState State;
-  uint32_t ModAtStart;
-  uint32_t EpochAtStart;
+  using IterBase::IterBase;
 };
 
 /// Roots a Value held in plain C++ memory. The collector cannot see C++
@@ -119,6 +120,11 @@ public:
     return H.ref() == Other.H.ref();
   }
 
+  /// Number of elements (entries for a Map).
+  uint32_t size() const;
+  bool isEmpty() const;
+  void clear();
+
   /// Ends this collection's profiled lifetime explicitly: folds (or, in
   /// concurrent-mutator mode, buffers) its usage record on the *calling*
   /// thread and drops the handle's root. Idempotent with sweep-time
@@ -140,6 +146,10 @@ protected:
   CollectionObject &obj() const {
     assert(RT && !H.isNull() && "null collection handle");
     return RT->heap().getAs<CollectionObject>(H.ref());
+  }
+
+  CollectionImplBase &implBase() const {
+    return RT->heap().getAs<CollectionImplBase>(obj().Impl);
   }
 
   /// Counts \p Op when profiled. Every handle operation calls this first,
@@ -174,12 +184,35 @@ protected:
   /// CollectionRuntime::maybeMigrate). Reads and iteration never migrate.
   void maybeRevise() const { RT->maybeMigrate(H.ref()); }
 
+  /// The one iterate() body: counts the iteration (empty or not),
+  /// allocates its heap iterator object, and snapshots the fail-fast state.
+  template <typename IterT> IterT iterateAs() const;
+
   CollectionRuntime *RT = nullptr;
   Handle H;
 };
 
+/// What List and Set share: both are element collections over a SeqImpl.
+class SeqHandle : public CollectionHandleBase {
+public:
+  bool remove(Value V);
+  bool contains(Value V) const;
+  ValueIter iterate() const;
+
+protected:
+  SeqHandle() = default;
+  using CollectionHandleBase::CollectionHandleBase;
+
+  /// addAll's copy loop: counts \p Op here and CopiedInto on \p Source,
+  /// then appends every element of \p Source, or inserts them from
+  /// \p Index on when \p Op is AddAllAtIndex.
+  void addAllFrom(const SeqHandle &Source, OpKind Op, uint32_t Index = 0);
+
+  SeqImpl &impl() const { return RT->heap().getAs<SeqImpl>(obj().Impl); }
+};
+
 /// The List ADT handle.
-class List : public CollectionHandleBase {
+class List : public SeqHandle {
 public:
   List() = default;
 
@@ -189,43 +222,29 @@ public:
   Value set(uint32_t Index, Value V);
   Value removeAt(uint32_t Index);
   Value removeFirst();
-  bool remove(Value V);
-  bool contains(Value V) const;
   /// Appends all of \p Source (records the copy interaction on both sides).
-  void addAll(const List &Source);
-  void addAll(uint32_t Index, const List &Source);
-  uint32_t size() const;
-  bool isEmpty() const;
-  void clear();
-  ValueIter iterate() const;
+  void addAll(const List &Source) { addAllFrom(Source, OpKind::AddAll); }
+  void addAll(uint32_t Index, const List &Source) {
+    addAllFrom(Source, OpKind::AddAllAtIndex, Index);
+  }
 
 private:
   friend class CollectionRuntime;
-  using CollectionHandleBase::CollectionHandleBase;
-
-  SeqImpl &impl() const { return RT->heap().getAs<SeqImpl>(obj().Impl); }
+  using SeqHandle::SeqHandle;
 };
 
 /// The Set ADT handle.
-class Set : public CollectionHandleBase {
+class Set : public SeqHandle {
 public:
   Set() = default;
 
   /// Returns true when the element was new.
   bool add(Value V);
-  bool remove(Value V);
-  bool contains(Value V) const;
-  void addAll(const Set &Source);
-  uint32_t size() const;
-  bool isEmpty() const;
-  void clear();
-  ValueIter iterate() const;
+  void addAll(const Set &Source) { addAllFrom(Source, OpKind::AddAll); }
 
 private:
   friend class CollectionRuntime;
-  using CollectionHandleBase::CollectionHandleBase;
-
-  SeqImpl &impl() const { return RT->heap().getAs<SeqImpl>(obj().Impl); }
+  using SeqHandle::SeqHandle;
 };
 
 /// The Map ADT handle.
@@ -241,9 +260,6 @@ public:
   bool containsValue(Value Val) const;
   bool remove(Value Key);
   void putAll(const Map &Source);
-  uint32_t size() const;
-  bool isEmpty() const;
-  void clear();
   EntryIter iterate() const;
 
 private:

@@ -30,7 +30,7 @@ public:
               uint32_t RequestedCapacity);
 
   /// Allocates the eager table; call once rooted. No-op when lazy.
-  void initEager();
+  void initEager() override;
 
   ImplKind kind() const override {
     return Lazy ? ImplKind::LazyMap : ImplKind::HashMap;

@@ -53,6 +53,11 @@ public:
   /// Which interchangeable implementation this is.
   virtual ImplKind kind() const = 0;
 
+  /// Allocates the internals an eager representation sets up front (a
+  /// backing array, a table, a sentinel). The factory and live migration
+  /// call it once, after rooting the object; the default allocates nothing.
+  virtual void initEager() {}
+
   /// Number of elements (entries for maps).
   virtual uint32_t size() const = 0;
 

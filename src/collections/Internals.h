@@ -9,9 +9,9 @@
 /// chained map entries, linked-list entries, linked-hash entries, and the
 /// per-iteration iterator objects the paper observes being massively
 /// allocated (§5.4 "Iterators"). All are `TypeKind::CollectionInternal`:
-/// their bytes are accounted through the owning wrapper's semantic map.
-/// `DataObject` is the one *plain* object here — the payload applications
-/// store in collections.
+/// their bytes are accounted through the owning wrapper's semantic map,
+/// except that `ValueArray` also serves as the plain "Object" payload
+/// applications store in collections (CollectionRuntime::allocData).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +25,8 @@
 
 namespace chameleon {
 
-/// A fixed-length reference array (the simulated `Object[]`).
+/// A fixed-length reference array: the simulated `Object[]`, and the
+/// reference fields of a plain payload object.
 class ValueArray : public HeapObject {
 public:
   ValueArray(TypeId Type, uint64_t Bytes, uint32_t Length)
@@ -142,34 +143,6 @@ public:
   ObjectRef Coll;
 
   void trace(GcTracer &Tracer) const override { Tracer.visit(Coll); }
-};
-
-/// A plain application payload object with \p PointerFields reference
-/// fields — what workloads store inside collections.
-class DataObject : public HeapObject {
-public:
-  DataObject(TypeId Type, uint64_t Bytes, uint32_t PointerFields)
-      : HeapObject(Type, Bytes), Fields(PointerFields) {}
-
-  uint32_t fieldCount() const { return static_cast<uint32_t>(Fields.size()); }
-
-  Value getField(uint32_t Index) const {
-    assert(Index < Fields.size() && "field index out of bounds");
-    return Fields[Index];
-  }
-
-  void setField(uint32_t Index, Value V) {
-    assert(Index < Fields.size() && "field index out of bounds");
-    Fields[Index] = V;
-  }
-
-  void trace(GcTracer &Tracer) const override {
-    for (Value V : Fields)
-      Tracer.visit(V.refOrNull());
-  }
-
-private:
-  std::vector<Value> Fields;
 };
 
 } // namespace chameleon

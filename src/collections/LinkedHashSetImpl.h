@@ -32,7 +32,7 @@ public:
                     ImplKind Kind, uint32_t RequestedCapacity);
 
   /// Allocates the table and the order sentinel; call once rooted.
-  void initEager();
+  void initEager() override;
 
   ImplKind kind() const override { return Kind; }
   uint32_t size() const override { return Count; }

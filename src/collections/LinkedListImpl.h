@@ -25,7 +25,7 @@ public:
   LinkedListImpl(TypeId Type, uint64_t Bytes, CollectionRuntime &RT);
 
   /// Allocates the sentinel; call once the object is rooted.
-  void initEager();
+  void initEager() override;
 
   ImplKind kind() const override { return ImplKind::LinkedList; }
   uint32_t size() const override { return Count; }

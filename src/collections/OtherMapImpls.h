@@ -65,7 +65,7 @@ public:
                       uint32_t Threshold);
 
   /// Allocates the initial inner ArrayMap; call once rooted.
-  void initEager();
+  void initEager() override;
 
   ImplKind kind() const override { return ImplKind::SizeAdaptingMap; }
   uint32_t size() const override;

@@ -33,7 +33,7 @@ public:
               uint32_t RequestedCapacity);
 
   /// Allocates the eager backing map; call once rooted. No-op when lazy.
-  void initEager();
+  void initEager() override;
 
   ImplKind kind() const override {
     return Lazy ? ImplKind::LazySet : ImplKind::HashSet;
@@ -67,7 +67,7 @@ public:
                uint32_t RequestedCapacity);
 
   /// Allocates the eager backing array; call once rooted.
-  void initEager() { ensureCapacity(InitialCapacity); }
+  void initEager() override { ensureCapacity(InitialCapacity); }
 
   ImplKind kind() const override { return ImplKind::ArraySet; }
   uint32_t size() const override { return Count; }
@@ -103,7 +103,7 @@ public:
                       uint32_t Threshold);
 
   /// Allocates the initial inner ArraySet; call once rooted.
-  void initEager();
+  void initEager() override;
 
   ImplKind kind() const override { return ImplKind::SizeAdaptingSet; }
   uint32_t size() const override;

@@ -86,7 +86,7 @@ public:
                                           : DefaultCapacity) {}
 
   /// Allocates the eager backing array; call once rooted.
-  void initEager() { ensureCapacity(InitialCapacity); }
+  void initEager() override { ensureCapacity(InitialCapacity); }
 
   ImplKind kind() const override { return ImplKind::IntArrayList; }
   uint32_t size() const override { return Count; }

@@ -160,9 +160,7 @@ void FleetAgent::maybeDial(uint64_t NowTick) {
     Conn.reset();
     ++S.ConnectFailures;
     FleetConnectRetries.inc();
-    Backoff = Backoff == 0 ? Cfg.BackoffBaseTicks
-                           : std::min(Backoff * 2, Cfg.BackoffMaxTicks);
-    NextDialTick = NowTick + Backoff + Jitter.nextBelow(Backoff / 2 + 1);
+    backOff(NowTick);
     return;
   }
   ++S.Connects;
@@ -306,6 +304,10 @@ void FleetAgent::dropConnection(uint64_t NowTick) {
   RecvBuf.clear();
   RecvPos = 0;
   AwaitingHelloAck = false;
+  backOff(NowTick);
+}
+
+void FleetAgent::backOff(uint64_t NowTick) {
   Backoff = Backoff == 0 ? Cfg.BackoffBaseTicks
                          : std::min(Backoff * 2, Cfg.BackoffMaxTicks);
   NextDialTick = NowTick + Backoff + Jitter.nextBelow(Backoff / 2 + 1);

@@ -143,6 +143,9 @@ private:
   void onDurableAdvance(uint64_t Durable);
   void sendPending();
   void dropConnection(uint64_t NowTick);
+  /// Doubles the reconnect backoff (up to BackoffMaxTicks) and schedules
+  /// the next dial after it plus a jitter draw.
+  void backOff(uint64_t NowTick);
 
   FleetAgentConfig Cfg;
   Dialer &Dial;

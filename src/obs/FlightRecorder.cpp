@@ -246,15 +246,6 @@ bool FlightRecorder::installFromEnv(const std::string &MetricsPrefix) {
   return install(Path, MetricsPrefix);
 }
 
-void FlightRecorder::uninstall() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (!Installed.load(std::memory_order_relaxed))
-    return;
-  for (size_t I = 0; I < NumFatalSignals; ++I)
-    sigaction(FatalSignals[I], &OldActions[I], nullptr);
-  Installed.store(false, std::memory_order_release);
-}
-
 void FlightRecorder::checkpoint() {
   std::lock_guard<std::mutex> Lock(Mu);
   uint32_t Cur = ActiveSlot.load(std::memory_order_relaxed);

@@ -60,9 +60,6 @@ public:
   /// \returns true when a handler is (now) installed.
   bool installFromEnv(const std::string &MetricsPrefix = {});
 
-  /// Restores the previous signal dispositions and stops dumping.
-  void uninstall();
-
   bool installed() const {
     return Installed.load(std::memory_order_relaxed);
   }

@@ -92,6 +92,14 @@ ProfilerThreadState &SemanticProfiler::findOrCreateState() {
   return *States.back();
 }
 
+template <typename FnT>
+void SemanticProfiler::forEachState(FnT Visit) const {
+  std::lock_guard<std::mutex> L(StatesMu);
+  Visit(MainState);
+  for (const std::unique_ptr<ProfilerThreadState> &S : States)
+    Visit(*S);
+}
+
 FrameId SemanticProfiler::internFrame(const std::string &Name) {
   {
     std::shared_lock<std::shared_mutex> L(FramesMu);
@@ -319,17 +327,11 @@ void SemanticProfiler::flushMutatorBuffers() {
   // no state is being appended to; StatesMu only fences against the
   // (already impossible) creation race and orders the gathered memory.
   std::vector<PendingProfileEvent> All;
-  {
-    std::lock_guard<std::mutex> L(StatesMu);
-    auto Gather = [&All](ProfilerThreadState &S) {
-      All.insert(All.end(), std::make_move_iterator(S.Pending.begin()),
-                 std::make_move_iterator(S.Pending.end()));
-      S.Pending.clear();
-    };
-    Gather(MainState);
-    for (const std::unique_ptr<ProfilerThreadState> &S : States)
-      Gather(*S);
-  }
+  forEachState([&All](ProfilerThreadState &S) {
+    All.insert(All.end(), std::make_move_iterator(S.Pending.begin()),
+               std::make_move_iterator(S.Pending.end()));
+    S.Pending.clear();
+  });
   // Deterministic replay: ascending (Task, Seq). With globally-unique task
   // ids the order — and so every order-sensitive Welford fold — is
   // independent of how tasks were laid out on threads.
@@ -356,21 +358,15 @@ void SemanticProfiler::flushEpoch() {
   // Publish every thread's storage-allocator tallies at the same quiescent
   // point the event buffers drain, so cham.alloc.* snapshots taken after a
   // flush are complete and deterministic.
-  {
-    std::lock_guard<std::mutex> L(StatesMu);
-    auto Publish = [](const ProfilerThreadState &S) {
-      if (!S.AllocCache)
-        return;
-      // Null once the owning thread exited — its cache already published
-      // itself from the thread_local destructor.
-      if (alloc::ThreadCache *Cache =
-              S.AllocCache->load(std::memory_order_acquire))
-        Cache->publishStats();
-    };
-    Publish(MainState);
-    for (const std::unique_ptr<ProfilerThreadState> &S : States)
-      Publish(*S);
-  }
+  forEachState([](const ProfilerThreadState &S) {
+    if (!S.AllocCache)
+      return;
+    // Null once the owning thread exited — its cache already published
+    // itself from the thread_local destructor.
+    if (alloc::ThreadCache *Cache =
+            S.AllocCache->load(std::memory_order_acquire))
+      Cache->publishStats();
+  });
   if (MtActive.load(std::memory_order_relaxed))
     canonicalizeContextOrder();
 }
@@ -440,17 +436,13 @@ ProfilerDegradationStats SemanticProfiler::degradationStats() const {
   D.HeapPressureEvents = HeapPressureEvents.value();
   D.FoldedAllocs = FoldedAllocs;
   D.FoldedDeaths = FoldedDeaths;
-  std::lock_guard<std::mutex> L(StatesMu);
-  auto Sum = [&D](const ProfilerThreadState &S) {
+  forEachState([&D](const ProfilerThreadState &S) {
     D.ShedSampledOut += S.ShedSampledOut;
     D.NotedAllocs += S.NotedAllocs;
     D.NotedDeaths += S.NotedDeaths;
     D.DroppedAllocs += S.DroppedAllocs;
     D.DroppedDeaths += S.DroppedDeaths;
-  };
-  Sum(MainState);
-  for (const std::unique_ptr<ProfilerThreadState> &S : States)
-    Sum(*S);
+  });
   return D;
 }
 
@@ -478,34 +470,26 @@ void SemanticProfiler::onCycleEnd(const GcCycleRecord &Record) {
 }
 
 uint64_t SemanticProfiler::contextAcquisitions() const {
-  std::lock_guard<std::mutex> L(StatesMu);
-  uint64_t Sum = MainState.Acquisitions;
-  for (const std::unique_ptr<ProfilerThreadState> &S : States)
-    Sum += S->Acquisitions;
+  uint64_t Sum = 0;
+  forEachState([&Sum](const ProfilerThreadState &S) { Sum += S.Acquisitions; });
   return Sum;
 }
 
 uint64_t SemanticProfiler::allocationsSampledOut() const {
-  std::lock_guard<std::mutex> L(StatesMu);
-  uint64_t Sum = MainState.SampledOut;
-  for (const std::unique_ptr<ProfilerThreadState> &S : States)
-    Sum += S->SampledOut;
+  uint64_t Sum = 0;
+  forEachState([&Sum](const ProfilerThreadState &S) { Sum += S.SampledOut; });
   return Sum;
 }
 
 uint64_t SemanticProfiler::contextCacheHits() const {
-  std::lock_guard<std::mutex> L(StatesMu);
-  uint64_t Sum = MainState.CacheHits;
-  for (const std::unique_ptr<ProfilerThreadState> &S : States)
-    Sum += S->CacheHits;
+  uint64_t Sum = 0;
+  forEachState([&Sum](const ProfilerThreadState &S) { Sum += S.CacheHits; });
   return Sum;
 }
 
 uint64_t SemanticProfiler::contextCacheMisses() const {
-  std::lock_guard<std::mutex> L(StatesMu);
-  uint64_t Sum = MainState.CacheMisses;
-  for (const std::unique_ptr<ProfilerThreadState> &S : States)
-    Sum += S->CacheMisses;
+  uint64_t Sum = 0;
+  forEachState([&Sum](const ProfilerThreadState &S) { Sum += S.CacheMisses; });
   return Sum;
 }
 

@@ -333,6 +333,10 @@ private:
   ProfilerThreadState &tlsStateSlow() const;
   ProfilerThreadState &findOrCreateState();
 
+  /// Calls \p Visit on every thread state, MainState first and then the
+  /// others in creation order, under StatesMu.
+  template <typename FnT> void forEachState(FnT Visit) const;
+
   /// True when \p Info's recorded frames equal the partial context the
   /// thread's stack would capture — the exactness check behind a cache hit.
   bool cachedContextMatchesStack(const ProfilerThreadState &S,

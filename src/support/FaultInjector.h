@@ -21,7 +21,7 @@
 /// cannot crash code that has no recovery story.
 ///
 /// When no plan is armed the whole machinery is a single relaxed atomic
-/// load; compiling with -DCHAMELEON_NO_FAULT_INJECTION removes even that.
+/// load.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -142,13 +142,6 @@ private:
 
 } // namespace chameleon
 
-#if defined(CHAMELEON_NO_FAULT_INJECTION)
-
-#define CHAM_FAULT(SiteStr) ((void)0)
-#define CHAM_FAULT_GC(SiteStr, Heap) ((void)0)
-
-#else
-
 /// Throw-only injection point: may deliver FailAlloc (inside a FailScope).
 #define CHAM_FAULT(SiteStr)                                                    \
   do {                                                                         \
@@ -177,7 +170,5 @@ private:
       }                                                                        \
     }                                                                          \
   } while (false)
-
-#endif // CHAMELEON_NO_FAULT_INJECTION
 
 #endif // CHAMELEON_SUPPORT_FAULTINJECTOR_H

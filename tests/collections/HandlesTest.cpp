@@ -6,7 +6,9 @@
 ///
 /// \file
 /// Checks that every handle operation records the right counter in the
-/// wrapper's per-instance record — the trace half of Table 1.
+/// wrapper's per-instance record — the trace half of Table 1 — and pins
+/// each operation's shape: which counter it bumps, whether it records the
+/// size, and whether it reaches the online-revision hook.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +16,11 @@
 #include "collections/Handles.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <type_traits>
+#include <vector>
 
 using namespace chameleon;
 
@@ -208,6 +215,225 @@ TEST_F(HandlesTest, HarvestFoldsLiveCollectionsOnce) {
   EXPECT_EQ(Ctx->foldedInstances(), 1u);
   RT.harvestLiveStatistics(); // idempotent
   EXPECT_EQ(Ctx->foldedInstances(), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Per-operation pins
+//===----------------------------------------------------------------------===//
+
+/// Allocates as requested and never migrates: installing it makes every
+/// mutating operation advance its wrapper's ReviseTick.
+struct NeverMigrate : OnlineSelector {
+  ImplKind chooseImpl(const ContextInfo *, AdtKind, ImplKind Requested,
+                      uint32_t &) override {
+    return Requested;
+  }
+};
+
+/// One handle operation on a target built with SizeBefore elements, and
+/// what it must leave behind. Source is a second two-element collection of
+/// the same ADT, disjoint from the target (addAll / putAll copy it).
+template <typename HandleT> struct OpCase {
+  const char *Name;
+  OpKind Op;
+  uint32_t SizeBefore;
+  uint32_t SizeAfter;
+  /// Reaches noteSize (records CurrentSize / MaxSize).
+  bool NotesSize;
+  /// Reaches maybeRevise (advances ReviseTick).
+  bool Revises;
+  std::function<void(HandleT &Target, HandleT &Source)> Run;
+};
+
+struct HandlePinTest : HandlesTest {
+  /// Written into CurrentSize before the operation: it survives only if
+  /// the operation does not record the size.
+  static constexpr uint32_t Stale = 1000;
+
+  NeverMigrate Selector;
+
+  HandlePinTest() { RT.setOnlineSelector(&Selector); }
+
+  CollectionObject &wrapperOf(const CollectionHandleBase &H) {
+    return RT.heap().getAs<CollectionObject>(H.wrapperRef());
+  }
+
+  List makeList(uint32_t N) {
+    List L = RT.newArrayList(Site);
+    for (uint32_t I = 1; I <= N; ++I)
+      L.add(Value::ofInt(10 * I));
+    return L;
+  }
+
+  Set makeSet(uint32_t N) {
+    Set S = RT.newHashSet(Site);
+    for (uint32_t I = 1; I <= N; ++I)
+      S.add(Value::ofInt(10 * I));
+    return S;
+  }
+
+  Map makeMap(uint32_t N) {
+    Map M = RT.newHashMap(Site);
+    for (uint32_t I = 1; I <= N; ++I)
+      M.put(Value::ofInt(10 * I), Value::ofInt(100 * I));
+    return M;
+  }
+
+  /// Runs \p C on a fresh target built by \p Make and checks its pins:
+  /// exactly its counter rose by one (plus the source's CopiedInto for a
+  /// copy), the recorded sizes, the real size, and the revision tick.
+  template <typename HandleT, typename MakeT>
+  void checkPins(const OpCase<HandleT> &C, MakeT Make) {
+    SCOPED_TRACE(C.Name);
+    HandleT Target = Make(C.SizeBefore);
+    HandleT Source = Make(0);
+    // Source elements are negative, so they never collide with the
+    // target's.
+    for (int I = 1; I <= 2; ++I)
+      addSourceElement(Source, Value::ofInt(-I));
+    CollectionObject &W = wrapperOf(Target);
+    CollectionObject &SrcW = wrapperOf(Source);
+    W.Usage.CurrentSize = Stale;
+    auto Counts = W.Usage.Counts;
+    auto SourceCounts = SrcW.Usage.Counts;
+    uint32_t Tick = W.ReviseTick;
+    uint32_t SourceTick = SrcW.ReviseTick;
+
+    C.Run(Target, Source);
+
+    ++Counts[opIndex(C.Op)];
+    if (C.Op == OpKind::AddAll || C.Op == OpKind::AddAllAtIndex)
+      ++SourceCounts[opIndex(OpKind::CopiedInto)];
+    EXPECT_EQ(W.Usage.Counts, Counts);
+    EXPECT_EQ(SrcW.Usage.Counts, SourceCounts);
+    EXPECT_EQ(W.Usage.CurrentSize, C.NotesSize ? C.SizeAfter : Stale);
+    EXPECT_EQ(W.Usage.MaxSize, C.NotesSize
+                                   ? std::max(C.SizeBefore, C.SizeAfter)
+                                   : C.SizeBefore);
+    EXPECT_EQ(RT.heap().getAs<CollectionImplBase>(W.Impl).size(),
+              C.SizeAfter);
+    EXPECT_EQ(W.ReviseTick, Tick + (C.Revises ? 1u : 0u));
+    EXPECT_EQ(SrcW.ReviseTick, SourceTick);
+  }
+
+  static void addSourceElement(List &L, Value V) { L.add(V); }
+  static void addSourceElement(Set &S, Value V) { S.add(V); }
+  static void addSourceElement(Map &M, Value V) { M.put(V, V); }
+};
+
+/// Number of elements an iterator yields.
+template <typename IterT> uint32_t drain(IterT It) {
+  uint32_t N = 0;
+  Value K, V;
+  if constexpr (std::is_same_v<IterT, EntryIter>) {
+    while (It.next(K, V))
+      ++N;
+  } else {
+    while (It.next(V))
+      ++N;
+  }
+  return N;
+}
+
+TEST_F(HandlePinTest, EveryListOperation) {
+  Value X = Value::ofInt(99);
+  std::vector<OpCase<List>> Cases = {
+      {"add", OpKind::Add, 3, 4, true, true,
+       [&](List &T, List &) { T.add(X); }},
+      {"add(index)", OpKind::AddAtIndex, 3, 4, true, true,
+       [&](List &T, List &) { T.add(1, X); }},
+      {"get", OpKind::GetAtIndex, 3, 3, false, false,
+       [](List &T, List &) { EXPECT_EQ(T.get(1).asInt(), 20); }},
+      {"set", OpKind::Set, 3, 3, false, true,
+       [&](List &T, List &) { EXPECT_EQ(T.set(1, X).asInt(), 20); }},
+      {"removeAt", OpKind::RemoveAtIndex, 3, 2, true, true,
+       [](List &T, List &) { EXPECT_EQ(T.removeAt(1).asInt(), 20); }},
+      {"removeFirst", OpKind::RemoveFirst, 3, 2, true, true,
+       [](List &T, List &) { EXPECT_EQ(T.removeFirst().asInt(), 10); }},
+      {"remove", OpKind::RemoveObject, 3, 2, true, true,
+       [](List &T, List &) { EXPECT_TRUE(T.remove(Value::ofInt(30))); }},
+      {"contains", OpKind::Contains, 3, 3, false, false,
+       [](List &T, List &) { EXPECT_TRUE(T.contains(Value::ofInt(30))); }},
+      {"addAll", OpKind::AddAll, 3, 5, true, true,
+       [](List &T, List &S) { T.addAll(S); }},
+      {"addAll(index)", OpKind::AddAllAtIndex, 3, 5, true, true,
+       [](List &T, List &S) { T.addAll(1, S); }},
+      {"size", OpKind::Size, 3, 3, false, false,
+       [](List &T, List &) { EXPECT_EQ(T.size(), 3u); }},
+      {"isEmpty", OpKind::IsEmpty, 3, 3, false, false,
+       [](List &T, List &) { EXPECT_FALSE(T.isEmpty()); }},
+      {"clear", OpKind::Clear, 3, 0, true, true,
+       [](List &T, List &) { T.clear(); }},
+      {"iterate", OpKind::Iterate, 3, 3, false, false,
+       [](List &T, List &) { EXPECT_EQ(drain(T.iterate()), 3u); }},
+      {"iterate (empty)", OpKind::IterateEmpty, 0, 0, false, false,
+       [](List &T, List &) { EXPECT_EQ(drain(T.iterate()), 0u); }},
+  };
+  for (const OpCase<List> &C : Cases)
+    checkPins(C, [&](uint32_t N) { return makeList(N); });
+}
+
+TEST_F(HandlePinTest, EverySetOperation) {
+  std::vector<OpCase<Set>> Cases = {
+      {"add", OpKind::Add, 3, 4, true, true,
+       [](Set &T, Set &) { EXPECT_TRUE(T.add(Value::ofInt(99))); }},
+      {"add (duplicate)", OpKind::Add, 3, 3, true, true,
+       [](Set &T, Set &) { EXPECT_FALSE(T.add(Value::ofInt(20))); }},
+      {"remove", OpKind::RemoveObject, 3, 2, true, true,
+       [](Set &T, Set &) { EXPECT_TRUE(T.remove(Value::ofInt(20))); }},
+      {"contains", OpKind::Contains, 3, 3, false, false,
+       [](Set &T, Set &) { EXPECT_TRUE(T.contains(Value::ofInt(20))); }},
+      {"addAll", OpKind::AddAll, 3, 5, true, true,
+       [](Set &T, Set &S) { T.addAll(S); }},
+      {"size", OpKind::Size, 3, 3, false, false,
+       [](Set &T, Set &) { EXPECT_EQ(T.size(), 3u); }},
+      {"isEmpty", OpKind::IsEmpty, 3, 3, false, false,
+       [](Set &T, Set &) { EXPECT_FALSE(T.isEmpty()); }},
+      {"clear", OpKind::Clear, 3, 0, true, true,
+       [](Set &T, Set &) { T.clear(); }},
+      {"iterate", OpKind::Iterate, 3, 3, false, false,
+       [](Set &T, Set &) { EXPECT_EQ(drain(T.iterate()), 3u); }},
+      {"iterate (empty)", OpKind::IterateEmpty, 0, 0, false, false,
+       [](Set &T, Set &) { EXPECT_EQ(drain(T.iterate()), 0u); }},
+  };
+  for (const OpCase<Set> &C : Cases)
+    checkPins(C, [&](uint32_t N) { return makeSet(N); });
+}
+
+TEST_F(HandlePinTest, EveryMapOperation) {
+  Value K = Value::ofInt(20);
+  std::vector<OpCase<Map>> Cases = {
+      {"put", OpKind::Put, 3, 4, true, true,
+       [](Map &T, Map &) {
+         EXPECT_TRUE(T.put(Value::ofInt(99), Value::ofInt(1)));
+       }},
+      {"put (replace)", OpKind::Put, 3, 3, true, true,
+       [&](Map &T, Map &) { EXPECT_FALSE(T.put(K, Value::ofInt(1))); }},
+      {"get", OpKind::Get, 3, 3, false, false,
+       [&](Map &T, Map &) { EXPECT_EQ(T.get(K).asInt(), 200); }},
+      {"containsKey", OpKind::ContainsKey, 3, 3, false, false,
+       [&](Map &T, Map &) { EXPECT_TRUE(T.containsKey(K)); }},
+      {"containsValue", OpKind::ContainsValue, 3, 3, false, false,
+       [](Map &T, Map &) {
+         EXPECT_TRUE(T.containsValue(Value::ofInt(300)));
+       }},
+      {"remove", OpKind::RemoveKey, 3, 2, true, true,
+       [&](Map &T, Map &) { EXPECT_TRUE(T.remove(K)); }},
+      {"putAll", OpKind::AddAll, 3, 5, true, true,
+       [](Map &T, Map &S) { T.putAll(S); }},
+      {"size", OpKind::Size, 3, 3, false, false,
+       [](Map &T, Map &) { EXPECT_EQ(T.size(), 3u); }},
+      {"isEmpty", OpKind::IsEmpty, 3, 3, false, false,
+       [](Map &T, Map &) { EXPECT_FALSE(T.isEmpty()); }},
+      {"clear", OpKind::Clear, 3, 0, true, true,
+       [](Map &T, Map &) { T.clear(); }},
+      {"iterate", OpKind::Iterate, 3, 3, false, false,
+       [](Map &T, Map &) { EXPECT_EQ(drain(T.iterate()), 3u); }},
+      {"iterate (empty)", OpKind::IterateEmpty, 0, 0, false, false,
+       [](Map &T, Map &) { EXPECT_EQ(drain(T.iterate()), 0u); }},
+  };
+  for (const OpCase<Map> &C : Cases)
+    checkPins(C, [&](uint32_t N) { return makeMap(N); });
 }
 
 } // namespace

@@ -172,7 +172,7 @@ TEST_F(RuntimeFactoryTest, AdoptRebuildsHandles) {
   EXPECT_EQ(Again.get(Value::ofInt(1)).asInt(), 2);
 }
 
-TEST_F(RuntimeFactoryTest, CollectionsStoredInDataObjectsSurvive) {
+TEST_F(RuntimeFactoryTest, CollectionsStoredInPayloadObjectsSurvive) {
   // A wrapper reachable only through a data object field must survive GC;
   // adopt* then rebuilds a typed handle for it.
   ObjectRef WrapperRef;
@@ -183,8 +183,8 @@ TEST_F(RuntimeFactoryTest, CollectionsStoredInDataObjectsSurvive) {
     L.add(Value::ofInt(9));
     WrapperRef = L.wrapperRef();
     RT.heap()
-        .getAs<DataObject>(HolderVal.asRef())
-        .setField(0, Value::ofRef(WrapperRef));
+        .getAs<ValueArray>(HolderVal.asRef())
+        .set(0, Value::ofRef(WrapperRef));
   }
   RT.heap().collect(true);
   List Recovered = RT.adoptList(WrapperRef);

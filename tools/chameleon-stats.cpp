@@ -37,7 +37,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <string>
@@ -300,76 +300,111 @@ int diffMode(const std::string &PathA, const std::string &PathB) {
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string Format = "table";
-  bool WithTrace = false;
-  bool Percentiles = false;
-  bool Why = false;
-  bool WhyJson = false;
+  std::string Format;
   std::string WhyFilter;
-  std::string Path;
+  std::vector<std::string> SnapPaths; // --fleet SNAP, or --diff A B
+  std::vector<std::string> Paths;
+  // Every option given, in order. The whole command line is parsed first;
+  // then the chosen mode rejects each option or path it would not use.
+  std::vector<std::string> Given;
 
   for (int I = 1; I < argc; ++I) {
-    const char *Arg = argv[I];
-    if (std::strcmp(Arg, "--why") == 0) {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "error: --why expects a context filter"
-                             " ('*' for all)\n");
-        return 2;
+    const std::string Arg = argv[I];
+    if (Arg == "-h" || Arg == "--help") {
+      printUsage(argv[0]);
+      return 0;
+    }
+    if (Arg[0] != '-') {
+      Paths.push_back(Arg);
+      continue;
+    }
+    if (std::find(Given.begin(), Given.end(), Arg) != Given.end()) {
+      std::fprintf(stderr, "error: %s given more than once\n", Arg.c_str());
+      return 2;
+    }
+    Given.push_back(Arg);
+    auto needValues = [&](int N, const char *What) {
+      if (I + N >= argc) {
+        std::fprintf(stderr, "error: %s expects %s\n", Arg.c_str(), What);
+        std::exit(2);
       }
-      Why = true;
+    };
+    if (Arg == "--why") {
+      needValues(1, "a context filter ('*' for all)");
       WhyFilter = argv[++I];
-    } else if (std::strcmp(Arg, "--json") == 0) {
-      WhyJson = true;
-    } else if (std::strcmp(Arg, "--percentiles") == 0) {
-      Percentiles = true;
-    } else if (std::strcmp(Arg, "--format") == 0) {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "error: --format expects a value\n");
-        return 2;
-      }
+    } else if (Arg == "--fleet") {
+      needValues(1, "a snapshot path");
+      SnapPaths.push_back(argv[++I]);
+    } else if (Arg == "--diff") {
+      needValues(2, "two snapshot paths");
+      SnapPaths.push_back(argv[++I]);
+      SnapPaths.push_back(argv[++I]);
+    } else if (Arg == "--format") {
+      needValues(1, "a value");
       Format = argv[++I];
       if (Format != "table" && Format != "prom" && Format != "json") {
         std::fprintf(stderr, "error: unknown format '%s'\n", Format.c_str());
         return 2;
       }
-    } else if (std::strcmp(Arg, "--trace") == 0) {
-      WithTrace = true;
-    } else if (std::strcmp(Arg, "--fleet") == 0) {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "error: --fleet expects a snapshot path\n");
-        return 2;
-      }
-      return fleetMode(argv[I + 1]);
-    } else if (std::strcmp(Arg, "--diff") == 0) {
-      if (I + 2 >= argc) {
-        std::fprintf(stderr, "error: --diff expects two snapshot paths\n");
-        return 2;
-      }
-      return diffMode(argv[I + 1], argv[I + 2]);
-    } else if (std::strcmp(Arg, "-h") == 0 || std::strcmp(Arg, "--help") == 0) {
-      printUsage(argv[0]);
-      return 0;
-    } else if (Arg[0] == '-') {
-      std::fprintf(stderr, "error: unknown option '%s'\n", Arg);
+    } else if (Arg != "--json" && Arg != "--percentiles" && Arg != "--trace") {
+      std::fprintf(stderr, "error: unknown option '%s'\n", Arg.c_str());
       printUsage(argv[0]);
       return 2;
-    } else if (!Path.empty()) {
-      std::fprintf(stderr, "error: more than one input path\n");
-      return 2;
-    } else {
-      Path = Arg;
     }
   }
-  if (Path.empty()) {
+
+  auto given = [&](const char *Flag) {
+    return std::find(Given.begin(), Given.end(), Flag) != Given.end();
+  };
+  // The mode (empty for the metrics view) and the options it uses.
+  const std::string Mode = given("--fleet") ? "--fleet"
+                           : given("--diff") ? "--diff"
+                           : given("--why")  ? "--why"
+                                             : "";
+  std::vector<std::string> Uses = {Mode};
+  if (Mode == "--why")
+    Uses.push_back("--json");
+  else if (Mode.empty())
+    Uses = {"--format", "--trace", "--percentiles"};
+  std::string Unused;
+  for (const std::string &Flag : Given)
+    if (std::find(Uses.begin(), Uses.end(), Flag) == Uses.end())
+      Unused += (Unused.empty() ? "" : ", ") + Flag;
+  if (!Unused.empty()) {
+    // The metrics view uses every option but --json and the mode flags.
+    if (Mode.empty())
+      std::fprintf(stderr, "error: --json requires --why\n");
+    else
+      std::fprintf(stderr, "error: %s cannot be combined with %s\n",
+                   Unused.c_str(), Mode.c_str());
+    return 2;
+  }
+  if (given("--format") && given("--percentiles")) {
+    std::fprintf(stderr,
+                 "error: --format cannot be combined with --percentiles\n");
+    return 2;
+  }
+
+  if (Mode == "--fleet" || Mode == "--diff") {
+    if (!Paths.empty()) {
+      std::fprintf(stderr, "error: unexpected input path '%s' with %s\n",
+                   Paths.front().c_str(), Mode.c_str());
+      return 2;
+    }
+    return Mode == "--fleet" ? fleetMode(SnapPaths[0])
+                             : diffMode(SnapPaths[0], SnapPaths[1]);
+  }
+  if (Paths.size() > 1) {
+    std::fprintf(stderr, "error: more than one input path\n");
+    return 2;
+  }
+  if (Paths.empty()) {
     printUsage(argv[0]);
     return 2;
   }
-  if (WhyJson && !Why) {
-    std::fprintf(stderr, "error: --json requires --why\n");
-    return 2;
-  }
-  if (Why)
-    return whyMode(Path, WhyFilter, WhyJson);
+  const std::string &Path = Paths.front();
+  if (Mode == "--why")
+    return whyMode(Path, WhyFilter, given("--json"));
 
   std::string MetricsPath = Path;
   std::string TracePath;
@@ -401,7 +436,7 @@ int main(int argc, char **argv) {
   }
 
   std::string Out;
-  if (Percentiles)
+  if (given("--percentiles"))
     Out = renderPercentiles(Snaps);
   else if (Format == "prom")
     Out = obs::prometheusFromSnapshots(Snaps);
@@ -411,7 +446,7 @@ int main(int argc, char **argv) {
     Out = renderTable(Snaps);
   std::fputs(Out.c_str(), stdout);
 
-  if (WithTrace) {
+  if (given("--trace")) {
     std::string Summary;
     if (!summarizeTrace(TracePath, Summary, Error)) {
       std::fprintf(stderr, "error: %s\n", Error.c_str());
