@@ -9,6 +9,7 @@
 #include "obs/DecisionLog.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "runtime/CentralFreeList.h"
 #include "support/Assert.h"
 #include "support/FaultInjector.h"
 
@@ -146,14 +147,15 @@ void GcHeap::unregisterMutatorThread(MutatorThread *M) {
     M->AtSafepoint = false;
   }
 
-  // Return the thread's ungranted cached slots; after this record goes
-  // inactive nothing would ever flush them. The world is running, so no
-  // un-bump (that needs a stable frontier) — entries go back on FreeSlots
-  // under SlotMu against concurrent refills.
+  // Return the thread's ungranted cached slots and fold its allocation
+  // volume; after this record goes inactive nothing would ever flush them.
+  // The world is running, so no un-bump (that needs a stable frontier) —
+  // entries go back on FreeSlots under SlotMu against concurrent refills.
   {
     SpinLockGuard SlotGuard(SlotMu);
     flushSlotCache(*M, /*StoppedWorld=*/false);
   }
+  foldAllocations(*M);
 
   // Splice surviving roots into the main segment so handles created on
   // this thread stay valid after it exits. removeRoot is positional, so
@@ -229,10 +231,10 @@ ObjectRef GcHeap::allocate(std::unique_ptr<HeapObject> Obj) {
   // or force a collection at any allocation instant.
   CHAM_FAULT_GC("gc.alloc", *this);
 
-  // Lock-free fast path: a cached slot grant, a placement, and four
-  // relaxed counter bumps. Falls back to the serialised path whenever a
-  // collection trigger is pending (the mirror in allocTriggersPending), so
-  // every trigger decision is still made under AllocMu with stable state.
+  // Lock-free fast path: a cached slot grant, a placement, and the volume
+  // counted on the calling thread. Falls back to the serialised path
+  // whenever a trigger condition holds (allocTriggersPending), so every
+  // trigger decision is still made under AllocMu.
   ObjectRef Ref;
   if (UseThreadCaches && allocateFast(Obj, Ref))
     return Ref;
@@ -252,14 +254,22 @@ ObjectRef GcHeap::allocate(std::unique_ptr<HeapObject> Obj) {
   return allocateLocked(std::move(Obj));
 }
 
-bool GcHeap::allocTriggersPending(uint64_t Bytes) const {
-  // Exact relaxed-load mirror of allocateLocked's four trigger conditions.
-  // A stale read costs one harmless trip through AllocMu (where the
-  // condition is re-evaluated under the lock); it can never skip a trigger
-  // the locked path would have taken, because on the fast path this thread
-  // is the only one advancing the counters it reads.
-  const uint64_t Total = TotalAllocatedBytes.load(std::memory_order_relaxed);
-  const uint64_t InUse = BytesInUse.load(std::memory_order_relaxed);
+bool GcHeap::allocTriggersPending(const MutatorThread &M,
+                                  uint64_t Bytes) const {
+  // Each of the four conditions needs a sample cadence, a soft limit or a
+  // hard limit; the replays configure none.
+  if ((GcSampleEveryBytes | SoftLimitBytes | HeapLimitBytes) == 0)
+    return false;
+  // The conditions of allocateLocked, evaluated on what this thread can see
+  // without touching another thread's record: the folded totals plus its
+  // own unfolded volume. With no other thread allocating that is exactly
+  // what allocateLocked sees after its fold; otherwise each other running
+  // mutator holds back less than AllocFoldChunkBytes, so a collection
+  // trigger can fire that much late, never early (DESIGN.md §12.3).
+  const uint64_t Total =
+      TotalAllocatedBytes.load(std::memory_order_relaxed) + M.UnfoldedBytes;
+  const uint64_t InUse =
+      BytesInUse.load(std::memory_order_relaxed) + M.UnfoldedBytes;
   const bool Oom = OomFlag.load(std::memory_order_relaxed);
   if (GcSampleEveryBytes != 0
       && Total - LastSampleAt.load(std::memory_order_relaxed)
@@ -280,21 +290,41 @@ bool GcHeap::allocTriggersPending(uint64_t Bytes) const {
 bool GcHeap::allocateFast(std::unique_ptr<HeapObject> &Obj,
                           ObjectRef &RefOut) {
   const uint64_t Bytes = Obj->shallowBytes();
-  if (allocTriggersPending(Bytes))
-    return false;
   MutatorThread &M = rootOwner();
+  if (allocTriggersPending(M, Bytes))
+    return false;
   const uint32_t Slot = grantSlot(M);
   std::unique_ptr<HeapObject> &Cell = slotRef(Slot);
   assert(!Cell && "granted slot still occupied");
   Cell = std::move(Obj);
   HeapObject &Placed = *Cell;
   Placed.Self = ObjectRef::fromSlot(Slot);
-  BytesInUse.fetch_add(Bytes, std::memory_order_relaxed);
-  ObjectsInUse.fetch_add(1, std::memory_order_relaxed);
-  TotalAllocatedBytes.fetch_add(Bytes, std::memory_order_relaxed);
-  TotalAllocatedObjects.fetch_add(1, std::memory_order_relaxed);
+  if (&M == &Main) {
+    // Unregistered: the heap's only running mutator.
+    BytesInUse.fetch_add(Bytes, std::memory_order_relaxed);
+    ObjectsInUse.fetch_add(1, std::memory_order_relaxed);
+    TotalAllocatedBytes.fetch_add(Bytes, std::memory_order_relaxed);
+    TotalAllocatedObjects.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    M.UnfoldedBytes += Bytes;
+    ++M.UnfoldedObjects;
+    if (M.UnfoldedBytes >= AllocFoldChunkBytes)
+      foldAllocations(M);
+  }
   RefOut = Placed.Self;
   return true;
+}
+
+void GcHeap::foldAllocations(MutatorThread &M) {
+  if (M.UnfoldedObjects == 0)
+    return;
+  BytesInUse.fetch_add(M.UnfoldedBytes, std::memory_order_relaxed);
+  ObjectsInUse.fetch_add(M.UnfoldedObjects, std::memory_order_relaxed);
+  TotalAllocatedBytes.fetch_add(M.UnfoldedBytes, std::memory_order_relaxed);
+  TotalAllocatedObjects.fetch_add(M.UnfoldedObjects,
+                                  std::memory_order_relaxed);
+  M.UnfoldedBytes = 0;
+  M.UnfoldedObjects = 0;
 }
 
 uint32_t GcHeap::grantSlot(MutatorThread &M) {
@@ -385,11 +415,16 @@ ObjectRef GcHeap::allocateLocked(std::unique_ptr<HeapObject> Obj) {
   assert(Obj && "allocating a null object");
   assert(!InCollection && "allocation during a GC cycle");
 
+  // Fold the caller's own fast-path volume first, so a thread allocating
+  // alone evaluates every trigger against the exact totals.
+  foldAllocations(rootOwner());
+
   uint64_t Bytes = Obj->shallowBytes();
   if (GcSampleEveryBytes != 0
       && totalAllocatedBytes() - LastSampleAt.load(std::memory_order_relaxed)
              >= GcSampleEveryBytes) {
-    LastSampleAt.store(totalAllocatedBytes(), std::memory_order_relaxed);
+    // collectStopped restarts the cadence at the stop (PendingSample).
+    PendingSample = true;
     collect(/*Forced=*/true);
   }
   // Soft limit (graceful degradation): crossing it buys an emergency
@@ -401,15 +436,14 @@ ObjectRef GcHeap::allocateLocked(std::unique_ptr<HeapObject> Obj) {
       && totalAllocatedBytes()
                  - LastEmergencyAt.load(std::memory_order_relaxed)
              >= std::max<uint64_t>(SoftLimitBytes / 16, 1)) {
-    LastEmergencyAt.store(totalAllocatedBytes(), std::memory_order_relaxed);
     ++EmergencyCollects;
     GcEmergencyCollects.inc();
     CHAM_TRACE_INSTANT_ARG("gc", "emergency_collect", "bytes",
                            static_cast<int64_t>(bytesInUse()));
     // The shrink must run while the world is still stopped — a concurrent
     // cache refill reads FreeSlots — so collectStopped performs it after
-    // the sweep (PendingShrink).
-    PendingShrink = true;
+    // the sweep, and restarts the rate limit at the stop (PendingEmergency).
+    PendingEmergency = true;
     collect(/*Forced=*/false);
     if (bytesInUse() + Bytes > SoftLimitBytes) {
       UnderPressure.store(true, std::memory_order_relaxed);
@@ -840,18 +874,22 @@ void GcHeap::sweepPhase(GcCycleRecord &Record, bool OnPool) {
   }
 }
 
-/// The multi-threaded sweep. Each worker scans one contiguous slot range
-/// and buffers everything it would have done in place: the dead slot list,
-/// freed byte/object sums, and the death events of profiled wrappers. The
-/// calling thread then replays the death events and recycles the slots in
+/// The multi-threaded sweep. Each worker scans one contiguous slot range,
+/// destroys every dead object that gets no death event as soon as it has
+/// read its size and type, and buffers the rest: the dead slot list, freed
+/// byte/object sums, and the death events of profiled wrappers. The calling
+/// thread then replays the death events and recycles the slots in
 /// ascending slot order — ranges are contiguous and scanned in order, so
 /// concatenating the per-worker buffers reproduces exactly the sequential
 /// sweep's hook order and FreeSlots order (the latter keeps slot reuse, and
 /// therefore future ObjectRefs, byte-identical at any thread count). The
-/// same buffering-and-replay discipline ParallelMarker::finish uses.
+/// same buffering-and-replay discipline ParallelMarker::finish uses. A hook
+/// reads only its wrapper (tag and usage record), never the wrapper's dead
+/// implementation: the sequential sweep, too, destroys lower-slot objects
+/// before later wrappers' hooks run.
 void GcHeap::sweepPhaseParallel(GcCycleRecord &Record) {
   struct DeathEvent {
-    HeapObject *Obj;
+    uint32_t Slot;
     void *Tag;
     void *Info;
   };
@@ -861,6 +899,9 @@ void GcHeap::sweepPhaseParallel(GcCycleRecord &Record) {
     std::vector<uint32_t> DeadSlots;
     std::vector<DeathEvent> Events;
   };
+  // Slots ahead of the scan whose object's block header and mark line are
+  // prefetched: the scan is a dependent load per slot into a cold heap.
+  constexpr uint32_t PrefetchDistance = 12;
 
   const uint32_t NumSlots = SlotCount.load(std::memory_order_relaxed);
   const unsigned Workers = GcThreads;
@@ -873,8 +914,15 @@ void GcHeap::sweepPhaseParallel(GcCycleRecord &Record) {
     SweepState &State = States[W];
     uint32_t Begin = std::min(W * ChunkSlots, NumSlots);
     uint32_t End = std::min(Begin + ChunkSlots, NumSlots);
+    State.DeadSlots.reserve(End - Begin);
     for (uint32_t Slot = Begin; Slot != End; ++Slot) {
-      HeapObject *Obj = slotRef(Slot).get();
+      if (Slot + PrefetchDistance < End)
+        if (HeapObject *Ahead = slotRef(Slot + PrefetchDistance).get()) {
+          __builtin_prefetch(alloc::blockOfPayload(Ahead));
+          __builtin_prefetch(&Ahead->MarkEpoch);
+        }
+      std::unique_ptr<HeapObject> &Cell = slotRef(Slot);
+      HeapObject *Obj = Cell.get();
       if (!Obj
           || Obj->MarkEpoch.load(std::memory_order_relaxed) == CurrentEpoch)
         continue;
@@ -882,26 +930,31 @@ void GcHeap::sweepPhaseParallel(GcCycleRecord &Record) {
       ++State.FreedObjects;
       State.DeadSlots.push_back(Slot);
       const SemanticMap &Map = Types.get(Obj->typeId());
-      if (Map.Kind == TypeKind::CollectionWrapper && Hooks)
+      if (Map.Kind == TypeKind::CollectionWrapper && Hooks) {
+        // Destroyed after its death event replays.
         State.Events.push_back(
-            {Obj, Map.ContextTagOf ? Map.ContextTagOf(*Obj) : nullptr,
+            {Slot, Map.ContextTagOf ? Map.ContextTagOf(*Obj) : nullptr,
              Map.ObjectInfoOf ? Map.ObjectInfoOf(*Obj) : nullptr});
+        continue;
+      }
+      Cell.reset();
     }
   });
 
   // Replay death events on the calling thread (the hooks are not
-  // thread-safe), in ascending slot order, while the objects are still
-  // alive.
-  if (Hooks)
-    for (const SweepState &State : States)
-      for (const DeathEvent &Event : State.Events)
-        Hooks->onCollectionDeath(*Event.Obj, Event.Tag, Event.Info);
-
-  // Destroy dead objects in parallel; the slot sets are disjoint.
-  runOnWorkers([&](unsigned W) {
-    for (uint32_t Slot : States[W].DeadSlots)
-      slotRef(Slot).reset();
-  });
+  // thread-safe), in ascending slot order, while the wrappers are still
+  // alive; then destroy the wrappers in parallel (disjoint slots).
+  bool AnyEvents = false;
+  for (const SweepState &State : States)
+    for (const DeathEvent &Event : State.Events) {
+      Hooks->onCollectionDeath(*slotRef(Event.Slot), Event.Tag, Event.Info);
+      AnyEvents = true;
+    }
+  if (AnyEvents)
+    runOnWorkers([&](unsigned W) {
+      for (const DeathEvent &Event : States[W].Events)
+        slotRef(Event.Slot).reset();
+    });
 
   for (const SweepState &State : States) {
     Record.FreedBytes += State.FreedBytes;
@@ -972,6 +1025,20 @@ const GcCycleRecord &GcHeap::collectStopped(bool Forced) {
   // future slot reuse independent of the caching (DESIGN.md §12).
   flushAllSlotCaches();
 
+  // Fold every thread's allocation volume: the totals are exact from here
+  // to the end of the cycle. A sample or emergency cycle restarts its
+  // trigger's cadence from this exact total, which the allocating thread's
+  // view may have trailed (DESIGN.md §12.3).
+  for (const std::unique_ptr<MutatorThread> &Mut : Mutators)
+    foldAllocations(*Mut);
+  const uint64_t Total = TotalAllocatedBytes.load(std::memory_order_relaxed);
+  if (PendingSample) {
+    PendingSample = false;
+    LastSampleAt.store(Total, std::memory_order_relaxed);
+  }
+  if (PendingEmergency)
+    LastEmergencyAt.store(Total, std::memory_order_relaxed);
+
   // Let the profiler drain per-thread event buffers before any live/death
   // statistics of this cycle land (DESIGN.md §9: flush precedes fold).
   if (Hooks)
@@ -994,8 +1061,8 @@ const GcCycleRecord &GcHeap::collectStopped(bool Forced) {
   // Deferred emergency shrink (see allocateLocked): caches are flushed and
   // the world is stopped, so trimming FreeSlots and the published count
   // cannot race a refill.
-  if (PendingShrink) {
-    PendingShrink = false;
+  if (PendingEmergency) {
+    PendingEmergency = false;
     shrinkSlotTable();
   }
 
@@ -1103,13 +1170,20 @@ bool GcHeap::verifyHeap(std::string *ErrorOut) const {
                   + Tracer.Problem);
   }
 
-  if (Bytes != bytesInUse())
+  // The folded totals plus every record's unfolded volume.
+  uint64_t TrackedBytes = bytesInUse();
+  uint64_t TrackedObjects = objectsInUse();
+  for (const std::unique_ptr<MutatorThread> &Mut : Mutators) {
+    TrackedBytes += Mut->UnfoldedBytes;
+    TrackedObjects += Mut->UnfoldedObjects;
+  }
+  if (Bytes != TrackedBytes)
     return Fail("byte accounting mismatch: tracked "
-                + std::to_string(bytesInUse()) + ", actual "
+                + std::to_string(TrackedBytes) + ", actual "
                 + std::to_string(Bytes));
-  if (Objects != objectsInUse())
+  if (Objects != TrackedObjects)
     return Fail("object accounting mismatch: tracked "
-                + std::to_string(objectsInUse()) + ", actual "
+                + std::to_string(TrackedObjects) + ", actual "
                 + std::to_string(Objects));
 
   // Every ungranted cached slot must be an in-range empty cell, and no

@@ -84,12 +84,15 @@ struct RootNode {
 inline constexpr unsigned GcMaxTempRoots = 32;
 
 /// Per-mutator-thread heap state: a root-list segment, a temp-root stack,
-/// and the safepoint flag the stop-the-world protocol handshakes on. The
-/// heap owns one embedded record for the main (unregistered) thread and one
-/// per registered mutator. Fields other than the safepoint state are only
-/// touched by the owning thread (or by the collector while the world is
-/// stopped); the safepoint state is guarded by the heap's safepoint mutex.
-struct MutatorThread {
+/// the safepoint flag the stop-the-world protocol handshakes on, a slot
+/// cache, and the allocation volume not yet folded into the heap's totals.
+/// The heap owns one embedded record for the main (unregistered) thread and
+/// one per registered mutator. Fields other than the safepoint state are
+/// only touched by the owning thread (or by the collector while the world
+/// is stopped); the safepoint state is guarded by the heap's safepoint
+/// mutex. Records are cache-line aligned, so the fields an owner writes on
+/// every allocation share no line with another thread's record.
+struct alignas(64) MutatorThread {
   /// Sentinel head of this thread's intrusive root-list segment.
   RootNode RootsHead;
   ObjectRef TempRoots[GcMaxTempRoots];
@@ -115,6 +118,17 @@ struct MutatorThread {
   /// Plain tally of cache-served grants, drained into the registry's
   /// cham.alloc.slot_cache_hits at refills and flushes.
   uint64_t SlotHits = 0;
+
+  /// -- Unfolded allocation volume (DESIGN.md §12.3) -------------------------
+  /// Model bytes and objects this registered thread allocated on the fast
+  /// path since they were last folded into the heap's four totals. The
+  /// owner folds them each time UnfoldedBytes reaches
+  /// GcHeap::AllocFoldChunkBytes, before the locked path evaluates a
+  /// trigger, and at unregistration; the collector folds every record while
+  /// the world is stopped. The main record's stay zero: unregistered
+  /// allocations update the totals directly.
+  uint64_t UnfoldedBytes = 0;
+  uint64_t UnfoldedObjects = 0;
 };
 
 /// A managed heap. Single-threaded by default; N mutator threads are
@@ -364,6 +378,19 @@ public:
   /// reuse a heap; fresh heaps are the common case).
   void clearOutOfMemory() { OomFlag.store(false, std::memory_order_relaxed); }
 
+  /// Allocation volume a registered mutator counts in its own record before
+  /// folding it into the heap's totals: the most any one thread holds back
+  /// from the accessors below, and how late it can make another thread's
+  /// collection trigger (DESIGN.md §12.3).
+  static constexpr uint64_t AllocFoldChunkBytes = 16 * 1024;
+
+  /// The four allocation accessors below read the heap's folded totals.
+  /// They are exact wherever no registered mutator has allocated since the
+  /// last fold: after every collection, after a mutator unregisters if no
+  /// other one runs, and always on a heap with no registered mutator. While
+  /// registered mutators run, each may hold back less than
+  /// AllocFoldChunkBytes of its own volume.
+  ///
   /// Bytes currently occupied by allocated (not yet swept) objects.
   uint64_t bytesInUse() const {
     return BytesInUse.load(std::memory_order_relaxed);
@@ -427,12 +454,20 @@ private:
   /// rarely un-bumps much; large enough that SlotMu is cold.
   static constexpr uint32_t SlotCacheBatch = 32;
 
-  /// True when allocating \p Bytes must fall back to the locked path
-  /// because one of allocateLocked's collection triggers would fire (sample
-  /// cadence, soft limit, pressure clearing, hard limit). Relaxed mirror of
-  /// the exact trigger conditions; a stale read only costs a harmless trip
-  /// through AllocMu.
-  bool allocTriggersPending(uint64_t Bytes) const;
+  /// True when allocating \p Bytes on \p M, the calling thread's record,
+  /// must take the locked path because one of allocateLocked's trigger
+  /// conditions holds (sample cadence, soft limit, pressure clearing, hard
+  /// limit). False at once when no trigger is configured. Otherwise it tests
+  /// the folded totals plus M's own unfolded volume: the totals exactly when
+  /// one thread allocates, and short of them by less than one
+  /// AllocFoldChunkBytes per other running registered mutator, so a
+  /// collection trigger is never early and at most that late (DESIGN.md
+  /// §12.3). allocateLocked re-evaluates every condition under AllocMu.
+  bool allocTriggersPending(const MutatorThread &M, uint64_t Bytes) const;
+
+  /// Adds M's unfolded allocation volume to the four totals and zeroes it.
+  /// The caller is M's owner, or the collector while the world is stopped.
+  void foldAllocations(MutatorThread &M);
 
   /// Grants \p M the next slot id, refilling its cache (batched, under
   /// SlotMu) when empty. Caller must be M's owning thread; returns the slot
@@ -537,9 +572,13 @@ private:
   /// Serialises allocation when mutators are active.
   std::mutex AllocMu CHAM_LOCK_RANK(30);
 
-  /// Every allocation on every thread bumps these four counters. They
-  /// start a cache line, so an allocation dirties one contended line
-  /// rather than two wherever the heap sits inside its owner.
+  /// The four allocation totals. Unregistered threads and the locked path
+  /// update them on every allocation; a registered mutator's fast path
+  /// counts in its own MutatorThread record instead, which is folded in
+  /// here (foldAllocations) at every stop-the-world, at unregistration,
+  /// every AllocFoldChunkBytes, and before the locked path evaluates a
+  /// trigger. They start a cache line, so a fold dirties one line rather
+  /// than two wherever the heap sits inside its owner.
   alignas(64) std::atomic<uint64_t> BytesInUse{0};
   std::atomic<uint64_t> ObjectsInUse{0};
   std::atomic<uint64_t> TotalAllocatedBytes{0};
@@ -551,10 +590,14 @@ private:
   bool RecordTypeDistribution = false;
   unsigned GcThreads = 1;
   bool UseThreadCaches = true;
-  /// Set instead of shrinking inline when an emergency collection runs
-  /// with mutators active: the shrink must not race cache refills reading
-  /// FreeSlots, so collectStopped performs it while the world is stopped.
-  bool PendingShrink = false;
+  /// Set by allocateLocked right before a sample (emergency) collection.
+  /// That cycle restarts the trigger's cadence, LastSampleAt
+  /// (LastEmergencyAt), from the exact total at its stop-the-world point,
+  /// which counts every thread's volume, so the next trigger cannot fire
+  /// early. An emergency cycle also shrinks the slot table there: the
+  /// shrink must not race cache refills reading FreeSlots.
+  bool PendingSample = false;
+  bool PendingEmergency = false;
   /// Lazily created on the first parallel cycle; retired when the thread
   /// count changes.
   std::unique_ptr<GcWorkerPool> Pool;

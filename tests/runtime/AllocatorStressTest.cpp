@@ -29,7 +29,9 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -219,6 +221,192 @@ TEST(AllocatorStress, MtChurnThroughSafepointsLocked) {
 }
 
 //===----------------------------------------------------------------------===//
+// Per-thread allocation accounting
+//===----------------------------------------------------------------------===//
+
+/// Four registered mutators allocate seeded sizes in epochs and park in a
+/// safe region at the end of each while the main thread collects. No
+/// trigger is configured, so every allocation takes the fast path and is
+/// counted on its own thread: the heap's totals can be exact after each
+/// collection, and after the last epoch (which nobody collects) once every
+/// mutator has unregistered, only because both points fold that volume.
+TEST(AllocatorStress, MtAccountingExactAtEverySafepoint) {
+  constexpr unsigned Threads = 4;
+  constexpr unsigned Epochs = 5;
+  constexpr int PerEpoch = 2500;
+  GcHeap Heap;
+  Heap.setGcThreads(Threads);
+  const TypeId Type = registerNodeType(Heap);
+
+  struct Volume {
+    uint64_t Bytes = 0;
+    uint64_t Objects = 0;
+  };
+  // Slot T is written only by mutator T; the main thread reads the slots
+  // after the epoch barrier or the join.
+  std::vector<Volume> Allocated(Threads);
+  auto Exact = [&Allocated] {
+    Volume Sum;
+    for (const Volume &V : Allocated) {
+      Sum.Bytes += V.Bytes;
+      Sum.Objects += V.Objects;
+    }
+    return Sum;
+  };
+
+  std::mutex Mu;
+  std::condition_variable Cv;
+  unsigned Arrived = 0;
+  unsigned Generation = 0;
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T < Threads; ++T)
+    Workers.emplace_back([&, T] {
+      MutatorThread *Self = Heap.registerMutatorThread();
+      SplitMix64 Rng(0xACC0 + T);
+      std::vector<Handle> Ring(64);
+      auto AllocateEpoch = [&] {
+        for (int I = 0; I < PerEpoch; ++I) {
+          const uint64_t Bytes = 8 + 8 * Rng.nextBelow(64);
+          ObjectRef Ref = allocNode(Heap, Type, 0, Bytes);
+          Allocated[T].Bytes += Bytes;
+          ++Allocated[T].Objects;
+          if (Rng.nextBool(0.1))
+            Ring[Rng.nextBelow(Ring.size())].set(Heap, Ref);
+        }
+      };
+      for (unsigned E = 0; E < Epochs; ++E) {
+        AllocateEpoch();
+        GcSafeRegion Region(Heap);
+        std::unique_lock<std::mutex> L(Mu);
+        const unsigned Gen = Generation;
+        ++Arrived;
+        Cv.notify_all();
+        Cv.wait(L, [&] { return Generation != Gen; });
+      }
+      AllocateEpoch();
+      Ring.clear();
+      Heap.unregisterMutatorThread(Self);
+    });
+
+  std::string Error;
+  Volume LastLive, Collected;
+  for (unsigned E = 0; E < Epochs; ++E) {
+    {
+      std::unique_lock<std::mutex> L(Mu);
+      Cv.wait(L, [&] { return Arrived == Threads; });
+    }
+    const GcCycleRecord &Rec = Heap.collect(/*Forced=*/true);
+    Collected = Exact();
+    LastLive = {Rec.LiveBytes, Rec.LiveObjects};
+    EXPECT_EQ(Heap.totalAllocatedBytes(), Collected.Bytes) << "epoch " << E;
+    EXPECT_EQ(Heap.totalAllocatedObjects(), Collected.Objects)
+        << "epoch " << E;
+    EXPECT_EQ(Heap.bytesInUse(), Rec.LiveBytes) << "epoch " << E;
+    EXPECT_EQ(Heap.objectsInUse(), Rec.LiveObjects) << "epoch " << E;
+    EXPECT_TRUE(Heap.verifyHeap(&Error)) << "epoch " << E << ": " << Error;
+    std::lock_guard<std::mutex> L(Mu);
+    Arrived = 0;
+    ++Generation;
+    Cv.notify_all();
+  }
+  for (std::thread &W : Workers)
+    W.join();
+
+  const Volume Final = Exact();
+  EXPECT_EQ(Heap.totalAllocatedBytes(), Final.Bytes);
+  EXPECT_EQ(Heap.totalAllocatedObjects(), Final.Objects);
+  EXPECT_EQ(Heap.bytesInUse(),
+            LastLive.Bytes + (Final.Bytes - Collected.Bytes));
+  EXPECT_EQ(Heap.objectsInUse(),
+            LastLive.Objects + (Final.Objects - Collected.Objects));
+  EXPECT_TRUE(Heap.verifyHeap(&Error)) << Error;
+}
+
+/// Four registered mutators take turns allocating seeded sizes under a
+/// sample cadence while the others park, so the test knows the exact total
+/// before every allocation. A thread's trigger check sees the folded totals
+/// plus its own unfolded volume (DESIGN.md §12.3): a sample collection
+/// never fires before GcSampleEveryBytes have been allocated since the
+/// previous one, and at most one fold chunk per other mutator, plus the
+/// allocation that crosses, after.
+TEST(AllocatorStress, MtSampleTriggerLagBounded) {
+  constexpr unsigned Threads = 4;
+  constexpr uint64_t SampleBytes = 64 * 1024;
+  constexpr uint64_t MaxObjectBytes = 512;
+  constexpr unsigned Turns = 600;
+  GcHeap Heap;
+  Heap.setGcSampleEveryBytes(SampleBytes);
+  const TypeId Type = registerNodeType(Heap);
+
+  std::mutex Mu;
+  std::condition_variable Cv;
+  unsigned Ready = 0;
+  unsigned Turn = Threads; // nobody's until every mutator registered
+  unsigned TurnsLeft = Turns;
+  // Touched only by the thread whose turn it is.
+  SplitMix64 TurnRng(0x7A9);
+  uint64_t TrueBytes = 0;
+  std::vector<uint64_t> FiredAt; // exact total before each firing allocation
+
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T < Threads; ++T)
+    Workers.emplace_back([&, T] {
+      MutatorThread *Self = Heap.registerMutatorThread();
+      SplitMix64 Rng(0x5A3 + T);
+      {
+        std::lock_guard<std::mutex> L(Mu);
+        ++Ready;
+        Cv.notify_all();
+      }
+      while (true) {
+        {
+          GcSafeRegion Region(Heap);
+          std::unique_lock<std::mutex> L(Mu);
+          Cv.wait(L, [&] { return Turn == T || TurnsLeft == 0; });
+          if (TurnsLeft == 0)
+            break;
+        }
+        const uint64_t Burst = 1 + TurnRng.nextBelow(48);
+        for (uint64_t I = 0; I < Burst; ++I) {
+          const uint64_t Bytes = 8 + 8 * Rng.nextBelow(MaxObjectBytes / 8);
+          const uint64_t Cycles = Heap.cycleCount();
+          allocNode(Heap, Type, 0, Bytes);
+          if (Heap.cycleCount() != Cycles)
+            FiredAt.push_back(TrueBytes);
+          TrueBytes += Bytes;
+        }
+        std::lock_guard<std::mutex> L(Mu);
+        --TurnsLeft;
+        Turn = static_cast<unsigned>(TurnRng.nextBelow(Threads));
+        Cv.notify_all();
+      }
+      Heap.unregisterMutatorThread(Self);
+    });
+  {
+    std::unique_lock<std::mutex> L(Mu);
+    Cv.wait(L, [&] { return Ready == Threads; });
+    Turn = 0;
+    Cv.notify_all();
+  }
+  for (std::thread &W : Workers)
+    W.join();
+
+  ASSERT_FALSE(FiredAt.empty());
+  EXPECT_EQ(Heap.cycleCount(), FiredAt.size());
+  EXPECT_EQ(Heap.totalAllocatedBytes(), TrueBytes);
+  const uint64_t Lag =
+      (Threads - 1) * GcHeap::AllocFoldChunkBytes + MaxObjectBytes;
+  uint64_t Previous = 0;
+  for (size_t K = 0; K < FiredAt.size(); ++K) {
+    EXPECT_GE(FiredAt[K] - Previous, SampleBytes) << "sample " << K;
+    EXPECT_LT(FiredAt[K] - Previous, SampleBytes + Lag) << "sample " << K;
+    Previous = FiredAt[K];
+  }
+  EXPECT_LT(TrueBytes - Previous, SampleBytes + Lag)
+      << "the cadence stopped after sample " << FiredAt.size();
+}
+
+//===----------------------------------------------------------------------===//
 // Determinism: cached path == locked path
 //===----------------------------------------------------------------------===//
 
@@ -370,9 +558,9 @@ TEST(AllocatorDifferential, BloatCachesOnOffIdentical) {
 }
 
 /// ServerSim with concurrent mutators: at 1, 2 and 8 mutator threads the
-/// report must be byte-identical with the caches on and off (the trigger
-/// mirror keeps collection points identical; the task-ordered replay keeps
-/// the folds identical).
+/// report must be byte-identical with the caches on and off (no trigger is
+/// configured, so collections run only at the epoch barriers; the
+/// task-ordered replay keeps the folds identical).
 TEST(AllocatorDifferential, ServerSimCachesOnOffIdentical) {
   auto Run = [](uint32_t Threads, bool UseCaches) {
     CollectionRuntime RT(apps::serverSimRuntimeConfig());
