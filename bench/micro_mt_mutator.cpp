@@ -22,10 +22,13 @@
 /// (bypassing the plan lookup, so the measurement isolates GcHeap::allocate
 /// and the thread-cached allocator behind it), and the series reports
 /// allocations per second at each thread count against 1 thread (the
-/// scaling target is >= 3x at 4 threads). The recorded `cores` field
-/// qualifies the series; the spin knob (`--spin N`) inserts mutator work
-/// between allocations, so as it grows the op mix stops being
-/// allocation-bound and the curve must approach the plain thread scaling.
+/// scaling target is >= 3x at 4 threads). It runs a fixed number of
+/// rounds, alternating the order of the thread counts, and reports each
+/// count's median rate and the median of the per-round ratios against the
+/// same round's 1-thread run. The recorded `cores` field qualifies the
+/// series; the spin knob (`--spin N`) inserts mutator work between
+/// allocations, so as it grows the op mix stops being allocation-bound
+/// and the curve must approach the plain thread scaling.
 ///
 /// `--json <path>` writes the perf-trajectory record (`--contend` seeds
 /// bench/BENCH_mt.json); `--quick` shrinks the run for sanitizer CI.
@@ -39,6 +42,7 @@
 
 #include "Harness.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
@@ -247,11 +251,19 @@ double contendThroughput(unsigned Threads, const BenchParams &P) {
   return static_cast<double>(P.OpsPerThread) * Threads / Seconds;
 }
 
+/// Rounds of the --contend series (fewer under --quick). Each round times
+/// every thread count once; the host's run-to-run spread is far wider than
+/// the effects the series must resolve, so the table reports medians.
+constexpr int ContendRounds = 15;
+constexpr int QuickContendRounds = 3;
+
 int runContend(const BenchParams &P, bench::Harness &H) {
   std::printf("== micro: allocation scaling (cached allocs/s vs 1 thread) "
               "==\n\n");
   unsigned Cores = std::thread::hardware_concurrency();
-  std::printf("host cores: %u, spin per op: %u\n\n", Cores, P.SpinPerOp);
+  const int Rounds = H.quick() ? QuickContendRounds : ContendRounds;
+  std::printf("host cores: %u, spin per op: %u, rounds: %d\n\n", Cores,
+              P.SpinPerOp, Rounds);
 
   // Untimed warm-up at the largest footprint: carves every slab the timed
   // runs will touch, so first-touch page faults are not billed to
@@ -260,23 +272,46 @@ int runContend(const BenchParams &P, bench::Harness &H) {
 
   H.metric("ops_per_thread", static_cast<double>(P.OpsPerThread));
   H.metric("spin_per_op", P.SpinPerOp);
+  H.metric("rounds", Rounds);
 
-  double Base = 0, Scaling4 = 0;
-  bench::Table &Table = H.table(
-      "mt_contend",
-      {{"threads"}, {"Mallocs/s", {2}}, {"vs 1 thread", {2, "x"}}});
-  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    double Rate = contendThroughput(Threads, P);
-    if (Threads == 1)
-      Base = Rate;
-    if (Threads == 4)
-      Scaling4 = Rate / Base;
-    Table.addRow({static_cast<double>(Threads), Rate / 1e6, Rate / Base});
+  // Rates[I][R]: thread count ThreadCounts[I] in round R. Odd rounds run
+  // the counts in reverse, so no count always follows the same neighbour.
+  constexpr unsigned ThreadCounts[] = {1, 2, 4, 8};
+  constexpr size_t NumCounts = std::size(ThreadCounts);
+  std::vector<std::vector<double>> Rates(NumCounts);
+  for (int Round = 0; Round < Rounds; ++Round)
+    for (size_t K = 0; K < NumCounts; ++K) {
+      size_t I = Round % 2 == 0 ? K : NumCounts - 1 - K;
+      Rates[I].push_back(contendThroughput(ThreadCounts[I], P));
+    }
+
+  bench::Table &Table =
+      H.table("mt_contend", {{"threads"},
+                             {"Mallocs/s", {2}},
+                             {"min", {2}},
+                             {"max", {2}},
+                             {"vs 1 thread", {2, "x"}}});
+  double Scaling4 = 0;
+  for (size_t I = 0; I < NumCounts; ++I) {
+    // The median of the per-round ratios, each against the 1-thread run
+    // of its own round.
+    std::vector<double> Ratios;
+    for (int Round = 0; Round < Rounds; ++Round)
+      Ratios.push_back(Rates[I][Round] / Rates[0][Round]);
+    double Ratio = bench::median(Ratios);
+    if (ThreadCounts[I] == 4)
+      Scaling4 = Ratio;
+    auto [Min, Max] = std::minmax_element(Rates[I].begin(), Rates[I].end());
+    Table.addRow({static_cast<double>(ThreadCounts[I]),
+                  bench::median(Rates[I]) / 1e6, *Min / 1e6, *Max / 1e6,
+                  Ratio});
   }
   std::printf("%s\n", Table.render().c_str());
   H.metric("allocs_4t_vs_1t", Scaling4);
 
-  std::printf("target: >= 3x at 4 threads (needs cores >= 4); raise --spin "
+  std::printf("Mallocs/s is the median over the rounds (min and max beside "
+              "it); vs 1 thread is\nthe median of the per-round ratios.\n"
+              "target: >= 3x at 4 threads (needs cores >= 4); raise --spin "
               "to drown allocation\nin mutator work and the curve "
               "approaches plain thread scaling.\n");
   return H.finish();

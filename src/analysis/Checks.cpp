@@ -202,9 +202,9 @@ bool isLowerSegment(const std::string &S, size_t Begin, size_t End) {
 
 const std::set<std::string> &metricLayers() {
   static const std::set<std::string> Layers = {
-      "alloc",   "analysis", "collections", "decision", "fault",
-      "fleet",   "gc",       "obs",         "online",   "profiler",
-      "rules",   "server",
+      "alloc",    "analysis", "apps",   "collections", "decision",
+      "fault",    "fleet",    "gc",     "obs",         "online",
+      "profiler", "rules",    "server",
   };
   return Layers;
 }
@@ -235,8 +235,8 @@ void checkMetricNames(const TreeModel &Model, std::vector<Diagnostic> &Out) {
                      "check-metric-name",
                      "metric name '" + N + "' does not match the "
                      "'cham.<layer>.<name>' convention (known layers: "
-                     "alloc, analysis, collections, decision, fault, fleet, "
-                     "gc, obs, online, profiler, rules, server)",
+                     "alloc, analysis, apps, collections, decision, fault, "
+                     "fleet, gc, obs, online, profiler, rules, server)",
                      N});
     }
 }

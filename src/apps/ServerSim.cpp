@@ -16,6 +16,8 @@
 #include "support/Format.h"
 #include "support/SplitMix64.h"
 
+#include <algorithm>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
@@ -26,6 +28,10 @@ using namespace chameleon;
 using namespace chameleon::apps;
 
 namespace {
+
+/// Per epoch of runEpochs: the summed time the workers waited at the
+/// barrier for the last one to arrive.
+CHAM_METRIC_HDR(BarrierIdleNanos, "cham.apps.barrier_idle_nanos");
 
 constexpr uint64_t Gamma = 0x9E3779B97F4A7C15ULL;
 
@@ -177,7 +183,10 @@ void handleRequest(CollectionRuntime &RT, const RunState &S, uint64_t Task,
 }
 
 /// One worker's share of one epoch's requests: session s belongs to
-/// worker s % Threads, and its requests run in request order.
+/// worker s % Threads, and its requests run in request order. Sessions
+/// are uniform by construction (request r goes to session r % Sessions),
+/// so the modulus already balances the load; replay, whose sessions are
+/// skewed, partitions by load instead (partitionEpochByLoad).
 void serveEpoch(CollectionRuntime &RT, const RunState &S, uint32_t Tid,
                 uint32_t Epoch) {
   // Recording batches the epoch's tasks locally and submits them in one
@@ -259,6 +268,8 @@ void chameleon::apps::runEpochs(
   std::condition_variable Cv;
   uint32_t Arrived = 0;
   uint64_t Generation = 0;
+  // Each worker's arrival at the current barrier; Mu publishes them.
+  std::vector<std::chrono::steady_clock::time_point> Arrivals(Threads);
   std::vector<std::thread> Workers;
   Workers.reserve(Threads);
   for (uint32_t Tid = 0; Tid < Threads; ++Tid)
@@ -266,6 +277,7 @@ void chameleon::apps::runEpochs(
       MutatorScope Scope(RT);
       for (uint32_t Epoch = 0; Epoch < Epochs; ++Epoch) {
         WorkerEpoch(Tid, Epoch);
+        Arrivals[Tid] = std::chrono::steady_clock::now();
         // Park inside a safe region, so the main thread can stop the
         // world, until it has flushed and collected for this epoch.
         GcSafeRegion Region(RT.heap());
@@ -282,6 +294,11 @@ void chameleon::apps::runEpochs(
       std::unique_lock<std::mutex> L(Mu);
       Cv.wait(L, [&] { return Arrived == Threads; });
     }
+    auto Last = *std::max_element(Arrivals.begin(), Arrivals.end());
+    std::chrono::nanoseconds Idle{0};
+    for (const auto &Arrival : Arrivals)
+      Idle += Last - Arrival;
+    BarrierIdleNanos.observe(static_cast<uint64_t>(Idle.count()));
     // All workers are parked in safe regions: flush the per-thread event
     // buffers deterministically, then take the epoch's statistics cycle.
     CHAM_TRACE_SPAN_ARG(SpanCategory, "epoch_barrier", "epoch", Epoch);

@@ -134,7 +134,10 @@ std::string buildServerSimReport(CollectionRuntime &RT, uint32_t Sessions,
 /// GcSafeRegion at the epoch barrier. With every worker parked, the main
 /// thread flushes the per-thread profiling buffers, forces one collection,
 /// calls `OnBarrier(Epoch, RT)` (when set) and releases the next epoch.
-/// The barrier is traced as the span `<SpanCategory>/epoch_barrier`.
+/// The barrier is traced as the span `<SpanCategory>/epoch_barrier`, and
+/// each epoch's straggler wait — the sum over workers of the time from a
+/// worker's arrival to the last arrival — is one sample of
+/// cham.apps.barrier_idle_nanos.
 void runEpochs(
     CollectionRuntime &RT, uint32_t Threads, uint32_t Epochs,
     const char *SpanCategory,

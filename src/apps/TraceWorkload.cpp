@@ -14,7 +14,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstdio>
+#include <numeric>
+#include <unordered_map>
 
 using namespace chameleon;
 using namespace chameleon::apps;
@@ -84,6 +87,8 @@ namespace {
 struct ReplayShared {
   const Trace &T;
   uint32_t Threads = 1;
+  /// Per epoch, each worker's tasks (see partitionEpochByLoad).
+  std::vector<EpochPartition> Partition;
   std::vector<FrameId> Frames;
   std::vector<ObjectRef> GlobalRefs;
   std::vector<AdtKind> GlobalAdts;
@@ -347,20 +352,18 @@ uint64_t executeTask(CollectionRuntime &RT, ReplayShared &S,
   return TT.Ops.size();
 }
 
-/// One worker's share of one epoch, partitioned as ServerSim partitions
-/// requests: session s belongs to worker s % Threads, tasks run in trace
-/// order. \p G is the worker's adoption table, built on its first epoch
-/// and kept for the whole run.
+/// One worker's share of one epoch: the tasks partitionEpochByLoad gave
+/// it, in trace order. \p G is the worker's adoption table, built on its
+/// first epoch and kept for the whole run.
 void replayEpoch(CollectionRuntime &RT, ReplayShared &S, uint32_t Tid,
                  uint32_t Epoch, std::optional<GlobalHandles> &G,
                  std::atomic<uint64_t> &OpsOut) {
   if (!G)
     G.emplace(static_cast<uint32_t>(S.GlobalRefs.size()));
+  const std::vector<TraceTask> &Tasks = S.T.Epochs[Epoch];
   uint64_t Ops = 0;
-  for (const TraceTask &Task : S.T.Epochs[Epoch]) {
-    if (Task.Session % S.Threads != Tid)
-      continue;
-    Ops += executeTask(RT, S, Task, Epoch, /*IsBoot=*/false, *G);
+  for (uint32_t I : S.Partition[Epoch][Tid]) {
+    Ops += executeTask(RT, S, Tasks[I], Epoch, /*IsBoot=*/false, *G);
     // Adoptions last one task, mirroring ServerSim's per-request
     // adoptMap/adoptList (adoption is uncounted, so this is free with
     // respect to the profile).
@@ -405,6 +408,45 @@ std::string buildAdaptReport(CollectionRuntime &RT,
 
 } // namespace
 
+EpochPartition
+chameleon::apps::partitionEpochByLoad(const std::vector<TraceTask> &Tasks,
+                                      uint32_t Workers) {
+  assert(Workers != 0 && "a partition needs a worker");
+  struct SessionLoad {
+    uint32_t Session;
+    uint64_t Ops = 0;
+    uint32_t Worker = 0;
+  };
+  std::vector<SessionLoad> Sessions;
+  std::unordered_map<uint32_t, uint32_t> SlotOf;
+  std::vector<uint32_t> TaskSlot(Tasks.size());
+  for (size_t I = 0; I < Tasks.size(); ++I) {
+    auto [It, New] = SlotOf.try_emplace(
+        Tasks[I].Session, static_cast<uint32_t>(Sessions.size()));
+    if (New)
+      Sessions.push_back({Tasks[I].Session});
+    Sessions[It->second].Ops += Tasks[I].Ops.size();
+    TaskSlot[I] = It->second;
+  }
+  std::vector<uint32_t> Order(Sessions.size());
+  std::iota(Order.begin(), Order.end(), 0u);
+  std::sort(Order.begin(), Order.end(), [&Sessions](uint32_t A, uint32_t B) {
+    return Sessions[A].Ops != Sessions[B].Ops
+               ? Sessions[A].Ops > Sessions[B].Ops
+               : Sessions[A].Session < Sessions[B].Session;
+  });
+  std::vector<uint64_t> Load(Workers, 0);
+  for (uint32_t I : Order) {
+    auto Least = std::min_element(Load.begin(), Load.end());
+    *Least += Sessions[I].Ops;
+    Sessions[I].Worker = static_cast<uint32_t>(Least - Load.begin());
+  }
+  EpochPartition P(Workers);
+  for (size_t I = 0; I < Tasks.size(); ++I)
+    P[Sessions[TaskSlot[I]].Worker].push_back(static_cast<uint32_t>(I));
+  return P;
+}
+
 RuntimeConfig chameleon::apps::traceReplayRuntimeConfig(
     const ReplayConfig &Config) {
   RuntimeConfig RC = serverSimRuntimeConfig();
@@ -439,8 +481,13 @@ ReplayResult chameleon::apps::replayTrace(CollectionRuntime &RT,
     FaultInjector::instance().arm(buildChaosPlan(Config.ChaosSeed));
   }
 
-  ReplayShared S{T,  1,  {}, {}, {}, {}, Config.RecordTo};
+  ReplayShared S{T, 1, {}, {}, {}, {}, {}, Config.RecordTo};
   S.Threads = Config.MutatorThreads ? Config.MutatorThreads : 1;
+  // Balance every epoch's sessions over the workers up front, so a skewed
+  // epoch does not leave the other workers waiting at the barrier.
+  S.Partition.reserve(T.Epochs.size());
+  for (const std::vector<TraceTask> &Epoch : T.Epochs)
+    S.Partition.push_back(partitionEpochByLoad(Epoch, S.Threads));
   if (S.Capture)
     S.Capture->begin(T.Header);
   // Intern the frame table in recorded order, on the main thread, before

@@ -15,8 +15,8 @@
 ///
 /// Replay: `replayTrace` feeds a trace back through ServerSim's epoch
 /// engine (`runEpochs`: epoch barriers with a deterministic flush + forced
-/// GC), with sessions statically partitioned over the workers as in
-/// ServerSim, at any MutatorThreads count.
+/// GC), at any MutatorThreads count, with each epoch's sessions assigned
+/// to the workers by load before the first epoch starts.
 /// For a valid trace the profiling report is byte-identical to the
 /// recording run's at every thread count. Optionally the replay runs
 /// under the OnlineAdaptor (builtin rules, live migration with
@@ -176,6 +176,23 @@ struct ReplayResult {
   /// ascending impl index; zero-count kinds omitted).
   std::vector<std::pair<ImplKind, uint32_t>> GlobalBackings;
 };
+
+/// One epoch's work split over the replay workers: entry t lists the
+/// indices, into the epoch's task vector, of the tasks worker t runs, in
+/// trace order.
+using EpochPartition = std::vector<std::vector<uint32_t>>;
+
+/// Splits one epoch's tasks over \p Workers by load, longest processing
+/// time first (Graham, 1969): every session present in the epoch weighs
+/// its tasks' op counts, and the heaviest session goes first, onto the
+/// least-loaded worker (ties: the lower session id goes first, the lower
+/// worker id takes it). A session runs on exactly one worker, so its op
+/// order is the trace's; each worker runs its tasks in trace order, so
+/// its profiler buffer stays in ascending task order whenever the trace
+/// is. Pure function of the tasks: every replay of a trace at a given
+/// worker count runs the same partition.
+EpochPartition partitionEpochByLoad(const std::vector<TraceTask> &Tasks,
+                                    uint32_t Workers);
 
 /// The RuntimeConfig a replay runtime should be constructed with:
 /// ServerSim's determinism config plus the replay's revise period.

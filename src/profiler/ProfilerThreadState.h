@@ -21,8 +21,10 @@
 
 #include "profiler/ContextInfo.h"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -63,6 +65,47 @@ struct PendingProfileEvent {
   /// flush runs).
   ObjectContextInfo Snapshot;
 };
+
+/// The flush's replay order: ascending (Task, Seq).
+inline bool replaysBefore(const PendingProfileEvent &A,
+                          const PendingProfileEvent &B) {
+  return A.Task != B.Task ? A.Task < B.Task : A.Seq < B.Seq;
+}
+
+/// Visits every event of \p Buffers once, in ascending (Task, Seq) order,
+/// with equal keys going to the earlier buffer: exactly the order a
+/// std::stable_sort of the buffers' concatenation gives, without copying
+/// an event. A thread produces its events in that order whenever it runs
+/// its tasks in ascending id, so each buffer is only checked; one that is
+/// not in order is stable-sorted in place first.
+template <typename VisitT>
+void mergePendingEvents(
+    std::span<std::vector<PendingProfileEvent> *const> Buffers,
+    VisitT &&Visit) {
+  struct Cursor {
+    const PendingProfileEvent *Next;
+    const PendingProfileEvent *End;
+  };
+  // In buffer order, so a strict comparison leaves ties to the earlier one.
+  std::vector<Cursor> Heads;
+  Heads.reserve(Buffers.size());
+  for (std::vector<PendingProfileEvent> *B : Buffers) {
+    if (B->empty())
+      continue;
+    if (!std::is_sorted(B->begin(), B->end(), replaysBefore))
+      std::stable_sort(B->begin(), B->end(), replaysBefore);
+    Heads.push_back({B->data(), B->data() + B->size()});
+  }
+  while (!Heads.empty()) {
+    size_t Min = 0;
+    for (size_t I = 1; I < Heads.size(); ++I)
+      if (replaysBefore(*Heads[I].Next, *Heads[Min].Next))
+        Min = I;
+    Visit(*Heads[Min].Next);
+    if (++Heads[Min].Next == Heads[Min].End)
+      Heads.erase(Heads.begin() + static_cast<ptrdiff_t>(Min));
+  }
+}
 
 /// Per-mutator-thread profiler state. The profiler keeps one embedded
 /// instance for the main thread and creates one per additional mutator on

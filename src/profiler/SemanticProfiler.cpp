@@ -10,6 +10,7 @@
 #include "runtime/ThreadCache.h"
 
 #include <algorithm>
+#include <chrono>
 
 using namespace chameleon;
 
@@ -18,6 +19,8 @@ namespace {
 // Process-wide profiler accounting (cham.profiler.*, DESIGN.md §11).
 CHAM_METRIC_COUNTER(ProfSpilledEvents, "cham.profiler.spilled_events");
 CHAM_METRIC_COUNTER(ProfEpochFlushes, "cham.profiler.epoch_flushes");
+CHAM_METRIC_COUNTER(ProfFlushedEvents, "cham.profiler.flushed_events");
+CHAM_METRIC_HDR(ProfFlushNanos, "cham.profiler.flush_nanos");
 CHAM_METRIC_GAUGE(ProfShedMultiplier, "cham.profiler.shed_multiplier");
 
 /// Shed mode (heap pressure): cap on the multiplicative sampling-period
@@ -323,24 +326,19 @@ void SemanticProfiler::boundPending(ProfilerThreadState &S) {
 void SemanticProfiler::flushMutatorBuffers() {
   if (!MtActive.load(std::memory_order_acquire))
     return;
-  // Gather every thread's buffer. Callers guarantee a quiescent world, so
-  // no state is being appended to; StatesMu only fences against the
-  // (already impossible) creation race and orders the gathered memory.
-  std::vector<PendingProfileEvent> All;
-  forEachState([&All](ProfilerThreadState &S) {
-    All.insert(All.end(), std::make_move_iterator(S.Pending.begin()),
-               std::make_move_iterator(S.Pending.end()));
-    S.Pending.clear();
-  });
+  auto Start = std::chrono::steady_clock::now();
+  // Callers guarantee a quiescent world, so no buffer is being appended
+  // to; StatesMu only fences against the (already impossible) creation
+  // race and orders the buffers' memory.
+  std::vector<std::vector<PendingProfileEvent> *> Buffers;
+  forEachState(
+      [&Buffers](ProfilerThreadState &S) { Buffers.push_back(&S.Pending); });
   // Deterministic replay: ascending (Task, Seq). With globally-unique task
   // ids the order — and so every order-sensitive Welford fold — is
   // independent of how tasks were laid out on threads.
-  std::stable_sort(
-      All.begin(), All.end(),
-      [](const PendingProfileEvent &A, const PendingProfileEvent &B) {
-        return A.Task != B.Task ? A.Task < B.Task : A.Seq < B.Seq;
-      });
-  for (PendingProfileEvent &E : All) {
+  uint64_t Events = 0;
+  mergePendingEvents(Buffers, [this, &Events](const PendingProfileEvent &E) {
+    ++Events;
     if (E.Kind == PendingProfileEvent::Alloc) {
       ++FoldedAllocs;
       E.Ctx->recordAllocation(E.InitialCapacity);
@@ -348,7 +346,16 @@ void SemanticProfiler::flushMutatorBuffers() {
       ++FoldedDeaths;
       E.Ctx->foldSnapshot(E.Snapshot);
     }
-  }
+  });
+  if (Events == 0)
+    return;
+  for (std::vector<PendingProfileEvent> *B : Buffers)
+    B->clear();
+  ProfFlushedEvents.add(Events);
+  ProfFlushNanos.observe(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - Start)
+          .count()));
 }
 
 void SemanticProfiler::flushEpoch() {

@@ -24,7 +24,7 @@
 /// stack, fingerprint, context cache, sampling counters, and an event
 /// buffer — so captures stay lock-free on cache hits; the ContextInfo
 /// registry is striped across sharded locks for the miss path; and
-/// allocation/death statistics are buffered per thread and folded in
+/// allocation/death statistics are buffered per thread and merged in
 /// deterministic (Task, Seq) order at epoch flushes and GC safepoints,
 /// keeping reports byte-identical across thread counts.
 ///
@@ -117,14 +117,23 @@ public:
   /// logical task id — the major key of the deterministic replay order at
   /// flush. Reports are byte-identical across thread counts iff task ids
   /// are globally unique and assigned independently of the thread layout
-  /// (e.g. ServerSim uses the request number).
+  /// (e.g. ServerSim uses the request number). A thread should run its
+  /// tasks in ascending id: its buffer is then already in replay order
+  /// and the flush only merges it, while a buffer whose task ids go back
+  /// down costs a sort of that buffer at the next flush.
   void setCurrentTask(uint64_t Task) { state().CurrentTask = Task; }
 
   /// Drains every thread's pending events and folds them into their
-  /// contexts in ascending (Task, Seq) order. Requires a quiescent world:
-  /// called from onStopTheWorld (GC safepoint) and from flushEpoch (the
-  /// application's epoch barrier, whose synchronisation orders the
-  /// mutators' buffered writes before the drain). No-op in
+  /// contexts in ascending (Task, Seq) order: a k-way merge straight out of
+  /// the per-thread buffers, equal keys going to the earlier state
+  /// (MainState first, then creation order) — the order a stable sort of
+  /// the buffers' concatenation would give. A buffer that is not already
+  /// in (Task, Seq) order is stable-sorted on its own first. Records the
+  /// events folded (cham.profiler.flushed_events) and, when there were
+  /// any, the flush's duration (cham.profiler.flush_nanos). Requires a
+  /// quiescent world: called from onStopTheWorld (GC safepoint) and from
+  /// flushEpoch (the application's epoch barrier, whose synchronisation
+  /// orders the mutators' buffered writes before the drain). No-op in
   /// single-threaded mode, where statistics fold directly.
   void flushMutatorBuffers();
 

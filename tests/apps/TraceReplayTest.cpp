@@ -22,7 +22,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
 
 using namespace chameleon;
 using namespace chameleon::apps;
@@ -113,6 +115,62 @@ TEST(TraceReplay, ManyGlobalsReplayIsByteIdentical) {
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.Report, OneThread);
   EXPECT_EQ(writeTrace(Capture.finish()), writeTrace(T));
+}
+
+/// The heaviest worker's op count over the mean, for one epoch split.
+double loadImbalance(const std::vector<TraceTask> &Tasks,
+                     const EpochPartition &P) {
+  uint64_t Max = 0, Total = 0;
+  for (const std::vector<uint32_t> &Worker : P) {
+    uint64_t Load = 0;
+    for (uint32_t I : Worker)
+      Load += Tasks[I].Ops.size();
+    Max = std::max(Max, Load);
+    Total += Load;
+  }
+  return static_cast<double>(Max) * static_cast<double>(P.size())
+         / static_cast<double>(Total);
+}
+
+TEST(TraceReplay, LoadPartitionKeepsSessionsWholeAndBalancesZipf) {
+  WorkloadGenConfig Config;
+  applyWorkloadScale(WorkloadScale::Large, Config);
+  Config.Epochs = 3;
+  Trace T = generateZipfTrace(Config);
+  for (const std::vector<TraceTask> &Tasks : T.Epochs) {
+    // One worker runs the whole epoch in trace order.
+    EpochPartition One = partitionEpochByLoad(Tasks, 1);
+    ASSERT_EQ(One.size(), 1u);
+    ASSERT_EQ(One[0].size(), Tasks.size());
+    for (uint32_t I = 0; I < One[0].size(); ++I)
+      ASSERT_EQ(One[0][I], I);
+
+    EpochPartition Four = partitionEpochByLoad(Tasks, 4);
+    ASSERT_EQ(Four.size(), 4u);
+    std::map<uint32_t, size_t> WorkerOfSession;
+    size_t Assigned = 0;
+    for (size_t W = 0; W < Four.size(); ++W) {
+      for (size_t K = 0; K < Four[W].size(); ++K) {
+        const TraceTask &Task = Tasks[Four[W][K]];
+        if (K != 0)
+          ASSERT_LT(Tasks[Four[W][K - 1]].Id, Task.Id)
+              << "worker " << W << " runs its tasks out of id order";
+        auto [It, New] = WorkerOfSession.emplace(Task.Session, W);
+        ASSERT_EQ(It->second, W)
+            << "session " << Task.Session << " split across workers";
+      }
+      Assigned += Four[W].size();
+    }
+    EXPECT_EQ(Assigned, Tasks.size());
+
+    // Zipf(1.1) is skewed enough that the static s % 4 split is not
+    // balanced; the load split must be within 5% of the mean.
+    EpochPartition Modulo(4);
+    for (uint32_t I = 0; I < Tasks.size(); ++I)
+      Modulo[Tasks[I].Session % 4].push_back(I);
+    EXPECT_GT(loadImbalance(Tasks, Modulo), 1.2);
+    EXPECT_LE(loadImbalance(Tasks, Four), 1.05);
+  }
 }
 
 TEST(TraceReplay, ReplayRejectsInvalidTraces) {

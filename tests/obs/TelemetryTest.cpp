@@ -15,6 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "apps/ServerSim.h"
 #include "fleet/Agent.h"
 #include "fleet/Aggregator.h"
 #include "fleet/Transport.h"
@@ -488,6 +489,55 @@ TEST(AllocMetricsTest, DeltasDeterministicAcrossIdenticalRuns) {
   EXPECT_EQ(First.LockedFallbacks, Second.LockedFallbacks);
   EXPECT_EQ(First.DirectAllocs, Second.DirectAllocs);
   EXPECT_EQ(First.PoolAllocs, Second.PoolAllocs);
+}
+
+/// Events one ServerSim run folds through the profiler's buffer flush:
+/// the cham.profiler.flushed_events delta, and the run's own folded
+/// allocations plus folded deaths.
+struct FlushDeltas {
+  uint64_t Flushed = 0;
+  uint64_t Folded = 0;
+};
+
+/// The merged snapshot of the metric named exactly \p Name (empty when
+/// none is registered).
+MetricSnapshot metricNamed(const std::string &Name) {
+  for (MetricSnapshot &S : snapshotOf(Name))
+    if (S.Name == Name)
+      return S;
+  return {};
+}
+
+FlushDeltas measureServerSimFlush() {
+  const uint64_t Flushed0 = metricNamed("cham.profiler.flushed_events").Value;
+  CollectionRuntime RT(apps::serverSimRuntimeConfig());
+  apps::ServerSimConfig Config;
+  Config.MutatorThreads = 4;
+  (void)apps::runServerSim(RT, Config);
+  ProfilerDegradationStats D = RT.profiler().degradationStats();
+  return {metricNamed("cham.profiler.flushed_events").Value - Flushed0,
+          D.FoldedAllocs + D.FoldedDeaths};
+}
+
+/// A ServerSim run buffers every allocation and death event from the
+/// first one (runServerSim enables concurrent-mutator mode before boot)
+/// and folds each at exactly one flush, so the flushed-events counter
+/// moves by the run's folded events, identically across identical runs.
+/// The flush-duration and barrier-idle histograms take samples.
+TEST(ProfilerMetricsTest, FlushedEventsDeterministicAcrossIdenticalRuns) {
+  const uint64_t FlushSamples0 = metricNamed("cham.profiler.flush_nanos").Count;
+  const uint64_t IdleSamples0 =
+      metricNamed("cham.apps.barrier_idle_nanos").Count;
+  FlushDeltas First = measureServerSimFlush();
+  FlushDeltas Second = measureServerSimFlush();
+  EXPECT_GT(First.Flushed, 0u);
+  EXPECT_EQ(First.Flushed, First.Folded);
+  EXPECT_EQ(Second.Flushed, Second.Folded);
+  EXPECT_EQ(First.Flushed, Second.Flushed);
+  EXPECT_GT(metricNamed("cham.profiler.flush_nanos").Count, FlushSamples0);
+  // One straggler-wait sample per epoch of each run.
+  EXPECT_EQ(metricNamed("cham.apps.barrier_idle_nanos").Count,
+            IdleSamples0 + 2 * apps::ServerSimConfig().Epochs);
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,16 +9,20 @@
 /// (DESIGN.md §9): N registered mutator threads allocate, use, and retire
 /// collections — with stop-the-world GCs triggered both by allocation
 /// sampling mid-operation and by explicit collect() calls — while the
-/// sharded profiler keeps exact, race-free statistics. Run under TSan in
-/// CI (the `ConcurrentMutator*` filter of the sanitizer job).
+/// sharded profiler keeps exact, race-free statistics, and the flush
+/// merges the per-thread event buffers in the order a stable sort of them
+/// would give. Run under TSan in CI (the `ConcurrentMutator*` filter of
+/// the sanitizer job) and under ASan+UBSan (the statistics-record step).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "collections/Handles.h"
 #include "profiler/Report.h"
+#include "support/SplitMix64.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <string>
@@ -167,6 +171,129 @@ TEST(ConcurrentMutator, FoldedStatsInvariantAcrossThreadCounts) {
                       Ctx.finalSizeStat().mean());
   };
   EXPECT_EQ(Run(1), Run(4));
+}
+
+/// Every Welford record of the context the run folds into, plus its two
+/// counts, for bit-for-bit comparison between runs.
+struct FoldedStats {
+  uint64_t Allocations = 0;
+  uint64_t Folded = 0;
+  std::vector<double> Moments; // mean and variance of every RunningStat
+};
+
+FoldedStats foldedStats(const ContextInfo &Ctx) {
+  ContextStats S = Ctx.exportStats();
+  FoldedStats Out{Ctx.allocations(), Ctx.foldedInstances(), {}};
+  auto Add = [&Out](const RunningStat &R) {
+    Out.Moments.push_back(R.mean());
+    Out.Moments.push_back(R.variance());
+  };
+  for (const RunningStat &R : S.OpStats)
+    Add(R);
+  Add(S.MaxSizeStat);
+  Add(S.FinalSizeStat);
+  Add(S.InitialCapacityStat);
+  return Out;
+}
+
+TEST(ConcurrentMutator, FoldedStatsInvariantWhenTasksRunOutOfOrder) {
+  // Each of 4 mutators runs its tasks in descending id order, so every
+  // buffer reaches the flush out of (Task, Seq) order and must be sorted
+  // on its own before the merge. The folds — order-sensitive Welford
+  // updates over uneven sizes and capacities — must match a 1-thread run
+  // in ascending order bit for bit.
+  auto Run = [](unsigned Threads, bool Descending) {
+    RuntimeConfig Config;
+    CollectionRuntime RT(Config);
+    RT.profiler().enableConcurrentMutators();
+    FrameId Site = RT.site("cm.outoforder:1");
+    constexpr int Tasks = 240;
+    onMutators(RT, Threads, [&](unsigned Tid) {
+      for (int I = 0; I < Tasks; ++I) {
+        int Task = Descending ? Tasks - 1 - I : I;
+        if (static_cast<unsigned>(Task) % Threads != Tid)
+          continue;
+        RT.profiler().setCurrentTask(Task + 1);
+        List L = RT.newArrayList(Site, 1 + (Task * 7) % 13);
+        for (int E = 0; E < (Task * 5) % 11; ++E)
+          L.add(Value::ofInt(E));
+        for (int E = 0; E < Task % 3; ++E)
+          (void)L.contains(Value::ofInt(E));
+        if (Task % 4 == 0 && L.size() != 0)
+          (void)L.removeAt(0);
+        L.retire();
+      }
+    });
+    RT.profiler().flushEpoch();
+    EXPECT_EQ(RT.profiler().contexts().size(), 1u);
+    return foldedStats(*RT.profiler().contexts().front());
+  };
+  FoldedStats Reference = Run(1, /*Descending=*/false);
+  EXPECT_EQ(Reference.Allocations, 240u);
+  EXPECT_EQ(Reference.Folded, 240u);
+  FoldedStats OutOfOrder = Run(4, /*Descending=*/true);
+  EXPECT_EQ(OutOfOrder.Allocations, Reference.Allocations);
+  EXPECT_EQ(OutOfOrder.Folded, Reference.Folded);
+  EXPECT_EQ(OutOfOrder.Moments, Reference.Moments);
+}
+
+/// Today's reference for the flush order: gather every buffer, then
+/// stable-sort the concatenation on (Task, Seq).
+std::vector<uint32_t>
+stableSortOrder(const std::vector<std::vector<PendingProfileEvent>> &Bufs) {
+  std::vector<PendingProfileEvent> All;
+  for (const std::vector<PendingProfileEvent> &B : Bufs)
+    All.insert(All.end(), B.begin(), B.end());
+  std::stable_sort(
+      All.begin(), All.end(),
+      [](const PendingProfileEvent &A, const PendingProfileEvent &B) {
+        return A.Task != B.Task ? A.Task < B.Task : A.Seq < B.Seq;
+      });
+  std::vector<uint32_t> Order;
+  for (const PendingProfileEvent &E : All)
+    Order.push_back(E.InitialCapacity);
+  return Order;
+}
+
+TEST(ConcurrentMutator, BufferMergeMatchesStableSortOfConcatenation) {
+  // Seeded random buffers: task ids from a small range so keys tie across
+  // buffers, Seq non-decreasing within a buffer (so keys can tie inside
+  // one too), and about one buffer in four shuffled. Each event carries
+  // its creation index in InitialCapacity; the merge must visit them in
+  // exactly the order the stable sort of the concatenation gives.
+  SplitMix64 Rng(0x3E26E);
+  for (int Round = 0; Round < 400; ++Round) {
+    std::vector<std::vector<PendingProfileEvent>> Bufs(1 + Rng.nextBelow(9));
+    uint32_t Tag = 0;
+    for (std::vector<PendingProfileEvent> &B : Bufs) {
+      uint64_t Task = Rng.nextBelow(4), Seq = Rng.nextBelow(3);
+      size_t N = Rng.nextBelow(301);
+      for (size_t I = 0; I < N; ++I) {
+        PendingProfileEvent E;
+        E.Task = Task;
+        E.Seq = Seq;
+        E.InitialCapacity = Tag++;
+        B.push_back(E);
+        if (Rng.nextBelow(4) == 0)
+          Task += Rng.nextBelow(2);
+        Seq += Rng.nextBelow(2);
+      }
+      if (Rng.nextBelow(4) == 0)
+        for (size_t I = B.size(); I > 1; --I)
+          std::swap(B[I - 1], B[Rng.nextBelow(I)]);
+    }
+    std::vector<uint32_t> Want = stableSortOrder(Bufs);
+
+    std::vector<std::vector<PendingProfileEvent> *> Ptrs;
+    for (std::vector<PendingProfileEvent> &B : Bufs)
+      Ptrs.push_back(&B);
+    std::vector<uint32_t> Got;
+    mergePendingEvents(Ptrs, [&Got](const PendingProfileEvent &E) {
+      Got.push_back(E.InitialCapacity);
+    });
+    ASSERT_EQ(Got, Want) << "round " << Round << ", " << Bufs.size()
+                         << " buffers";
+  }
 }
 
 TEST(ConcurrentMutator, PlanLookupsAgreeAcrossThreads) {
