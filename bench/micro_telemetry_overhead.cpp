@@ -10,9 +10,7 @@
 ///
 ///  1. Per-site cost of a disarmed CHAM_TRACE_INSTANT: a tight loop over
 ///     the site minus the same loop without it. This is the only cost
-///     normal runs ever pay — a single relaxed atomic load (and under
-///     -DCHAMELEON_NO_TELEMETRY the site is gone entirely, so the two
-///     loops are identical).
+///     normal runs ever pay — a single relaxed atomic load.
 ///  2. Cost of one sharded Counter::inc() — metrics are always compiled
 ///     in because they back the runtime accounting accessors.
 ///  3. Trace events recorded per workload op, counted exactly by arming
@@ -49,8 +47,7 @@ using namespace chameleon;
 namespace {
 
 /// Nanoseconds one disarmed CHAM_TRACE_INSTANT site adds to a loop
-/// iteration. Under CHAMELEON_NO_TELEMETRY the site expands to nothing
-/// and this measures (and should report) zero.
+/// iteration.
 double disarmedSiteNs(uint64_t Iters) {
   obs::TraceRecorder::instance().disarm();
   return bench::siteNs(Iters, [] { CHAM_TRACE_INSTANT("bench", "site"); });
@@ -165,10 +162,6 @@ int main(int argc, char **argv) {
   const uint64_t ChurnOps = H.quick() ? 20'000 : 200'000;
 
   std::printf("== micro: telemetry site overhead ==\n\n");
-#if defined(CHAMELEON_NO_TELEMETRY)
-  std::printf("(built with CHAMELEON_NO_TELEMETRY: trace sites are "
-              "compiled out)\n\n");
-#endif
 
   double SiteNs = disarmedSiteNs(SiteIters);
   double CounterNs = counterIncNs(SiteIters);

@@ -260,7 +260,7 @@ std::string chameleon::apps::buildServerSimReport(CollectionRuntime &RT,
 
 void chameleon::apps::runEpochs(
     CollectionRuntime &RT, uint32_t Threads, uint32_t Epochs,
-    [[maybe_unused]] const char *SpanCategory,
+    const char *SpanCategory,
     const std::function<void(uint32_t Tid, uint32_t Epoch)> &WorkerEpoch,
     const std::function<void(uint32_t Epoch, CollectionRuntime &RT)>
         &OnBarrier) {
@@ -543,7 +543,7 @@ ServerSimResult chameleon::apps::runServerSim(CollectionRuntime &RT,
       BootRec.Task.Id = 0;
       BootRec.Task.Session = TraceBootSession;
       BootRec.Task.FrameIdx = FrameBoot;
-      S.Capture->addTask(TraceCapture::BootEpoch, std::move(BootRec.Task));
+      S.Capture->setBoot(std::move(BootRec.Task));
     }
   }
 

@@ -33,16 +33,10 @@ void TraceCapture::begin(TraceHeader H) {
   Epochs.resize(Header.Epochs);
 }
 
-void TraceCapture::addTask(uint32_t Epoch, TraceTask Task) {
+void TraceCapture::setBoot(TraceTask Task) {
   std::lock_guard<std::mutex> L(Mu);
-  if (!Active)
-    return;
-  if (Epoch == BootEpoch) {
+  if (Active)
     Boot = std::move(Task);
-    return;
-  }
-  if (Epoch < Epochs.size())
-    Epochs[Epoch].push_back(std::move(Task));
 }
 
 void TraceCapture::addTasks(uint32_t Epoch, std::vector<TraceTask> Tasks) {
@@ -93,7 +87,6 @@ struct ReplayShared {
   std::vector<ObjectRef> GlobalRefs;
   std::vector<AdtKind> GlobalAdts;
   std::vector<uint8_t> GlobalLive;
-  TraceCapture *Capture = nullptr;
 };
 
 /// Uncounted size read, for the interpreter's index guards: goes straight
@@ -134,8 +127,7 @@ struct GlobalHandles {
 /// the globals it touches that \p G does not hold yet. Returns the op
 /// count executed.
 uint64_t executeTask(CollectionRuntime &RT, ReplayShared &S,
-                     const TraceTask &TT, uint32_t Epoch, bool IsBoot,
-                     GlobalHandles &G) {
+                     const TraceTask &TT, GlobalHandles &G) {
   std::vector<List> &GL = G.GL;
   std::vector<Set> &GS = G.GS;
   std::vector<Map> &GM = G.GM;
@@ -148,15 +140,6 @@ uint64_t executeTask(CollectionRuntime &RT, ReplayShared &S,
   std::vector<Set> TS;
   std::vector<Map> TM;
   std::vector<AdtKind> TempAdt;
-
-  TaskTrace Rec;
-  const bool Recording = S.Capture != nullptr;
-  if (Recording) {
-    Rec.Task.Id = TT.Id;
-    Rec.Task.Session = TT.Session;
-    Rec.Task.FrameIdx = TT.FrameIdx;
-    Rec.Task.Ops.reserve(TT.Ops.size());
-  }
 
   auto adtOf = [&](const TraceOp &Op) {
     return traceRegIsTemp(Op.Target) ? TempAdt[traceRegSlot(Op.Target)]
@@ -343,12 +326,7 @@ uint64_t executeTask(CollectionRuntime &RT, ReplayShared &S,
       }
       break;
     }
-    if (Recording)
-      Rec.Task.Ops.push_back(Op);
   }
-  if (Recording)
-    S.Capture->addTask(IsBoot ? TraceCapture::BootEpoch : Epoch,
-                       std::move(Rec.Task));
   return TT.Ops.size();
 }
 
@@ -363,7 +341,7 @@ void replayEpoch(CollectionRuntime &RT, ReplayShared &S, uint32_t Tid,
   const std::vector<TraceTask> &Tasks = S.T.Epochs[Epoch];
   uint64_t Ops = 0;
   for (uint32_t I : S.Partition[Epoch][Tid]) {
-    Ops += executeTask(RT, S, Tasks[I], Epoch, /*IsBoot=*/false, *G);
+    Ops += executeTask(RT, S, Tasks[I], *G);
     // Adoptions last one task, mirroring ServerSim's per-request
     // adoptMap/adoptList (adoption is uncounted, so this is free with
     // respect to the profile).
@@ -481,15 +459,13 @@ ReplayResult chameleon::apps::replayTrace(CollectionRuntime &RT,
     FaultInjector::instance().arm(buildChaosPlan(Config.ChaosSeed));
   }
 
-  ReplayShared S{T, 1, {}, {}, {}, {}, {}, Config.RecordTo};
+  ReplayShared S{T, 1, {}, {}, {}, {}, {}};
   S.Threads = Config.MutatorThreads ? Config.MutatorThreads : 1;
   // Balance every epoch's sessions over the workers up front, so a skewed
   // epoch does not leave the other workers waiting at the barrier.
   S.Partition.reserve(T.Epochs.size());
   for (const std::vector<TraceTask> &Epoch : T.Epochs)
     S.Partition.push_back(partitionEpochByLoad(Epoch, S.Threads));
-  if (S.Capture)
-    S.Capture->begin(T.Header);
   // Intern the frame table in recorded order, on the main thread, before
   // anything else touches the profiler: this pins every FrameId — and so
   // every context identity — to the recording run's values.
@@ -505,7 +481,7 @@ ReplayResult chameleon::apps::replayTrace(CollectionRuntime &RT,
   GlobalHandles Boot(T.Header.Globals);
   uint64_t MainOps = 0;
   if (T.Boot)
-    MainOps += executeTask(RT, S, *T.Boot, 0, /*IsBoot=*/true, Boot);
+    MainOps += executeTask(RT, S, *T.Boot, Boot);
 
   std::atomic<uint64_t> WorkerOps{0};
   std::vector<std::optional<GlobalHandles>> Adoptions(S.Threads);

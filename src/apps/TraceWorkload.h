@@ -7,11 +7,10 @@
 /// \file
 /// Record and replay of collection workloads (DESIGN.md §14).
 ///
-/// Recording: a `TraceCapture` armed on a run (ServerSim via
-/// `ServerSimConfig::RecordTo`, or a replay re-recording itself) collects
-/// the canonical per-task op stream — allocations, operations, retires,
-/// epoch boundaries — into a `Trace`. Disarmed, the hooks cost one null
-/// check per op.
+/// Recording: a `TraceCapture` armed on a ServerSim run (via
+/// `ServerSimConfig::RecordTo`) collects the canonical per-task op stream
+/// — allocations, operations, retires, epoch boundaries — into a `Trace`.
+/// Disarmed, the hooks cost one null check per op.
 ///
 /// Replay: `replayTrace` feeds a trace back through ServerSim's epoch
 /// engine (`runEpochs`: epoch barriers with a deterministic flush + forced
@@ -39,8 +38,7 @@
 namespace chameleon::apps {
 
 /// Emit-side helper: builds one task's op list. Cheap to construct; the
-/// recording hooks in ServerSim/replay only touch it when a capture is
-/// armed.
+/// recording hooks in ServerSim only touch it when a capture is armed.
 struct TaskTrace {
   TraceTask Task;
 
@@ -91,22 +89,15 @@ struct TaskTrace {
 /// threads interleaved.
 class TraceCapture {
 public:
-  /// Epoch tag for the boot task.
-  static constexpr uint32_t BootEpoch = 0xFFFFFFFFu;
-
   /// Arms the capture: resets state and fixes the header (the epoch count
   /// sizes the epoch structure).
   void begin(TraceHeader Header);
 
-  /// True between begin() and finish().
-  bool armed() const { return Active; }
+  /// Submits the boot task. Thread-safe.
+  void setBoot(TraceTask Task);
 
-  /// Submits one finished task. Thread-safe. \p Epoch is the 0-based
-  /// epoch, or BootEpoch for the boot task.
-  void addTask(uint32_t Epoch, TraceTask Task);
-
-  /// Submits a worker's whole epoch batch under one lock acquisition.
-  /// Recording hot paths use this so the capture mutex is uncontended.
+  /// Submits a worker's whole epoch batch under one lock acquisition, so
+  /// the capture mutex stays uncontended. Thread-safe.
   void addTasks(uint32_t Epoch, std::vector<TraceTask> Tasks);
 
   /// Disarms and returns the assembled trace.
@@ -140,8 +131,6 @@ struct ReplayConfig {
   uint64_t ChaosSeed = 0xC4A05;
   /// Soft heap limit installed for a chaos run (0 = none).
   uint64_t ChaosSoftHeapLimitBytes = 0;
-  /// Re-record the replayed op stream (for round-trip verification).
-  TraceCapture *RecordTo = nullptr;
   /// When non-empty, arm the telemetry recorder and export the bundle
   /// into this directory at the end of the replay.
   std::string TelemetryOutDir;

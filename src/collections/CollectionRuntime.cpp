@@ -551,8 +551,7 @@ MigrationOutcome CollectionRuntime::migrateCollection(ObjectRef Wrapper,
     return MigrationOutcome::NoOp;
 
   MigrationAttempts.inc();
-  [[maybe_unused]] const int64_t CtxId =
-      W.Ctx ? static_cast<int64_t>(W.Ctx->id()) : -1;
+  const int64_t CtxId = W.Ctx ? static_cast<int64_t>(W.Ctx->id()) : -1;
   CHAM_TRACE_SPAN_ARG("migrate", "transaction", "ctx", CtxId);
   obs::DecisionLog &Ledger = obs::DecisionLog::instance();
   if (Ledger.enabled()) {

@@ -15,7 +15,7 @@
 using namespace chameleon;
 
 Chameleon::Chameleon(ChameleonConfig Config)
-    : Config(Config), Engine(Config.Rules) {
+    : Config(Config) {
   if (Config.UseBuiltinRules)
     Engine.addBuiltinRules();
 }

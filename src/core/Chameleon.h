@@ -35,7 +35,6 @@ namespace chameleon {
 /// Tool-level configuration.
 struct ChameleonConfig {
   RuntimeConfig Runtime;
-  rules::RuleEngineConfig Rules;
   /// Install the Table-2 built-in rules (custom rules can be added on top
   /// through `engine()`).
   bool UseBuiltinRules = true;

@@ -15,7 +15,7 @@ using namespace chameleon;
 
 namespace {
 /// Trace-arg value for a (possibly null) context.
-[[maybe_unused]] int64_t ctxArg(const ContextInfo *Info) {
+int64_t ctxArg(const ContextInfo *Info) {
   return Info ? static_cast<int64_t>(Info->id()) : -1;
 }
 

@@ -357,51 +357,9 @@ std::vector<obs::MetricSnapshot> fleet::mergeMetricSnapshots(
   std::map<std::string, obs::MetricSnapshot> ByName;
   for (const auto *Snaps : Inputs) {
     for (const obs::MetricSnapshot &M : *Snaps) {
-      auto It = ByName.find(M.Name);
-      if (It == ByName.end()) {
-        ByName.emplace(M.Name, M);
-        continue;
-      }
-      obs::MetricSnapshot &Acc = It->second;
-      Acc.Value += M.Value;
-      Acc.GaugeValue += M.GaugeValue;
-      // Min/max fold before Count absorbs M's: a zero-observation side
-      // must not contribute its 0/0 extremes.
-      if (M.Count > 0) {
-        if (Acc.Count == 0) {
-          Acc.MinValue = M.MinValue;
-          Acc.MaxValue = M.MaxValue;
-        } else {
-          Acc.MinValue = std::min(Acc.MinValue, M.MinValue);
-          Acc.MaxValue = std::max(Acc.MaxValue, M.MaxValue);
-        }
-      }
-      Acc.Count += M.Count;
-      Acc.Sum += M.Sum;
-      if (!M.HdrBuckets.empty()) {
-        // Sorted sparse merge: both sides are index-sorted by
-        // construction, and the result stays that way.
-        std::vector<std::pair<uint32_t, uint64_t>> MergedHdr;
-        MergedHdr.reserve(Acc.HdrBuckets.size() + M.HdrBuckets.size());
-        size_t I = 0, J = 0;
-        while (I < Acc.HdrBuckets.size() || J < M.HdrBuckets.size()) {
-          if (J >= M.HdrBuckets.size() ||
-              (I < Acc.HdrBuckets.size() &&
-               Acc.HdrBuckets[I].first < M.HdrBuckets[J].first)) {
-            MergedHdr.push_back(Acc.HdrBuckets[I++]);
-          } else if (I >= Acc.HdrBuckets.size() ||
-                     M.HdrBuckets[J].first < Acc.HdrBuckets[I].first) {
-            MergedHdr.push_back(M.HdrBuckets[J++]);
-          } else {
-            MergedHdr.emplace_back(Acc.HdrBuckets[I].first,
-                                   Acc.HdrBuckets[I].second +
-                                       M.HdrBuckets[J].second);
-            ++I;
-            ++J;
-          }
-        }
-        Acc.HdrBuckets = std::move(MergedHdr);
-      }
+      auto [It, New] = ByName.try_emplace(M.Name, M);
+      if (!New)
+        It->second.merge(M);
     }
   }
   std::vector<obs::MetricSnapshot> Out;

@@ -233,11 +233,14 @@ DecisionKind kindFromName(const std::string &N, bool &Ok) {
   return DecisionKind::EpochMark;
 }
 
-DecisionOutcome outcomeFromName(const std::string &N) {
+DecisionOutcome outcomeFromName(const std::string &N, bool &Ok) {
   for (uint8_t O = 0;
        O <= static_cast<uint8_t>(DecisionOutcome::GatedByPotential); ++O)
-    if (N == decisionOutcomeName(static_cast<DecisionOutcome>(O)))
+    if (N == decisionOutcomeName(static_cast<DecisionOutcome>(O))) {
+      Ok = true;
       return static_cast<DecisionOutcome>(O);
+    }
+  Ok = false;
   return DecisionOutcome::None;
 }
 
@@ -344,7 +347,11 @@ bool chameleon::obs::decisionsFromJson(const std::string &Text,
     R.Kind = kindFromName(V.strOr("kind", ""), KindOk);
     if (!KindOk)
       return Fail("event with unknown kind \"" + V.strOr("kind", "") + "\"");
-    R.Outcome = outcomeFromName(V.strOr("outcome", "none"));
+    bool OutcomeOk = false;
+    R.Outcome = outcomeFromName(V.strOr("outcome", "none"), OutcomeOk);
+    if (!OutcomeOk)
+      return Fail("event with unknown outcome \""
+                  + V.strOr("outcome", "") + "\"");
     R.Rule = static_cast<int16_t>(V.numberOr("rule", -1));
     R.DivGuard = static_cast<uint16_t>(V.numberOr("div_guard", 0));
     R.Impl = static_cast<uint8_t>(V.numberOr("impl", 0xff));

@@ -68,13 +68,13 @@ const char *decisionKindName(DecisionKind K);
 enum class DecisionOutcome : uint8_t {
   None = 0,             ///< the record carries no verdict
   Fired = 1,
-  NeverFires = 2,       ///< sema proved the condition unsatisfiable at load
+  NeverFires = 2,       ///< retired: no producer, still decoded
   SrcTypeMismatch = 3,  ///< the rule's srcType does not match the context
   TooFewSamples = 4,    ///< below the engine's minimum folded instances
   ConditionFalse = 5,   ///< the condition evaluated to false
   MissingParam = 6,     ///< the rule references an unbound $-parameter
   Unstable = 7,         ///< suppressed by the Definition 3.1 gate
-  GatedByPotential = 8, ///< space rule below the potential threshold
+  GatedByPotential = 8, ///< retired: no producer, still decoded
 };
 
 /// \returns a stable lowercase name for \p O ("fired", "never_fires", ...).

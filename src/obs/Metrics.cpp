@@ -117,6 +117,48 @@ void MetricsRegistry::remove(Metric *M) {
 // Snapshots
 //===----------------------------------------------------------------------===//
 
+void MetricSnapshot::merge(const MetricSnapshot &Other) {
+  Value += Other.Value;
+  GaugeValue += Other.GaugeValue;
+  // Min/max fold before Count absorbs Other's: a zero-observation side
+  // must not contribute its 0/0 extremes.
+  if (Other.Count > 0) {
+    if (Count == 0) {
+      MinValue = Other.MinValue;
+      MaxValue = Other.MaxValue;
+    } else {
+      MinValue = std::min(MinValue, Other.MinValue);
+      MaxValue = std::max(MaxValue, Other.MaxValue);
+    }
+  }
+  Count += Other.Count;
+  Sum += Other.Sum;
+  if (Other.HdrBuckets.empty())
+    return;
+  // Sorted sparse merge: both sides are index-sorted (the geometry is
+  // fixed process-wide, so indices line up by value), and so is the
+  // result.
+  std::vector<std::pair<uint32_t, uint64_t>> Merged;
+  Merged.reserve(HdrBuckets.size() + Other.HdrBuckets.size());
+  size_t I = 0, J = 0;
+  while (I < HdrBuckets.size() || J < Other.HdrBuckets.size()) {
+    if (J >= Other.HdrBuckets.size()
+        || (I < HdrBuckets.size()
+            && HdrBuckets[I].first < Other.HdrBuckets[J].first)) {
+      Merged.push_back(HdrBuckets[I++]);
+    } else if (I >= HdrBuckets.size()
+               || Other.HdrBuckets[J].first < HdrBuckets[I].first) {
+      Merged.push_back(Other.HdrBuckets[J++]);
+    } else {
+      Merged.emplace_back(HdrBuckets[I].first,
+                          HdrBuckets[I].second + Other.HdrBuckets[J].second);
+      ++I;
+      ++J;
+    }
+  }
+  HdrBuckets = std::move(Merged);
+}
+
 void Counter::mergeInto(MetricSnapshot &Out) const { Out.Value += value(); }
 
 void Gauge::mergeInto(MetricSnapshot &Out) const { Out.GaugeValue += value(); }
@@ -129,36 +171,17 @@ HdrHistogram::HdrHistogram(const char *Name)
 }
 
 void HdrHistogram::mergeInto(MetricSnapshot &Out) const {
-  uint64_t MyCount = count();
-  if (MyCount > 0) {
-    if (Out.Count == 0) {
-      Out.MinValue = min();
-      Out.MaxValue = max();
-    } else {
-      Out.MinValue = std::min(Out.MinValue, min());
-      Out.MaxValue = std::max(Out.MaxValue, max());
-    }
+  MetricSnapshot Mine;
+  Mine.Count = count();
+  Mine.Sum = sum();
+  if (Mine.Count > 0) {
+    Mine.MinValue = min();
+    Mine.MaxValue = max();
   }
-  // Merge this instance's non-zero buckets into the (index-sorted) sparse
-  // list. Same fixed geometry everywhere, so indices line up by value.
-  std::vector<std::pair<uint32_t, uint64_t>> Merged;
-  Merged.reserve(Out.HdrBuckets.size() + 16);
-  size_t J = 0; // cursor into Out.HdrBuckets
-  for (size_t I = 0; I < hdrNumBuckets(); ++I) {
-    uint64_t N = Buckets[I].load(std::memory_order_relaxed);
-    while (J < Out.HdrBuckets.size() && Out.HdrBuckets[J].first < I)
-      Merged.push_back(Out.HdrBuckets[J++]);
-    if (J < Out.HdrBuckets.size() && Out.HdrBuckets[J].first == I) {
-      N += Out.HdrBuckets[J++].second;
-    }
-    if (N)
-      Merged.emplace_back(static_cast<uint32_t>(I), N);
-  }
-  while (J < Out.HdrBuckets.size())
-    Merged.push_back(Out.HdrBuckets[J++]);
-  Out.HdrBuckets = std::move(Merged);
-  Out.Count += MyCount;
-  Out.Sum += sum();
+  for (size_t I = 0; I < hdrNumBuckets(); ++I)
+    if (uint64_t N = Buckets[I].load(std::memory_order_relaxed))
+      Mine.HdrBuckets.emplace_back(static_cast<uint32_t>(I), N);
+  Out.merge(Mine);
 }
 
 uint64_t HdrHistogram::quantile(double Q) const {

@@ -19,12 +19,10 @@
 ///
 /// Metrics are *accounting*, not optional tracing: the per-feature
 /// counters of the runtime (migration, retire, fault, shed accounting)
-/// are registry-backed instances whose public accessors read them, so
-/// they stay live even under -DCHAMELEON_NO_TELEMETRY (which compiles out
-/// only the trace-event sites, see obs/Trace.h). A metric can be a static
-/// (via CHAM_METRIC_*) or a class member; several live instances may share
-/// one name — a CollectionRuntime per test, say — and the registry merges
-/// them at snapshot time.
+/// are registry-backed instances whose public accessors read them. A
+/// metric can be a static (via CHAM_METRIC_*) or a class member; several
+/// live instances may share one name — a CollectionRuntime per test, say —
+/// and the registry merges them at snapshot time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,6 +65,12 @@ struct MetricSnapshot {
   std::vector<std::pair<uint32_t, uint64_t>> HdrBuckets;
   uint64_t MinValue = 0; ///< Hdr: smallest observed value (0 if Count==0).
   uint64_t MaxValue = 0; ///< Hdr: largest observed value.
+
+  /// Folds \p Other's observations into this snapshot: values, counts,
+  /// sums and HDR buckets add, HDR min/max fold, and a side with no
+  /// observations contributes no min or max. Name and kind are the
+  /// caller's key and stay as they are.
+  void merge(const MetricSnapshot &Other);
 };
 
 /// Log-linear bucket geometry shared by every HdrHistogram: values below
@@ -244,8 +248,7 @@ private:
 
 /// Static registration: `CHAM_METRIC_COUNTER(GcCycles, "cham.gc.cycles");`
 /// at file or function scope defines a registered metric named by a
-/// literal. Metrics stay live under -DCHAMELEON_NO_TELEMETRY — they back
-/// the runtime's own accounting; only trace sites compile out.
+/// literal.
 #define CHAM_METRIC_COUNTER(Var, NameStr)                                      \
   static ::chameleon::obs::Counter Var { NameStr }
 #define CHAM_METRIC_GAUGE(Var, NameStr)                                        \

@@ -13,13 +13,12 @@
 /// loads directly in Perfetto or chrome://tracing.
 ///
 /// The arming discipline mirrors FaultInjector: while disarmed every site
-/// costs exactly one relaxed atomic load, and compiling with
-/// -DCHAMELEON_NO_TELEMETRY removes the sites entirely (the recorder
-/// class itself stays, so exporters and tests keep linking). While armed,
-/// a site appends to its own thread's ring under that ring's (otherwise
-/// uncontended) mutex; full rings overwrite their oldest event, so a long
-/// run keeps the most recent window per thread and counts what it
-/// dropped.
+/// costs exactly one relaxed atomic load, so the sites are always compiled
+/// in (bench/micro_telemetry_overhead measures a disarmed site against a
+/// collection op). While armed, a site appends to its own thread's ring
+/// under that ring's (otherwise uncontended) mutex; full rings overwrite
+/// their oldest event, so a long run keeps the most recent window per
+/// thread and counts what it dropped.
 ///
 /// Category and name strings must be literals (the recorder stores the
 /// pointers). Events may carry one named integer argument — used, e.g.,
@@ -161,15 +160,6 @@ private:
 
 } // namespace chameleon::obs
 
-#if defined(CHAMELEON_NO_TELEMETRY)
-
-#define CHAM_TRACE_SPAN(Category, Name) ((void)0)
-#define CHAM_TRACE_SPAN_ARG(Category, Name, ArgName, ArgValue) ((void)0)
-#define CHAM_TRACE_INSTANT(Category, Name) ((void)0)
-#define CHAM_TRACE_INSTANT_ARG(Category, Name, ArgName, ArgValue) ((void)0)
-
-#else
-
 #define CHAM_OBS_CONCAT_IMPL(A, B) A##B
 #define CHAM_OBS_CONCAT(A, B) CHAM_OBS_CONCAT_IMPL(A, B)
 
@@ -194,7 +184,5 @@ private:
       ::chameleon::obs::TraceRecorder::instance().recordInstant(               \
           Category, Name, ArgName, static_cast<uint64_t>(ArgValue));           \
   } while (false)
-
-#endif // CHAMELEON_NO_TELEMETRY
 
 #endif // CHAMELEON_OBS_TRACE_H

@@ -235,14 +235,6 @@ struct Rule {
   /// 'setCapacity', or 'warn').
   unsigned TargetLine = 0;
   unsigned TargetCol = 0;
-
-  /// Sema verdicts, filled by RuleEngine::addRules when a SemaMode other
-  /// than Off is requested (see rules/Sema.h). A rule marked NeverFires is
-  /// short-circuited at evaluation and surfaced in explain output.
-  bool NeverFires = false;
-  /// Human-readable load-time note ("condition is unsatisfiable",
-  /// "references unbound $X"); empty when sema found nothing.
-  std::string SemaNote;
 };
 
 } // namespace chameleon::rules

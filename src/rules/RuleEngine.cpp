@@ -72,42 +72,8 @@ void rules::foldSuggestion(PlanDecision &Decision, const Suggestion &S) {
   }
 }
 
-RuleEngine::RuleEngine(RuleEngineConfig Config) : Config(Config) {}
-
-ParseResult RuleEngine::addRules(const std::string &Source, SemaMode Mode) {
+ParseResult RuleEngine::addRules(const std::string &Source) {
   ParseResult Result = parseRules(Source);
-  if (Mode != SemaMode::Off) {
-    SemaOptions Opts;
-    Opts.Params = &Params;
-    // Bindings may serve rule files added later; unused-param noise here
-    // would punish setParam-before-addRules call orders.
-    Opts.CheckUnusedParams = false;
-    SemaResult Sema = analyzeRules(Result.Rules, Opts);
-    for (size_t I = 0; I < Result.Rules.size(); ++I) {
-      const SemaResult::RuleVerdict &V = Sema.Verdicts[I];
-      Rule &R = Result.Rules[I];
-      if (V.NeverFires) {
-        R.NeverFires = true;
-        R.SemaNote = "condition is unsatisfiable";
-      } else if (!V.UnboundParams.empty()) {
-        std::string Names;
-        for (const std::string &Name : V.UnboundParams) {
-          if (!Names.empty())
-            Names += ", ";
-          Names += "$" + Name;
-        }
-        R.SemaNote = "referenced " + Names + " unbound at load time";
-      }
-    }
-    Result.Diags.insert(Result.Diags.end(),
-                        std::make_move_iterator(Sema.Diags.begin()),
-                        std::make_move_iterator(Sema.Diags.end()));
-    sortDiagnostics(Result.Diags);
-    if (Mode == SemaMode::Strict && hasErrors(Result.Diags)) {
-      Result.Rules.clear();
-      return Result;
-    }
-  }
   for (Rule &R : Result.Rules)
     Rules.push_back(std::move(R));
   Result.Rules.clear();
@@ -256,8 +222,6 @@ RuleEngine::RuleOutcome
 RuleEngine::evaluateRule(const Rule &R, const ContextInfo &Info,
                          const SemanticProfiler &Profiler, Suggestion *Out,
                          unsigned *DivGuardHits) const {
-  if (R.NeverFires)
-    return RuleOutcome::NeverFires;
   if (Info.foldedInstances() < MinSamples)
     return RuleOutcome::TooFewSamples;
   if (!srcTypeMatches(R.SrcType, Info.typeName()))
@@ -274,11 +238,6 @@ RuleEngine::evaluateRule(const Rule &R, const ContextInfo &Info,
   if (!R.IgnoreStability
       && !isStable(Info, Eval.usedMaxSize(), Eval.usedFinalSize()))
     return RuleOutcome::Unstable;
-  if (Config.MinPotentialBytes != 0
-      && R.Category.find("Space") != std::string::npos
-      && R.Category.find("Time") == std::string::npos
-      && Info.savingPotential() < Config.MinPotentialBytes)
-    return RuleOutcome::GatedByPotential;
 
   std::optional<uint32_t> Capacity;
   if (R.Capacity) {
@@ -383,13 +342,6 @@ RuleEngine::explainContext(const ContextInfo &Info,
     if (Outcome == RuleOutcome::Fired) {
       Text += " -> ";
       Text += S.fixDescription();
-    }
-    // Load-time sema findings (unsatisfiable condition, parameter unbound
-    // when the rule was installed) explain *why* a rule stays silent.
-    if (!R.SemaNote.empty()) {
-      Text += " (";
-      Text += R.SemaNote;
-      Text += ')';
     }
     // A ratio rule over an empty profile divides by zero; the evaluator
     // defines x/0 = 0, which usually makes the condition quietly false.

@@ -21,7 +21,6 @@
 #include "obs/DecisionLog.h"
 #include "rules/Evaluator.h"
 #include "rules/Parser.h"
-#include "rules/Sema.h"
 
 #include <string>
 #include <vector>
@@ -33,13 +32,6 @@ class OnlineSelector;
 } // namespace chameleon
 
 namespace chameleon::rules {
-
-/// Engine configuration.
-struct RuleEngineConfig {
-  /// Space-category suggestions are dropped for contexts whose saving
-  /// potential (totLive - totUsed) is below this many bytes.
-  uint64_t MinPotentialBytes = 0;
-};
 
 /// One fired rule at one context.
 struct Suggestion {
@@ -70,23 +62,11 @@ void foldSuggestion(PlanDecision &Decision, const Suggestion &S);
 /// The rule engine: an ordered rule list plus evaluation.
 class RuleEngine {
 public:
-  explicit RuleEngine(RuleEngineConfig Config = RuleEngineConfig());
-
   /// Appends rules parsed from \p Source. Returns the parse result; rules
   /// that parsed are installed even when others produced diagnostics.
-  ///
-  /// \p Mode selects how much semantic analysis runs on top of parsing
-  /// (see rules/Sema.h):
-  ///  - Off: parse only (historical behaviour).
-  ///  - Warn: sema diagnostics are appended to the returned Diags; all
-  ///    parsed rules are installed. Rules proven unable to fire are marked
-  ///    and short-circuited at evaluation (RuleOutcome::NeverFires), and
-  ///    rules referencing parameters unbound *at load time* carry a note
-  ///    surfaced by explainContext.
-  ///  - Strict: like Warn, but if any diagnostic is an error (parse or
-  ///    sema) the whole file is rejected and nothing is installed.
-  ParseResult addRules(const std::string &Source,
-                       SemaMode Mode = SemaMode::Off);
+  /// Parsing is all it does: semantic analysis (rules/Sema.h) is
+  /// lintRuleSource's, which chameleon-rulefmt --check runs.
+  ParseResult addRules(const std::string &Source);
 
   /// Installs the built-in Table-2 rule set.
   void addBuiltinRules();
@@ -96,9 +76,6 @@ public:
 
   /// Installed rules, in evaluation order.
   const std::vector<Rule> &rules() const { return Rules; }
-
-  const RuleEngineConfig &config() const { return Config; }
-  RuleEngineConfig &config() { return Config; }
 
   /// Binds a $-parameter; rules referencing unbound parameters never fire
   /// (§3.3.1: constants "may be tuned per specific environment").
@@ -167,7 +144,6 @@ private:
   bool isStable(const ContextInfo &Info, bool UsedMaxSize,
                 bool UsedFinalSize) const;
 
-  RuleEngineConfig Config;
   std::vector<Rule> Rules;
   RuleParams Params;
   std::unordered_map<std::string, AdtKind> CustomSourceAdts;

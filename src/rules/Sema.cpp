@@ -876,7 +876,7 @@ private:
   }
 
   void analyzeUnusedParams() {
-    if (!Opts.CheckUnusedParams || !params())
+    if (!params())
       return;
     std::vector<std::string> Unused;
     for (const auto &[Name, Value] : *params()) {

@@ -54,22 +54,12 @@
 
 namespace chameleon::rules {
 
-/// How much sema RuleEngine::addRules applies.
-enum class SemaMode : uint8_t {
-  Off,   ///< parse only (the historical behaviour)
-  Warn,  ///< install rules, report sema diagnostics alongside parse ones
-  Strict ///< reject the whole rule file when sema finds any error
-};
-
 /// Knobs for one analysis run.
 struct SemaOptions {
   /// Current $-parameter bindings; nullptr means "nothing bound", which
-  /// makes every referenced parameter an unbound-param warning.
+  /// makes every referenced parameter an unbound-param warning, and a
+  /// binding no rule references is an unused-param warning.
   const RuleParams *Params = nullptr;
-  /// Diagnose bindings in Params that no rule references. Only meaningful
-  /// when Params is provided; the engine disables it because bindings may
-  /// serve rule files added later.
-  bool CheckUnusedParams = true;
 };
 
 /// Analysis result: diagnostics plus a per-rule static verdict, parallel

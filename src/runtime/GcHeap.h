@@ -366,17 +366,15 @@ public:
   /// True once live data has exceeded the heap limit — or once the GC
   /// overhead guard tripped (GcOverheadLimit consecutive pressure
   /// collections each reclaiming less than 1/64 of the limit, the analogue
-  /// of HotSpot's "GC overhead limit exceeded"). Sticky until cleared.
+  /// of HotSpot's "GC overhead limit exceeded"). Sticky for the heap's
+  /// lifetime: each bisection probe of Chameleon::findMinimalHeap runs on
+  /// a fresh runtime.
   bool outOfMemory() const { return OomFlag.load(std::memory_order_relaxed); }
 
   /// Consecutive low-yield pressure collections tolerated before the heap
   /// declares OutOfMemory. Prevents unbounded collect-per-allocation
   /// thrashing when the limit sits just above the live size.
   static constexpr unsigned GcOverheadLimit = 8;
-
-  /// Clears the out-of-memory flag (used between bisection probes that
-  /// reuse a heap; fresh heaps are the common case).
-  void clearOutOfMemory() { OomFlag.store(false, std::memory_order_relaxed); }
 
   /// Allocation volume a registered mutator counts in its own record before
   /// folding it into the heap's totals: the most any one thread holds back

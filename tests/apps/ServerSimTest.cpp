@@ -108,7 +108,6 @@ TEST(ServerSim, TelemetryBundleHasExpectedTimeline) {
   const obs::json::Value *Events = Doc.find("traceEvents");
   ASSERT_NE(Events, nullptr);
 
-#if !defined(CHAMELEON_NO_TELEMETRY)
   bool SawGcCycle = false, SawMark = false, SawSweep = false;
   bool SawRequest = false, SawBarrier = false;
   for (const obs::json::Value &Ev : Events->array()) {
@@ -125,7 +124,6 @@ TEST(ServerSim, TelemetryBundleHasExpectedTimeline) {
   EXPECT_TRUE(SawSweep);
   EXPECT_TRUE(SawRequest);
   EXPECT_TRUE(SawBarrier);
-#endif
 
   std::string Metrics = slurp(Config.TelemetryOutDir + "/metrics.json");
   ASSERT_TRUE(obs::json::parse(Metrics, Doc, &Error)) << Error;

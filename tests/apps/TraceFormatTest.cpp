@@ -117,20 +117,6 @@ TEST(TraceFormat, RejectsPayloadCorruptionAndTruncation) {
   EXPECT_FALSE(readTrace(Bytes.substr(0, Bytes.size() - 1), Back, &Error));
 }
 
-TEST(TraceFormat, RecordReplayRecordIsByteIdentical) {
-  Trace T = generatePhaseShiftTrace(smallConfig());
-  std::string Bytes = writeTrace(T);
-
-  TraceCapture Capture;
-  ReplayConfig Config;
-  Config.MutatorThreads = 2;
-  Config.RecordTo = &Capture;
-  CollectionRuntime RT(traceReplayRuntimeConfig(Config));
-  ReplayResult R = replayTrace(RT, T, Config);
-  ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_EQ(writeTrace(Capture.finish()), Bytes);
-}
-
 TEST(TraceFormat, ValidatorCatchesReplayUnsafeTraces) {
   std::string Error;
 

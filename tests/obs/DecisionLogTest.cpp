@@ -135,6 +135,42 @@ TEST(DecisionLogTest, JsonRoundTripIsByteIdentical) {
   EXPECT_DOUBLE_EQ(Parsed.Events[1].AvgOps, 2.5);
 }
 
+TEST(DecisionLogTest, JsonKeepsRetiredOutcomesAndRejectsUnknownOnes) {
+  // Outcomes 2 and 8 have no producer any more, but older ledgers carry
+  // them: they decode and re-render byte-identically. An outcome name no
+  // version ever wrote is refused, as an unknown kind is.
+  DecisionExport E;
+  E.RuleNames = {"r0", "r1"};
+  DecisionRecord NeverFires = makeRecord(0, DecisionKind::RuleOutcome, 1);
+  NeverFires.Outcome = DecisionOutcome::NeverFires;
+  NeverFires.Rule = 0;
+  DecisionRecord Gated = makeRecord(0, DecisionKind::RuleOutcome, 1);
+  Gated.Outcome = DecisionOutcome::GatedByPotential;
+  Gated.Rule = 1;
+  Gated.Seq = 1;
+  E.Events = {NeverFires, Gated};
+  std::string Doc = decisionsJson(E);
+  ASSERT_NE(Doc.find("\"outcome\":\"never_fires\""), std::string::npos);
+  ASSERT_NE(Doc.find("\"outcome\":\"gated_by_potential\""),
+            std::string::npos);
+
+  DecisionExport Parsed;
+  std::string Error;
+  ASSERT_TRUE(decisionsFromJson(Doc, Parsed, &Error)) << Error;
+  EXPECT_EQ(decisionsJson(Parsed), Doc);
+  ASSERT_EQ(Parsed.Events.size(), 2u);
+  EXPECT_EQ(Parsed.Events[0].Outcome, DecisionOutcome::NeverFires);
+  EXPECT_EQ(Parsed.Events[1].Outcome, DecisionOutcome::GatedByPotential);
+
+  std::string Bogus = Doc;
+  const std::string Name = "never_fires";
+  Bogus.replace(Bogus.find(Name), Name.size(), "bogus");
+  Error.clear();
+  EXPECT_FALSE(decisionsFromJson(Bogus, Parsed, &Error));
+  EXPECT_NE(Error.find("unknown outcome \"bogus\""), std::string::npos)
+      << Error;
+}
+
 TEST(DecisionLogTest, SignalSafeTailMatchesArrivalOrder) {
   LedgerScope Scope(/*Capacity=*/8);
   DecisionLog &Log = DecisionLog::instance();

@@ -9,19 +9,25 @@
 /// log-linear bucket geometry, the 2^-HdrSubBucketBits (3.125%) relative
 /// quantile error bound against exact quantiles of known distributions,
 /// min/max clamping, and the snapshot path the exporters use — including
-/// that a parsed snapshot re-renders the very same percentiles.
+/// that a parsed snapshot re-renders the very same percentiles, and that
+/// the one snapshot merge the registry and the fleet share is
+/// order-independent.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "fleet/FleetProfile.h"
 #include "obs/Metrics.h"
+#include "support/SplitMix64.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+using namespace chameleon;
 using namespace chameleon::obs;
 
 namespace {
@@ -154,6 +160,74 @@ TEST(HdrHistogramTest, SameNameInstancesMergeAtSnapshot) {
   EXPECT_EQ(Snaps[0].MinValue, 10u);
   EXPECT_EQ(Snaps[0].MaxValue, 1000u);
   EXPECT_EQ(hdrSnapshotQuantile(Snaps[0], 1.0), 1000u);
+}
+
+void expectSameObservations(const MetricSnapshot &Got,
+                            const MetricSnapshot &Want, const char *What) {
+  EXPECT_EQ(Got.Count, Want.Count) << What;
+  EXPECT_EQ(Got.Sum, Want.Sum) << What;
+  EXPECT_EQ(Got.MinValue, Want.MinValue) << What;
+  EXPECT_EQ(Got.MaxValue, Want.MaxValue) << What;
+  EXPECT_EQ(Got.HdrBuckets, Want.HdrBuckets) << What;
+}
+
+TEST(HdrHistogramTest, SnapshotMergeInAnyOrderMatchesOneHistogram) {
+  SplitMix64 Rng(0x5EED0123);
+  // Merges of a part with no observations into an accumulator with some:
+  // the empty side's 0/0 min and max must not reach the result.
+  unsigned EmptyIntoSeen = 0;
+  for (int Round = 0; Round < 200; ++Round) {
+    // One histogram sees every observation; the same observations are
+    // split over up to six same-name parts, about a quarter of them empty.
+    HdrHistogram Whole("test.hdrprop.whole");
+    std::vector<std::unique_ptr<HdrHistogram>> Parts;
+    std::vector<MetricSnapshot> Sparse;
+    const uint64_t NumParts = Rng.nextInRange(1, 6);
+    for (uint64_t P = 0; P < NumParts; ++P) {
+      Parts.push_back(std::make_unique<HdrHistogram>("test.hdrprop.part"));
+      const uint64_t N = Rng.nextBool(0.25) ? 0 : Rng.nextInRange(1, 64);
+      for (uint64_t I = 0; I < N; ++I) {
+        // Magnitudes from unit buckets up to 2^40.
+        const uint64_t V = Rng.next() >> Rng.nextInRange(24, 63);
+        Whole.observe(V);
+        Parts.back()->observe(V);
+      }
+      MetricSnapshot S;
+      S.Name = "test.hdrprop";
+      S.Kind = MetricKind::Hdr;
+      Parts.back()->mergeInto(S);
+      Sparse.push_back(std::move(S));
+    }
+    std::vector<MetricSnapshot> Want =
+        MetricsRegistry::instance().snapshot("test.hdrprop.whole");
+    ASSERT_EQ(Want.size(), 1u);
+
+    // The registry merges the parts by name and kind...
+    std::vector<MetricSnapshot> ByRegistry =
+        MetricsRegistry::instance().snapshot("test.hdrprop.part");
+    ASSERT_EQ(ByRegistry.size(), 1u);
+    expectSameObservations(ByRegistry[0], Want[0], "registry");
+
+    // ...and their sparse snapshots merge to the same in any order, from
+    // an empty accumulator or through the fleet's by-name merge.
+    for (size_t I = Sparse.size(); I > 1; --I)
+      std::swap(Sparse[I - 1], Sparse[Rng.nextBelow(I)]);
+    MetricSnapshot Acc;
+    std::vector<std::vector<MetricSnapshot>> Singles;
+    for (const MetricSnapshot &S : Sparse) {
+      EmptyIntoSeen += S.Count == 0 && Acc.Count != 0;
+      Acc.merge(S);
+      Singles.push_back({S});
+    }
+    expectSameObservations(Acc, Want[0], "shuffled merge");
+    std::vector<const std::vector<MetricSnapshot> *> Inputs;
+    for (const std::vector<MetricSnapshot> &One : Singles)
+      Inputs.push_back(&One);
+    std::vector<MetricSnapshot> ByFleet = fleet::mergeMetricSnapshots(Inputs);
+    ASSERT_EQ(ByFleet.size(), 1u);
+    expectSameObservations(ByFleet[0], Want[0], "fleet merge");
+  }
+  EXPECT_GT(EmptyIntoSeen, 0u);
 }
 
 } // namespace

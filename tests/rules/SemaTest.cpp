@@ -7,9 +7,9 @@
 /// \file
 /// Tests for the sema/lint pass: golden-file comparisons over the
 /// tools/testdata lint fixtures, the tier-1 guarantee that the built-in
-/// Table-2 rule set lints clean, the RuleEngine SemaMode integration
-/// (warn/strict, never-fires short-circuit, explainContext notes), and
-/// unit coverage for the interval analysis and did-you-mean helpers.
+/// Table-2 rule set lints clean, the pin that RuleEngine::addRules runs no
+/// sema, and unit coverage for the interval analysis and did-you-mean
+/// helpers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -213,59 +213,22 @@ TEST(Sema, UnusedParamWarnsOnlyWhenAsked) {
   ASSERT_EQ(Diags.size(), 1u);
   EXPECT_EQ(Diags[0].ID, "sema-unused-param");
   EXPECT_NE(Diags[0].Message.find("orphan"), std::string::npos);
-
-  Opts.CheckUnusedParams = false;
-  EXPECT_TRUE(diagsFor("HashSet : maxSize < $X -> ArraySet", Opts).empty());
 }
 
 //===----------------------------------------------------------------------===//
-// RuleEngine integration (SemaMode)
+// RuleEngine integration
 //===----------------------------------------------------------------------===//
 
-TEST(SemaEngine, WarnModeInstallsAndReports) {
-  RuleEngine Engine;
-  ParseResult Result = Engine.addRules(
-      "ArrayList : #contains < 0 -> LinkedList", SemaMode::Warn);
-  EXPECT_TRUE(hasErrors(Result.Diags));
-  // Warn mode still installs everything that parsed.
-  ASSERT_EQ(Engine.rules().size(), 1u);
-  EXPECT_TRUE(Engine.rules()[0].NeverFires);
-}
-
-TEST(SemaEngine, StrictModeRejectsTheWholeFile) {
-  RuleEngine Engine;
-  ParseResult Result = Engine.addRules(
-      "HashSet : maxSize < 9 -> ArraySet\n"
-      "ArrayList : #contains < 0 -> LinkedList",
-      SemaMode::Strict);
-  EXPECT_FALSE(Result.succeeded());
-  EXPECT_TRUE(Engine.rules().empty());
-}
-
-TEST(SemaEngine, StrictModeAcceptsWarningsOnly) {
-  RuleEngine Engine;
-  ParseResult Result = Engine.addRules(
-      "LinkedList : maxSize < 9 -> LinkedList", SemaMode::Strict);
-  EXPECT_TRUE(Result.succeeded());
-  EXPECT_TRUE(hasWarnings(Result.Diags));
-  EXPECT_EQ(Engine.rules().size(), 1u);
-}
-
-TEST(SemaEngine, OffModeIsTheHistoricalBehaviour) {
-  RuleEngine Engine;
-  ParseResult Result =
-      Engine.addRules("ArrayList : #contains < 0 -> LinkedList");
-  EXPECT_TRUE(Result.succeeded());
-  EXPECT_TRUE(Result.Diags.empty());
-  ASSERT_EQ(Engine.rules().size(), 1u);
-  EXPECT_FALSE(Engine.rules()[0].NeverFires);
-}
-
-TEST(SemaEngine, NeverFiresShortCircuitsEvaluation) {
+TEST(SemaEngine, AddRulesOnlyParses) {
+  // Sema is lintRuleSource's alone: the engine installs an unsatisfiable
+  // rule without a diagnostic and evaluates it like any other.
   SemanticProfiler Profiler;
   RuleEngine Engine;
-  Engine.addRules("[dead] ArrayList : #contains < 0 -> LinkedList",
-                  SemaMode::Warn);
+  ParseResult Result =
+      Engine.addRules("[dead] ArrayList : #contains < 0 -> LinkedList");
+  EXPECT_TRUE(Result.succeeded());
+  EXPECT_TRUE(Result.Diags.empty()) << formatDiagnostics(Result.Diags);
+  ASSERT_EQ(Engine.rules().size(), 1u);
   ContextInfo *Info = Profiler.contextForAllocation(
       Profiler.internFrame("site:sema"), Profiler.internFrame("ArrayList"));
   for (unsigned I = 0; I < 8; ++I) {
@@ -276,48 +239,7 @@ TEST(SemaEngine, NeverFiresShortCircuitsEvaluation) {
     Info->recordAllocation(0);
   }
   EXPECT_EQ(Engine.evaluateRule(Engine.rules()[0], *Info, Profiler, nullptr),
-            RuleEngine::RuleOutcome::NeverFires);
-  std::string Explanation = Engine.explainContext(*Info, Profiler);
-  EXPECT_NE(Explanation.find("statically can never fire"),
-            std::string::npos);
-  EXPECT_NE(Explanation.find("condition is unsatisfiable"),
-            std::string::npos);
-}
-
-TEST(SemaEngine, UnboundParamNoteSurfacesInExplain) {
-  SemanticProfiler Profiler;
-  RuleEngine Engine;
-  Engine.addRules("[tuned] HashSet : maxSize < $X -> ArraySet",
-                  SemaMode::Warn);
-  ASSERT_EQ(Engine.rules().size(), 1u);
-  EXPECT_NE(Engine.rules()[0].SemaNote.find("$X"), std::string::npos);
-  ContextInfo *Info = Profiler.contextForAllocation(
-      Profiler.internFrame("site:sema2"), Profiler.internFrame("HashSet"));
-  for (unsigned I = 0; I < 8; ++I) {
-    ObjectContextInfo Usage;
-    Usage.noteSize(3);
-    Info->recordDeath(Usage);
-    Info->recordAllocation(0);
-  }
-  std::string Explanation = Engine.explainContext(*Info, Profiler);
-  EXPECT_NE(Explanation.find("unbound at load time"), std::string::npos);
-}
-
-TEST(SemaEngine, BoundParamAtLoadTimeCarriesNoNote) {
-  RuleEngine Engine;
-  Engine.setParam("X", 9);
-  Engine.addRules("HashSet : maxSize < $X -> ArraySet", SemaMode::Warn);
-  ASSERT_EQ(Engine.rules().size(), 1u);
-  EXPECT_TRUE(Engine.rules()[0].SemaNote.empty());
-}
-
-TEST(SemaEngine, BuiltinRulesLoadStrict) {
-  RuleEngine Engine;
-  ParseResult Result =
-      Engine.addRules(RuleEngine::builtinRulesText(), SemaMode::Strict);
-  EXPECT_TRUE(Result.succeeded());
-  EXPECT_TRUE(Result.Diags.empty()) << formatDiagnostics(Result.Diags);
-  EXPECT_GE(Engine.rules().size(), 18u);
+            RuleEngine::RuleOutcome::ConditionFalse);
 }
 
 //===----------------------------------------------------------------------===//

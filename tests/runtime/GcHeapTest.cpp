@@ -146,16 +146,6 @@ TEST_F(GcHeapTest, MinFreeFractionFailsTightHeapsFast) {
   EXPECT_TRUE(Heap.outOfMemory());
 }
 
-TEST_F(GcHeapTest, ClearOutOfMemoryResets) {
-  Heap.setHeapLimit(64);
-  Heap.setMinFreeFraction(0.0);
-  Handle Root(Heap, allocNode(Heap, NodeType, 0, 48));
-  allocNode(Heap, NodeType, 0, 48);
-  EXPECT_TRUE(Heap.outOfMemory());
-  Heap.clearOutOfMemory();
-  EXPECT_FALSE(Heap.outOfMemory());
-}
-
 TEST_F(GcHeapTest, ForcedCyclesAreMarkedForced) {
   Heap.collect(true);
   Heap.collect(false);
