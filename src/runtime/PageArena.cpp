@@ -1,4 +1,4 @@
-//===--- PageArena.cpp - Slab backing store for the allocator -------------===//
+//===--- PageArena.cpp - Span pool of the allocator -----------------------===//
 //
 // Part of the Chameleon-CXX project, released under the MIT license.
 //
@@ -11,24 +11,41 @@
 
 using namespace chameleon::alloc;
 
-void *PageArena::carve(size_t Bytes) {
-  assert(Bytes > 0 && Bytes <= kSlabBytes && "span exceeds slab size");
-  Bytes = (Bytes + 15) & ~size_t{15}; // keep the cursor 16-aligned
+Span *PageArena::takeEmpty() {
   SpinLockGuard G(Mu);
-  if (Remaining < Bytes) {
-    // The slab tail (< one span) is abandoned, a bounded waste tcmalloc
-    // accepts too; ::operator new returns max_align_t-aligned storage so
-    // the fresh cursor is 16-aligned.
-    char *Slab = static_cast<char *>(::operator new(kSlabBytes));
-    Slabs.push_back(Slab);
-    Cursor = Slab;
-    Remaining = kSlabBytes;
-    Reserved += kSlabBytes;
+  Span *S = Empty.front();
+  if (S)
+    Empty.remove(S);
+  return S;
+}
+
+void PageArena::releaseEmpty(Span *S) {
+  assert(S->ClassIdx == kNoClass && !S->Free && "pooled span not reset");
+  SpinLockGuard G(Mu);
+  Empty.push(S);
+}
+
+void PageArena::grow() {
+  // Aligned to its size, so spanOf finds the records by masking.
+  void *Mem = ::operator new(kSlabBytes, std::align_val_t{kSlabBytes});
+  auto *Slab = new (Mem) SlabHeader();
+  char *Start = static_cast<char *>(Mem);
+  for (size_t I = 0; I < kSpansPerSlab; ++I) {
+    Span &S = Slab->Spans[I];
+    const size_t Skip = I == 0 ? kSlabHeaderBytes : 0;
+    S.Base = Start + I * kSpanBytes + Skip;
+    S.Bytes = static_cast<uint32_t>(kSpanBytes - Skip);
+#if CHAM_ALLOC_POISONS
+    ASAN_POISON_MEMORY_REGION(S.Base, S.Bytes);
+#endif
   }
-  char *Run = Cursor;
-  Cursor += Bytes;
-  Remaining -= Bytes;
-  return Run;
+  SpinLockGuard G(Mu);
+  // Push in reverse, so the pool hands the spans out in address order.
+  for (size_t I = kSpansPerSlab; I-- > 0;)
+    Empty.push(&Slab->Spans[I]);
+  Slab->Older = Newest;
+  Newest = Slab;
+  Reserved += kSlabBytes;
 }
 
 uint64_t PageArena::reservedBytes() const {

@@ -153,7 +153,8 @@ void ThreadCache::deallocate(BlockHeader *Block, uint32_t ClassIdx) {
     L.Head = nextOf(L.Head);
     --L.Count;
   }
-  centralState().Lists[ClassIdx].pushBatch(Buf, N);
+  CentralState &Central = centralState();
+  Central.Lists[ClassIdx].pushBatch(Buf, N, *Central.Arena);
   ++TransferBatches;
   L.Capacity = std::max(Batch, L.Capacity / 2);
   publishStats();
@@ -171,7 +172,7 @@ void ThreadCache::flush() {
         L.Head = nextOf(L.Head);
         --L.Count;
       }
-      Central.Lists[C].pushBatch(Buf, N);
+      Central.Lists[C].pushBatch(Buf, N, *Central.Arena);
       ++TransferBatches;
     }
     assert(L.Count == 0);
@@ -211,6 +212,7 @@ void *chameleon::alloc::allocateBlock(size_t UserSize) {
     Central.Lists[Cls].popBatch(&B, 1, Cls, *Central.Arena);
   }
   assert(B->State == kFreeTag && "allocating a non-free block");
+  unpoisonPayload(B, classSize(Cls));
   B->State = kLiveTag;
   B->ClassOrSize = Cls;
   return blockPayload(B);
@@ -228,12 +230,14 @@ void chameleon::alloc::deallocateBlock(void *Payload) noexcept {
     const uint32_t Cls = static_cast<uint32_t>(B->ClassOrSize);
     assert(Cls < kNumClasses && "live block with a bad class index");
     B->State = kFreeTag;
+    poisonFreePayload(B, classSize(Cls));
     if (mode() == Mode::Cached)
       if (ThreadCache *Cache = threadCacheIfUsable()) {
         Cache->deallocate(B, Cls);
         return;
       }
-    centralState().Lists[Cls].pushBatch(&B, 1);
+    CentralState &Central = centralState();
+    Central.Lists[Cls].pushBatch(&B, 1, *Central.Arena);
     return;
   }
   case kFreeTag:

@@ -157,6 +157,200 @@ TEST(AllocatorStress, BlocksSurviveModeSwitches) {
 }
 
 //===----------------------------------------------------------------------===//
+// Span tier
+//===----------------------------------------------------------------------===//
+
+/// What the arena has obtained from the C++ heap so far.
+int64_t reservedBytesGauge() {
+  for (const obs::MetricSnapshot &S : obs::MetricsRegistry::instance().snapshot(
+           "cham.alloc.reserved_bytes"))
+    if (S.Name == "cham.alloc.reserved_bytes")
+      return S.GaugeValue;
+  return 0;
+}
+
+/// Once every block of a class is home, its spans serve any class: the same
+/// volume allocated in another class needs no new memory.
+TEST(AllocatorStress, EmptySpansServeAnyClass) {
+  using namespace chameleon::alloc;
+  ASSERT_EQ(mode(), Mode::Cached);
+  // Two page-multiple classes that managed objects do not use, so nearly
+  // every block of theirs is this test's. Two slabs' worth is more than an
+  // arena that kept memory with its class could find in its newest slab.
+  constexpr size_t Volume = 2 * kSlabBytes;
+  auto Fill = [](size_t BlockBytes) {
+    std::vector<void *> Blocks;
+    for (size_t Bytes = 0; Bytes < Volume; Bytes += BlockBytes)
+      Blocks.push_back(allocateBlock(BlockBytes - sizeof(BlockHeader)));
+    return Blocks;
+  };
+  threadCache().flush();
+  for (void *P : Fill(24576))
+    deallocateBlock(P);
+  threadCache().flush();
+
+  const int64_t Reserved = reservedBytesGauge();
+  ASSERT_GT(Reserved, 0);
+  std::vector<void *> Blocks = Fill(8192);
+  EXPECT_EQ(reservedBytesGauge(), Reserved)
+      << "the arena grew although the first class's spans were all free";
+  std::string Error;
+  EXPECT_TRUE(verifySpans(&Error)) << Error;
+  for (void *P : Blocks)
+    deallocateBlock(P);
+  threadCache().flush();
+  EXPECT_TRUE(verifySpans(&Error)) << Error;
+}
+
+/// Writes \p Stamp over the first and the last word of a payload of at
+/// least two words.
+void stampPayload(void *P, size_t Size, uint64_t Stamp) {
+  std::memcpy(P, &Stamp, sizeof Stamp);
+  std::memcpy(static_cast<char *>(P) + Size - sizeof Stamp, &Stamp,
+              sizeof Stamp);
+}
+
+bool payloadStamped(const void *P, size_t Size, uint64_t Stamp) {
+  uint64_t First = 0, Last = 0;
+  std::memcpy(&First, P, sizeof First);
+  std::memcpy(&Last, static_cast<const char *>(P) + Size - sizeof Last,
+              sizeof Last);
+  return First == Stamp && Last == Stamp;
+}
+
+/// Seeded allocations, frees and cache flushes across every pooled class on
+/// one thread: live blocks never overlap (their stamps survive), and the
+/// spans are consistent after every flush and once everything is freed.
+TEST(AllocatorStress, SeededOpsKeepSpansConsistent) {
+  using namespace chameleon::alloc;
+  struct Held {
+    void *P;
+    size_t Size;
+    uint64_t Stamp;
+  };
+  SplitMix64 Rng(0x5FA115);
+  std::vector<Held> Live;
+  std::string Error;
+  auto Release = [&Live](size_t I) {
+    const Held H = Live[I];
+    EXPECT_TRUE(payloadStamped(H.P, H.Size, H.Stamp))
+        << "live block " << H.Stamp << " was overwritten";
+    deallocateBlock(H.P);
+    Live[I] = Live.back();
+    Live.pop_back();
+  };
+  for (uint64_t Op = 0; Op < 30000; ++Op) {
+    const uint64_t Dice = Rng.nextBelow(100);
+    if (Dice < 2) {
+      threadCache().flush();
+      ASSERT_TRUE(verifySpans(&Error)) << "op " << Op << ": " << Error;
+    } else if (Dice < 48 && !Live.empty()) {
+      Release(Rng.nextBelow(Live.size()));
+    } else {
+      // Mostly small blocks, one in ten up to the largest pooled class.
+      const size_t Max = Rng.nextBool(0.9)
+                             ? 512
+                             : kMaxPooledSize - sizeof(BlockHeader);
+      const size_t Size = 16 + Rng.nextBelow(Max - 15);
+      void *P = allocateBlock(Size);
+      stampPayload(P, Size, Op);
+      Live.push_back({P, Size, Op});
+    }
+  }
+  while (!Live.empty())
+    Release(Live.size() - 1);
+  threadCache().flush();
+  EXPECT_TRUE(verifySpans(&Error)) << Error;
+}
+
+/// Four threads churn raw blocks across classes; a quarter of the blocks
+/// they drop go through a shared hand-off and are freed by whichever thread
+/// takes them. Once the threads have joined (flushing their caches) and
+/// the hand-off is freed, the spans are consistent.
+TEST(AllocatorStress, MtRawChurnKeepsSpansConsistent) {
+  using namespace chameleon::alloc;
+  constexpr unsigned Threads = 4;
+  constexpr int PerThread = 6000;
+  std::mutex HandOffMu;
+  std::vector<void *> HandOff;
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T < Threads; ++T)
+    Workers.emplace_back([&, T] {
+      SplitMix64 Rng(0xC4A11 + T);
+      std::vector<void *> Ring(64, nullptr);
+      for (int I = 0; I < PerThread; ++I) {
+        void *&Slot = Ring[Rng.nextBelow(Ring.size())];
+        if (Slot && Rng.nextBool(0.25)) {
+          std::lock_guard<std::mutex> L(HandOffMu);
+          HandOff.push_back(Slot);
+        } else {
+          deallocateBlock(Slot);
+        }
+        const size_t Max = Rng.nextBool(0.9) ? 512 : 8192;
+        Slot = allocateBlock(8 + Rng.nextBelow(Max));
+        if (Rng.nextBool(0.1)) {
+          std::vector<void *> Taken;
+          {
+            std::lock_guard<std::mutex> L(HandOffMu);
+            Taken.swap(HandOff);
+          }
+          for (void *P : Taken)
+            deallocateBlock(P);
+        }
+        if (Rng.nextBool(0.01))
+          threadCache().flush();
+      }
+      for (void *P : Ring)
+        deallocateBlock(P);
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  for (void *P : HandOff)
+    deallocateBlock(P);
+  threadCache().flush();
+  std::string Error;
+  EXPECT_TRUE(verifySpans(&Error)) << Error;
+}
+
+/// In ASan builds a free pooled block's payload past its link word is
+/// poisoned, so ASan reports a stale access to recycled storage even though
+/// the block never goes back to the C++ heap.
+TEST(AllocatorStress, FreedPooledPayloadIsPoisoned) {
+#if !CHAM_ALLOC_POISONS
+  GTEST_SKIP() << "pooled blocks are poisoned only under AddressSanitizer";
+#else
+  using namespace chameleon::alloc;
+  ASSERT_EQ(mode(), Mode::Cached);
+  constexpr size_t Size = 200;
+  const size_t Payload =
+      classSize(classIndexFor(Size + sizeof(BlockHeader))) -
+      sizeof(BlockHeader);
+  auto Poisoned = [](const void *P) {
+    return __asan_address_is_poisoned(P) != 0;
+  };
+  char *P = static_cast<char *>(allocateBlock(Size));
+  EXPECT_EQ(__asan_region_is_poisoned(P, Payload), nullptr);
+  deallocateBlock(P);
+  EXPECT_FALSE(Poisoned(blockOfPayload(P))) << "the tag must stay readable";
+  EXPECT_FALSE(Poisoned(P)) << "the link word must stay writable";
+  EXPECT_TRUE(Poisoned(P + sizeof(void *)));
+  EXPECT_TRUE(Poisoned(P + Payload - 1));
+
+  // Back on its span (or in the pool with its span), still poisoned, and
+  // ASan reports a read.
+  threadCache().flush();
+  EXPECT_TRUE(Poisoned(P + sizeof(void *)));
+  EXPECT_DEATH((void)*static_cast<volatile char *>(P + sizeof(void *)),
+               "use-after-poison");
+
+  // Handed out again, a block of the class is addressable whole.
+  char *Q = static_cast<char *>(allocateBlock(Size));
+  EXPECT_EQ(__asan_region_is_poisoned(Q, Payload), nullptr);
+  deallocateBlock(Q);
+#endif
+}
+
+//===----------------------------------------------------------------------===//
 // Multi-threaded churn through safepoints
 //===----------------------------------------------------------------------===//
 
