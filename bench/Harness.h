@@ -12,7 +12,8 @@
 ///     declares (`--quick` for benches with a quick mode, and its own);
 ///     any other argument exits 2 naming it;
 ///  2. times runs and takes medians (`secondsSince`, `threadCpuSeconds`,
-///     `medianOf`);
+///     `medianOf`), over rounds that alternate the row order
+///     (`alternatingRounds`, `medianRatio`);
 ///  3. prices a disarmed site as (loop with the site - bare loop) /
 ///     iterations (`siteNs`);
 ///  4. records provenance: git describe, build flags, core count and CPU
@@ -57,8 +58,12 @@
 #include <utility>
 #include <vector>
 
-// Build provenance, baked in by bench.cmake; "unknown" when the file is
-// compiled some other way.
+// Build provenance: bench.cmake regenerates GitDescribe.h at every build
+// and defines the build flags; "unknown" when the file is compiled some
+// other way.
+#if __has_include("GitDescribe.h")
+#include "GitDescribe.h"
+#endif
 #ifndef CHAMELEON_GIT_DESCRIBE
 #define CHAMELEON_GIT_DESCRIBE "unknown"
 #endif
@@ -94,6 +99,28 @@ template <class RunT> double medianOf(int Reps, RunT &&Run) {
   for (int I = 0; I < Reps; ++I)
     Samples.push_back(Run());
   return median(std::move(Samples));
+}
+
+/// Calls `Measure(Row)` for every row in [0, \p NumRows), \p Rounds times:
+/// in row order in even rounds and reversed in odd ones, so no row always
+/// follows the same neighbour. A row's samples, appended in call order,
+/// are then indexed by round.
+template <class MeasureT>
+void alternatingRounds(size_t NumRows, int Rounds, MeasureT &&Measure) {
+  for (int Round = 0; Round < Rounds; ++Round)
+    for (size_t K = 0; K < NumRows; ++K)
+      Measure(Round % 2 == 0 ? K : NumRows - 1 - K);
+}
+
+/// The median over rounds of Num[Round] / Den[Round]: a ratio between two
+/// rows of alternatingRounds, each taken within one round.
+inline double medianRatio(const std::vector<double> &Num,
+                          const std::vector<double> &Den) {
+  assert(Num.size() == Den.size() && !Num.empty());
+  std::vector<double> Ratios;
+  for (size_t Round = 0; Round < Num.size(); ++Round)
+    Ratios.push_back(Num[Round] / Den[Round]);
+  return median(std::move(Ratios));
 }
 
 /// Nanoseconds \p Site adds to one iteration of a tight loop: (the loop

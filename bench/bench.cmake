@@ -4,17 +4,19 @@
 # every table and figure).
 
 # Provenance baked into every bench binary so the JSON trajectories
-# (bench/BENCH_*.json) record which build produced them (Harness.h).
-if(NOT DEFINED CHAMELEON_GIT_DESCRIBE)
-  execute_process(COMMAND git describe --always --dirty
-                  WORKING_DIRECTORY ${CMAKE_SOURCE_DIR}
-                  OUTPUT_VARIABLE CHAMELEON_GIT_DESCRIBE
-                  OUTPUT_STRIP_TRAILING_WHITESPACE
-                  ERROR_QUIET)
-  if(NOT CHAMELEON_GIT_DESCRIBE)
-    set(CHAMELEON_GIT_DESCRIBE "unknown")
-  endif()
-endif()
+# (bench/BENCH_*.json) record which build produced them (Harness.h). The
+# commit is described at every build, not at configure time, so a tree
+# rebuilt after a commit names the new one: an always-run target rewrites
+# GitDescribe.h when the text changed (GitDescribe.cmake). A configure-time
+# -DCHAMELEON_GIT_DESCRIBE=TEXT is written into the header instead.
+set(CHAMELEON_GENERATED_DIR ${CMAKE_BINARY_DIR}/generated)
+add_custom_target(chameleon_git_describe
+  COMMAND ${CMAKE_COMMAND} -DSOURCE_DIR=${CMAKE_SOURCE_DIR}
+          -DOUTPUT=${CHAMELEON_GENERATED_DIR}/GitDescribe.h
+          -DOVERRIDE=${CHAMELEON_GIT_DESCRIBE}
+          -P ${CMAKE_SOURCE_DIR}/bench/GitDescribe.cmake
+  BYPRODUCTS ${CHAMELEON_GENERATED_DIR}/GitDescribe.h
+  VERBATIM)
 string(TOUPPER "${CMAKE_BUILD_TYPE}" _cham_build_type_upper)
 set(CHAMELEON_BUILD_FLAGS
     "${CMAKE_BUILD_TYPE}: ${CMAKE_CXX_FLAGS} ${CMAKE_CXX_FLAGS_${_cham_build_type_upper}}")
@@ -23,8 +25,9 @@ string(STRIP "${CHAMELEON_BUILD_FLAGS}" CHAMELEON_BUILD_FLAGS)
 function(chameleon_bench name)
   add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cpp)
   target_link_libraries(${name} PRIVATE chameleon_apps)
+  add_dependencies(${name} chameleon_git_describe)
+  target_include_directories(${name} PRIVATE ${CHAMELEON_GENERATED_DIR})
   target_compile_definitions(${name} PRIVATE
-    CHAMELEON_GIT_DESCRIBE="${CHAMELEON_GIT_DESCRIBE}"
     CHAMELEON_BUILD_FLAGS="${CHAMELEON_BUILD_FLAGS}")
   set_target_properties(${name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)

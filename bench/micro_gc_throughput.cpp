@@ -18,6 +18,9 @@
 ///  3. `contextForAllocation` throughput with and without the stack-
 ///     fingerprint fast-path cache.
 ///
+/// Each table's rows are timed over several rounds that alternate the row
+/// order; a row reports its median with the min and max beside it, and a
+/// ratio is the median of the per-round ratios.
 /// Prints the usual tables; `--json <path>` writes the measurements as
 /// JSON (the bench/BENCH_gc.json perf trajectory).
 ///
@@ -31,6 +34,7 @@
 #include "GcCycles.h"
 #include "Harness.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <thread>
 
@@ -39,6 +43,11 @@ using namespace chameleon;
 namespace {
 
 constexpr int CyclesPerMeasurement = 9;
+
+/// Rounds of every table. Single runs of this bench spread wider than the
+/// differences between its rows and between builds, so each table reports
+/// medians over rounds.
+constexpr int Rounds = 9;
 
 /// Median wall-clock milliseconds per forced GC cycle on a runtime holding
 /// a large live set, built and mutated by a registered mutator thread or,
@@ -153,68 +162,107 @@ int main(int argc, char **argv) {
   bench::Harness H("micro_gc_throughput", argc, argv, {});
   std::printf("== micro: GC throughput (worker pool, parallel sweep, "
               "context fast path) ==\n\n");
-  std::printf("host cores: %u\n\n", std::thread::hardware_concurrency());
+  std::printf("host cores: %u, rounds: %d\n\n",
+              std::thread::hardware_concurrency(), Rounds);
+  H.metric("rounds", Rounds);
 
   // Rows: a registered mutator at 1/2/4/8 threads (the pool at 2-8), then
-  // no registered mutator at the pool size offline-apps runs with.
+  // no registered mutator at the pool size offline-apps runs with. Row 0
+  // is the 1-thread base of the "vs 1 thread" ratios.
   struct RowSpec {
     unsigned Threads;
     bool Registered;
   };
   const RowSpec Rows[] = {{1, true}, {2, true}, {4, true}, {8, true},
                           {4, false}};
+  constexpr size_t NumRows = std::size(Rows);
   auto MutatorCell = [](bool Registered) {
     return bench::Cell(Registered ? "registered" : "none");
   };
+  // A row's cells: its median over the rounds, then the min and max.
+  auto Spread = [](std::vector<bench::Cell> &Cells,
+                   const std::vector<double> &Samples) {
+    auto [Min, Max] = std::minmax_element(Samples.begin(), Samples.end());
+    Cells.insert(Cells.end(), {bench::median(Samples), *Min, *Max});
+  };
 
-  double Base = 0;
   uint64_t LiveObjects = 0;
+  std::vector<std::vector<double>> Cycle(NumRows), Churn(NumRows);
+  bench::alternatingRounds(NumRows, Rounds, [&](size_t I) {
+    Cycle[I].push_back(cycleMillis(Rows[I].Threads, Rows[I].Registered,
+                                   /*GarbageChurn=*/false, &LiveObjects));
+    Churn[I].push_back(cycleMillis(Rows[I].Threads, Rows[I].Registered,
+                                   /*GarbageChurn=*/true));
+  });
   bench::Table &Large = H.table("gc_cycles", {{"threads"},
                                               {"mutator"},
                                               {"cycle (ms)", {3}},
+                                              {"min", {3}},
+                                              {"max", {3}},
                                               {"vs 1 thread", {2, "x"}},
-                                              {"churn (ms)", {3}}});
-  for (const RowSpec &Row : Rows) {
-    double Cycle = cycleMillis(Row.Threads, Row.Registered,
-                               /*GarbageChurn=*/false, &LiveObjects);
-    double Churn = cycleMillis(Row.Threads, Row.Registered,
-                               /*GarbageChurn=*/true);
-    if (Row.Threads == 1)
-      Base = Cycle;
-    Large.addRow({static_cast<double>(Row.Threads),
-                  MutatorCell(Row.Registered), Cycle, Base / Cycle, Churn});
+                                              {"churn (ms)", {3}},
+                                              {"churn min", {3}},
+                                              {"churn max", {3}}});
+  for (size_t I = 0; I < NumRows; ++I) {
+    std::vector<bench::Cell> Cells = {static_cast<double>(Rows[I].Threads),
+                                      MutatorCell(Rows[I].Registered)};
+    Spread(Cells, Cycle[I]);
+    Cells.push_back(bench::medianRatio(Cycle[0], Cycle[I]));
+    Spread(Cells, Churn[I]);
+    Large.addRow(std::move(Cells));
   }
   H.metric("live_objects", static_cast<double>(LiveObjects));
   std::printf("%s\n", Large.render().c_str());
 
-  bench::Table &Frequent = H.table(
-      "frequent_cycles", {{"threads"},
-                          {"mutator"},
-                          {"cycle (us)", {1}},
-                          {"vs 1 thread", {2, "x"}}});
-  for (const RowSpec &Row : Rows) {
-    double Cycle = frequentCycleMicros(Row.Threads, Row.Registered);
-    if (Row.Threads == 1)
-      Base = Cycle;
-    Frequent.addRow({static_cast<double>(Row.Threads),
-                     MutatorCell(Row.Registered), Cycle, Base / Cycle});
+  std::vector<std::vector<double>> Frequent(NumRows);
+  bench::alternatingRounds(NumRows, Rounds, [&](size_t I) {
+    Frequent[I].push_back(
+        frequentCycleMicros(Rows[I].Threads, Rows[I].Registered));
+  });
+  bench::Table &Small = H.table("frequent_cycles", {{"threads"},
+                                                    {"mutator"},
+                                                    {"cycle (us)", {1}},
+                                                    {"min", {1}},
+                                                    {"max", {1}},
+                                                    {"vs 1 thread", {2, "x"}}});
+  for (size_t I = 0; I < NumRows; ++I) {
+    std::vector<bench::Cell> Cells = {static_cast<double>(Rows[I].Threads),
+                                      MutatorCell(Rows[I].Registered)};
+    Spread(Cells, Frequent[I]);
+    Cells.push_back(bench::medianRatio(Frequent[0], Frequent[I]));
+    Small.addRow(std::move(Cells));
   }
   std::printf("frequent small cycles (profiled-run regime):\n%s\n",
-              Frequent.render().c_str());
+              Small.render().c_str());
 
+  // Row 0 probes the registry (cache off), row 1 hits the cache.
   uint64_t Hits = 0;
-  double FastRate = captureRate(/*FastPath=*/true, &Hits);
-  double SlowRate = captureRate(/*FastPath=*/false);
+  std::vector<std::vector<double>> Rate(2);
+  bench::alternatingRounds(2, Rounds, [&](size_t I) {
+    Rate[I].push_back(captureRate(/*FastPath=*/I == 1, I == 1 ? &Hits
+                                                               : nullptr));
+  });
   H.metric("context_cache_hits", static_cast<double>(Hits));
   bench::Table &Capture = H.table("context_capture",
                                   {{"context capture"},
                                    {"captures/s", {2, "M", 1e-6}},
+                                   {"min", {2, "M", 1e-6}},
+                                   {"max", {2, "M", 1e-6}},
                                    {"speedup", {2, "x"}}});
-  Capture.addRow({"registry probe (cache off)", SlowRate, 1.0});
-  Capture.addRow(
-      {"fingerprint cache (cache on)", FastRate, FastRate / SlowRate});
+  const char *CaptureRows[] = {"registry probe (cache off)",
+                               "fingerprint cache (cache on)"};
+  for (size_t I = 0; I < 2; ++I) {
+    std::vector<bench::Cell> Cells = {CaptureRows[I]};
+    Spread(Cells, Rate[I]);
+    Cells.push_back(bench::medianRatio(Rate[I], Rate[0]));
+    Capture.addRow(std::move(Cells));
+  }
   std::printf("%s\n", Capture.render().c_str());
 
+  std::printf("Each time and rate is the median over the rounds (min and max "
+              "beside it), with\nthe row order alternating between rounds; "
+              "vs 1 thread and speedup are the\nmedians of the per-round "
+              "ratios.\n\n");
   std::printf("shape: extra collector threads pay off only when a cycle's "
               "mark and sweep work\noutweighs the pool wake and phase "
               "barriers; on frequent small cycles they cost\nmore than they "

@@ -274,16 +274,13 @@ int runContend(const BenchParams &P, bench::Harness &H) {
   H.metric("spin_per_op", P.SpinPerOp);
   H.metric("rounds", Rounds);
 
-  // Rates[I][R]: thread count ThreadCounts[I] in round R. Odd rounds run
-  // the counts in reverse, so no count always follows the same neighbour.
+  // Rates[I][R]: thread count ThreadCounts[I] in round R.
   constexpr unsigned ThreadCounts[] = {1, 2, 4, 8};
   constexpr size_t NumCounts = std::size(ThreadCounts);
   std::vector<std::vector<double>> Rates(NumCounts);
-  for (int Round = 0; Round < Rounds; ++Round)
-    for (size_t K = 0; K < NumCounts; ++K) {
-      size_t I = Round % 2 == 0 ? K : NumCounts - 1 - K;
-      Rates[I].push_back(contendThroughput(ThreadCounts[I], P));
-    }
+  bench::alternatingRounds(NumCounts, Rounds, [&](size_t I) {
+    Rates[I].push_back(contendThroughput(ThreadCounts[I], P));
+  });
 
   bench::Table &Table =
       H.table("mt_contend", {{"threads"},
@@ -293,12 +290,8 @@ int runContend(const BenchParams &P, bench::Harness &H) {
                              {"vs 1 thread", {2, "x"}}});
   double Scaling4 = 0;
   for (size_t I = 0; I < NumCounts; ++I) {
-    // The median of the per-round ratios, each against the 1-thread run
-    // of its own round.
-    std::vector<double> Ratios;
-    for (int Round = 0; Round < Rounds; ++Round)
-      Ratios.push_back(Rates[I][Round] / Rates[0][Round]);
-    double Ratio = bench::median(Ratios);
+    // Each round's rate against the 1-thread run of the same round.
+    double Ratio = bench::medianRatio(Rates[I], Rates[0]);
     if (ThreadCounts[I] == 4)
       Scaling4 = Ratio;
     auto [Min, Max] = std::minmax_element(Rates[I].begin(), Rates[I].end());

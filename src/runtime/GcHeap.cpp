@@ -557,20 +557,10 @@ void GcHeap::shrinkSlotTable() {
 /// linked-list chains, so tracing is iterative.
 class GcHeap::Marker : public GcTracer {
 public:
-  Marker(GcHeap &Heap, uint64_t Epoch) : Heap(Heap), Epoch(Epoch) {
+  explicit Marker(GcHeap &Heap) : Heap(Heap), Bits(Heap.MarkBits.data()) {
     // The worklist can never hold more than every live object at once;
     // objectsInUse() is a tight upper bound that avoids regrowth churn.
     Worklist.reserve(Heap.objectsInUse());
-  }
-
-  void visit(ObjectRef Ref) override {
-    if (Ref.isNull())
-      return;
-    HeapObject &Obj = Heap.get(Ref);
-    if (Obj.MarkEpoch.load(std::memory_order_relaxed) == Epoch)
-      return;
-    Obj.MarkEpoch.store(Epoch, std::memory_order_relaxed);
-    Worklist.push_back(&Obj);
   }
 
   /// Drains the worklist, invoking \p OnMarked for each newly marked object.
@@ -584,8 +574,21 @@ public:
   }
 
 private:
+  /// Tests and sets the slot's mark bit; a reference to an object already
+  /// marked never loads that object.
+  void visitRef(ObjectRef Ref) override {
+    const uint32_t Slot = Ref.slot();
+    assert(Slot / 64 < Heap.MarkBits.size() && "ObjectRef beyond slot table");
+    uint64_t &Word = Bits[Slot / 64];
+    const uint64_t Bit = uint64_t(1) << (Slot % 64);
+    if (Word & Bit)
+      return;
+    Word |= Bit;
+    Worklist.push_back(&Heap.get(Ref));
+  }
+
   GcHeap &Heap;
-  uint64_t Epoch;
+  uint64_t *Bits;
   std::vector<HeapObject *> Worklist;
 };
 
@@ -594,7 +597,7 @@ void GcHeap::markPhase(GcCycleRecord &Record, bool OnPool) {
     markPhaseParallel(Record);
     return;
   }
-  Marker M(*this, CurrentEpoch);
+  Marker M(*this);
   auto SeedRoots = [&M](const MutatorThread &Mut) {
     for (RootNode *Node = Mut.RootsHead.Next; Node; Node = Node->Next)
       M.visit(Node->Ref);
@@ -637,8 +640,8 @@ void GcHeap::markPhase(GcCycleRecord &Record, bool OnPool) {
   }
 }
 
-/// The multi-threaded tracing phase (paper §4.3.2). Objects are claimed
-/// with a compare-and-swap on their mark epoch, so each is processed by
+/// The multi-threaded tracing phase (paper §4.3.2). An object is claimed
+/// by the atomic OR that sets its mark bit, so each is processed by
 /// exactly one worker; every statistic is a commutative sum, so the cycle
 /// record is identical to the sequential marker's. Collection events
 /// (wrapper, sizes, context tag) are buffered per worker and replayed on
@@ -659,36 +662,42 @@ public:
     std::vector<CollectionEvent> Events;
   };
 
-  ParallelMarker(GcHeap &Heap, uint64_t Epoch, unsigned Threads)
-      : Heap(Heap), Epoch(Epoch), Threads(Threads), States(Threads) {
+  ParallelMarker(GcHeap &Heap, unsigned Threads)
+      : Heap(Heap), Bits(Heap.MarkBits.data()), Threads(Threads),
+        States(Threads) {
     if (Heap.RecordTypeDistribution)
       for (WorkerState &State : States)
         State.TypeBytes.resize(Heap.Types.size(), 0);
   }
 
-  /// Claims \p Ref for this epoch; returns the object on success.
+  /// Claims the non-null \p Ref for this cycle; returns the object when
+  /// this call's OR set its mark bit. A relaxed load first skips the
+  /// read-modify-write for an object already marked. The pool's barrier
+  /// orders every mark before the sweep's plain reads of the bits.
   HeapObject *claim(ObjectRef Ref) {
-    if (Ref.isNull())
+    const uint32_t Slot = Ref.slot();
+    assert(Slot / 64 < Heap.MarkBits.size() && "ObjectRef beyond slot table");
+    std::atomic_ref<uint64_t> Word(Bits[Slot / 64]);
+    const uint64_t Bit = uint64_t(1) << (Slot % 64);
+    if (Word.load(std::memory_order_relaxed) & Bit)
       return nullptr;
-    HeapObject &Obj = Heap.get(Ref);
-    uint64_t Expected = Obj.MarkEpoch.load(std::memory_order_relaxed);
-    if (Expected == Epoch)
-      return nullptr;
-    if (!Obj.MarkEpoch.compare_exchange_strong(
-            Expected, Epoch, std::memory_order_acq_rel))
+    if (Word.fetch_or(Bit, std::memory_order_acq_rel) & Bit)
       return nullptr; // another worker got it
-    return &Obj;
+    return &Heap.get(Ref);
   }
 
   /// Seeds the shared worklist from every thread's roots (calling thread).
   void seed() {
-    auto SeedRoots = [this](const MutatorThread &Mut) {
+    auto Seed = [this](ObjectRef Ref) {
+      if (!Ref.isNull())
+        if (HeapObject *Obj = claim(Ref))
+          Shared.push_back(Obj);
+    };
+    auto SeedRoots = [&Seed](const MutatorThread &Mut) {
       for (RootNode *Node = Mut.RootsHead.Next; Node; Node = Node->Next)
-        if (HeapObject *Obj = claim(Node->Ref))
-          Shared.push_back(Obj);
+        Seed(Node->Ref);
       for (unsigned I = 0; I < Mut.TempRootDepth; ++I)
-        if (HeapObject *Obj = claim(Mut.TempRoots[I]))
-          Shared.push_back(Obj);
+        Seed(Mut.TempRoots[I]);
     };
     SeedRoots(Heap.Main);
     for (const std::unique_ptr<MutatorThread> &Mut : Heap.Mutators)
@@ -732,12 +741,12 @@ private:
                  std::vector<HeapObject *> &Local)
         : Parent(Parent), Local(Local) {}
 
-    void visit(ObjectRef Ref) override {
+  private:
+    void visitRef(ObjectRef Ref) override {
       if (HeapObject *Obj = Parent.claim(Ref))
         Local.push_back(Obj);
     }
 
-  private:
     ParallelMarker &Parent;
     std::vector<HeapObject *> &Local;
   };
@@ -813,7 +822,7 @@ private:
   static constexpr size_t ChunkSize = 512;
 
   GcHeap &Heap;
-  uint64_t Epoch;
+  uint64_t *Bits;
   unsigned Threads;
   std::vector<WorkerState> States;
 
@@ -825,7 +834,7 @@ private:
 };
 
 void GcHeap::markPhaseParallel(GcCycleRecord &Record) {
-  ParallelMarker Marker(*this, CurrentEpoch, GcThreads);
+  ParallelMarker Marker(*this, GcThreads);
   Marker.seed();
   Marker.run();
 
@@ -845,17 +854,55 @@ void GcHeap::markPhaseParallel(GcCycleRecord &Record) {
 // Sweeping
 //===----------------------------------------------------------------------===//
 
+namespace {
+/// Walks, in ascending order, the unmarked slots of the mark-bit words
+/// [BeginWord, EndWord) below NumSlots: the sweep's candidates. A set bit
+/// is a live object the sweep never loads; an unmarked slot is dead or
+/// free (its cell is null).
+class UnmarkedSlots {
+public:
+  UnmarkedSlots(const uint64_t *Bits, uint32_t BeginWord, uint32_t EndWord,
+                uint32_t NumSlots)
+      : Bits(Bits), Word(BeginWord), EndWord(EndWord), NumSlots(NumSlots) {}
+
+  /// Stores the next unmarked slot in \p Slot; false once none is left.
+  bool next(uint32_t &Slot) {
+    while (Pending == 0) {
+      if (Word == EndWord)
+        return false;
+      Base = Word * 64;
+      Pending = ~Bits[Word++];
+      // The last word's bits past the slot table are not slots.
+      if (NumSlots - Base < 64)
+        Pending &= (uint64_t(1) << (NumSlots - Base)) - 1;
+    }
+    Slot = Base + static_cast<uint32_t>(__builtin_ctzll(Pending));
+    Pending &= Pending - 1;
+    return true;
+  }
+
+private:
+  const uint64_t *Bits;
+  uint32_t Word;
+  uint32_t EndWord;
+  uint32_t NumSlots;
+  uint32_t Base = 0;
+  uint64_t Pending = 0;
+};
+} // namespace
+
 void GcHeap::sweepPhase(GcCycleRecord &Record, bool OnPool) {
   if (OnPool) {
     sweepPhaseParallel(Record);
     return;
   }
-  for (uint32_t Slot = 0, E = SlotCount.load(std::memory_order_relaxed);
-       Slot != E; ++Slot) {
+  const uint32_t NumSlots = SlotCount.load(std::memory_order_relaxed);
+  UnmarkedSlots Candidates(MarkBits.data(), 0,
+                           static_cast<uint32_t>(MarkBits.size()), NumSlots);
+  for (uint32_t Slot; Candidates.next(Slot);) {
     std::unique_ptr<HeapObject> &Cell = slotRef(Slot);
     HeapObject *Obj = Cell.get();
-    if (!Obj
-        || Obj->MarkEpoch.load(std::memory_order_relaxed) == CurrentEpoch)
+    if (!Obj)
       continue;
 
     const SemanticMap &Map = Types.get(Obj->typeId());
@@ -874,7 +921,8 @@ void GcHeap::sweepPhase(GcCycleRecord &Record, bool OnPool) {
   }
 }
 
-/// The multi-threaded sweep. Each worker scans one contiguous slot range,
+/// The multi-threaded sweep. Each worker scans one contiguous range of
+/// mark-bit words, loads only the objects of unmarked, occupied slots,
 /// destroys every dead object that gets no death event as soon as it has
 /// read its size and type, and buffers the rest: the dead slot list, freed
 /// byte/object sums, and the death events of profiled wrappers. The calling
@@ -899,32 +947,40 @@ void GcHeap::sweepPhaseParallel(GcCycleRecord &Record) {
     std::vector<uint32_t> DeadSlots;
     std::vector<DeathEvent> Events;
   };
-  // Slots ahead of the scan whose object's block header and mark line are
-  // prefetched: the scan is a dependent load per slot into a cold heap.
+  // Unmarked slots ahead of the scan whose object and block header are
+  // prefetched: each candidate is a dependent load into a cold heap.
   constexpr uint32_t PrefetchDistance = 12;
 
   const uint32_t NumSlots = SlotCount.load(std::memory_order_relaxed);
+  const uint32_t NumWords = static_cast<uint32_t>(MarkBits.size());
   const unsigned Workers = GcThreads;
-  const uint32_t ChunkSlots = (NumSlots + Workers - 1) / Workers;
+  const uint32_t ChunkWords = (NumWords + Workers - 1) / Workers;
   std::vector<SweepState> States(Workers);
 
   runOnWorkers([&](unsigned W) {
     CHAM_TRACE_SPAN_ARG("gc", "sweep.worker", "worker",
                         static_cast<int64_t>(W));
     SweepState &State = States[W];
-    uint32_t Begin = std::min(W * ChunkSlots, NumSlots);
-    uint32_t End = std::min(Begin + ChunkSlots, NumSlots);
-    State.DeadSlots.reserve(End - Begin);
-    for (uint32_t Slot = Begin; Slot != End; ++Slot) {
-      if (Slot + PrefetchDistance < End)
-        if (HeapObject *Ahead = slotRef(Slot + PrefetchDistance).get()) {
-          __builtin_prefetch(alloc::blockOfPayload(Ahead));
-          __builtin_prefetch(&Ahead->MarkEpoch);
+    uint32_t BeginWord = std::min(W * ChunkWords, NumWords);
+    uint32_t EndWord = std::min(BeginWord + ChunkWords, NumWords);
+    State.DeadSlots.reserve((EndWord - BeginWord) * 64);
+    UnmarkedSlots Candidates(MarkBits.data(), BeginWord, EndWord, NumSlots);
+    UnmarkedSlots Ahead = Candidates;
+    auto PrefetchNext = [&] {
+      uint32_t AheadSlot;
+      if (Ahead.next(AheadSlot))
+        if (HeapObject *Obj = slotRef(AheadSlot).get()) {
+          __builtin_prefetch(alloc::blockOfPayload(Obj));
+          __builtin_prefetch(Obj);
         }
+    };
+    for (uint32_t I = 0; I < PrefetchDistance; ++I)
+      PrefetchNext();
+    for (uint32_t Slot; Candidates.next(Slot);) {
+      PrefetchNext();
       std::unique_ptr<HeapObject> &Cell = slotRef(Slot);
       HeapObject *Obj = Cell.get();
-      if (!Obj
-          || Obj->MarkEpoch.load(std::memory_order_relaxed) == CurrentEpoch)
+      if (!Obj)
         continue;
       State.FreedBytes += Obj->shallowBytes();
       ++State.FreedObjects;
@@ -1044,7 +1100,9 @@ const GcCycleRecord &GcHeap::collectStopped(bool Forced) {
   if (Hooks)
     Hooks->onStopTheWorld();
 
-  ++CurrentEpoch;
+  // Every mark bit clear, one per slot. Nothing allocates during the
+  // cycle, so this size holds through the sweep.
+  MarkBits.assign((SlotCount.load(std::memory_order_relaxed) + 63) / 64, 0);
   GcCycleRecord Record;
   Record.Cycle = CycleRecords.size() + 1;
   Record.Forced = Forced;
@@ -1122,17 +1180,17 @@ public:
   explicit VerifyTracer(std::function<bool(uint32_t)> SlotOccupied)
       : SlotOccupied(std::move(SlotOccupied)) {}
 
-  void visit(ObjectRef Ref) override {
-    if (Ref.isNull() || !Problem.empty())
+  std::string Problem;
+
+private:
+  void visitRef(ObjectRef Ref) override {
+    if (!Problem.empty())
       return;
     if (!SlotOccupied(Ref.slot()))
       Problem = "dangling reference to slot "
                 + std::to_string(Ref.slot());
   }
 
-  std::string Problem;
-
-private:
   std::function<bool(uint32_t)> SlotOccupied;
 };
 } // namespace

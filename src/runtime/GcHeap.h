@@ -13,14 +13,18 @@
 /// minimal-heap-size experiments of Fig. 6 bisect on).
 ///
 /// The collector follows the paper's base parallel mark-and-sweep design
-/// (§4.3.2): on a heap with registered mutator threads, tracing runs on
-/// `gcThreads()` workers (1 by default) that claim objects with a CAS on
-/// the mark epoch, and sweeping partitions the slot table into one
-/// contiguous range per worker. A heap with no registered mutator marks and
-/// sweeps on the calling thread at any `gcThreads()`. The workers live in a
-/// persistent `GcWorkerPool` owned by the heap (created lazily on the first
-/// parallel cycle), so a cycle costs a wake/notify rather than a thread
-/// spawn/join. Every cycle statistic is a commutative sum and every
+/// (§4.3.2), and like J9's it keeps the mark state in a side bitmap: one
+/// bit per slot, beside the slot table, cleared at the start of every
+/// cycle. On a heap with registered mutator threads, tracing runs on
+/// `gcThreads()` workers (1 by default) that claim an object by the atomic
+/// OR that sets its bit, and sweeping partitions the bitmap into one
+/// contiguous range of 64-slot words per worker. A heap with no registered
+/// mutator marks and sweeps on the calling thread at any `gcThreads()`.
+/// Either sweep walks the bit words and loads only the objects of
+/// unmarked, occupied slots: a live object is never read. The workers live
+/// in a persistent `GcWorkerPool` owned by the heap (created lazily on the
+/// first parallel cycle), so a cycle costs a wake/notify rather than a
+/// thread spawn/join. Every cycle statistic is a commutative sum and every
 /// profiler event is buffered per worker and replayed on the calling thread
 /// in slot order after the phase barrier, so the recorded metrics are
 /// identical at any thread count. During marking the collector consults the
@@ -200,15 +204,13 @@ public:
   /// that run while mutator threads are registered. A cycle on a heap with
   /// no registered mutator, and every cycle at 1 (default), marks and
   /// sweeps on the calling thread, which last touched the heap and so finds
-  /// it in its own cache; pool workers would find it cold. On a 4-core
-  /// host, a single-threaded heap's cycle took 2.1 ms on its calling thread
-  /// against 3.8 ms on 4 workers, while a barrier cycle after 4 mutators
-  /// took 21 ms against 11 ms (DESIGN.md §4). All cycle statistics are
-  /// commutative sums and all profiler events are replayed in deterministic
-  /// order, so the recorded results are identical regardless of the thread
-  /// count; profiler hooks always run on the calling thread after the phase
-  /// barrier. Changing the count retires any existing worker pool; the next
-  /// pool cycle re-creates it at the new size.
+  /// it in its own cache; pool workers would find it cold (DESIGN.md §4).
+  /// All cycle statistics are commutative sums and all profiler events are
+  /// replayed in deterministic order, so the recorded results are identical
+  /// regardless of the thread count; profiler hooks always run on the
+  /// calling thread after the phase barrier. Changing the count retires any
+  /// existing worker pool; the next pool cycle re-creates it at the new
+  /// size.
   void setGcThreads(unsigned Threads);
   unsigned gcThreads() const { return GcThreads; }
 
@@ -581,7 +583,6 @@ private:
   std::atomic<uint64_t> ObjectsInUse{0};
   std::atomic<uint64_t> TotalAllocatedBytes{0};
   std::atomic<uint64_t> TotalAllocatedObjects{0};
-  uint64_t CurrentEpoch = 0;
   unsigned LowYieldStreak = 0;
   std::atomic<bool> OomFlag{false};
   bool InCollection = false;
@@ -600,6 +601,12 @@ private:
   /// count changes.
   std::unique_ptr<GcWorkerPool> Pool;
   std::vector<GcCycleRecord> CycleRecords;
+  /// One mark bit per slot (bit Slot % 64 of word Slot / 64): set means
+  /// live in the current cycle. collectStopped sizes it to the slot table
+  /// and zeroes it before marking; nothing allocates during a cycle, so
+  /// the size holds through the sweep. The serial marker sets bits with
+  /// plain stores, pool workers with an atomic OR.
+  std::vector<uint64_t> MarkBits;
 };
 
 /// RAII scope marking the calling (registered) mutator as stopped for the

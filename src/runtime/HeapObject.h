@@ -6,10 +6,12 @@
 ///
 /// \file
 /// Base class for every object living in the managed heap. An object carries
-/// the `TypeId` under which its semantic map was registered, its simulated
-/// size in bytes under the `MemoryModel`, and GC bookkeeping (slot index and
-/// mark epoch). Subclasses enumerate their outgoing references by overriding
-/// `trace`.
+/// the `TypeId` under which its semantic map was registered, its own
+/// reference (its slot index), and its simulated size in bytes under the
+/// `MemoryModel`. Its mark state lives in the heap, one bit per slot beside
+/// the slot table (GcHeap.h), so the header is the vtable pointer and these
+/// three fields. Subclasses enumerate their outgoing references by
+/// overriding `trace`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +20,6 @@
 
 #include "runtime/ObjectRef.h"
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -35,8 +36,17 @@ class GcTracer {
 public:
   virtual ~GcTracer();
 
-  /// Marks \p Ref live and queues it for tracing. Null refs are ignored.
-  virtual void visit(ObjectRef Ref) = 0;
+  /// Marks \p Ref live and queues it for tracing. Null refs return here,
+  /// before any virtual call: most references a trace reports are null
+  /// (the unused tails of backing arrays, empty entry links).
+  void visit(ObjectRef Ref) {
+    if (!Ref.isNull())
+      visitRef(Ref);
+  }
+
+protected:
+  /// Handles one non-null reference.
+  virtual void visitRef(ObjectRef Ref) = 0;
 };
 
 /// A managed heap object. C++-side ownership belongs to the heap; program
@@ -79,14 +89,15 @@ public:
 private:
   friend class GcHeap;
 
+  /// Type and Self share one 8-byte word.
   TypeId Type;
-  uint64_t ShallowBytes;
   ObjectRef Self;
-  /// Object is live in cycle N iff MarkEpoch == heap's current epoch.
-  /// Atomic so parallel marker threads can claim objects with a CAS; the
-  /// sequential path uses relaxed loads/stores (same cost as plain ones).
-  std::atomic<uint64_t> MarkEpoch{0};
+  uint64_t ShallowBytes;
 };
+
+static_assert(sizeof(void *) != 8 || sizeof(HeapObject) == 24,
+              "a HeapObject header is its vtable pointer, Type, Self and "
+              "ShallowBytes");
 
 } // namespace chameleon
 

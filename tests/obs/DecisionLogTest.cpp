@@ -25,6 +25,7 @@
 
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -318,7 +319,10 @@ TEST(FlightRecorderTest, CrashDumpParsesAndMatchesSurvivorExport) {
   ASSERT_GE(Child, 0) << "fork failed";
   if (Child == 0) {
     // Child: no gtest assertions here — _exit on setup failure so the
-    // parent sees a clean (non-signal) exit and fails the test.
+    // parent sees a clean (non-signal) exit and fails the test. The
+    // default disposition goes first: the recorder chains to the previous
+    // handler, and a sanitizer's would report the crash and exit instead.
+    std::signal(SIGSEGV, SIG_DFL);
     DecisionLog &Log = DecisionLog::instance();
     Log.arm(1024);
     for (const DecisionRecord &R : crashFixtureRecords())
@@ -375,6 +379,49 @@ TEST(FlightRecorderTest, CrashDumpParsesAndMatchesSurvivorExport) {
     EXPECT_EQ(D.AvgOps, S.AvgOps) << I;
     EXPECT_EQ(D.AvgMaxSize, S.AvgMaxSize) << I;
   }
+  std::remove(DumpPath.c_str());
+}
+
+/// The recorder restores the disposition it found and re-raises, so a
+/// handler installed before it still runs after the dump is written.
+TEST(FlightRecorderTest, CrashHandlerChainsToThePreviousHandler) {
+  const std::string DumpPath = ::testing::TempDir() + "fr-chain-test.json";
+  std::remove(DumpPath.c_str());
+
+  pid_t Child = fork();
+  ASSERT_GE(Child, 0) << "fork failed";
+  if (Child == 0) {
+    struct sigaction Previous;
+    std::memset(&Previous, 0, sizeof(Previous));
+    Previous.sa_handler = [](int) { _exit(42); };
+    sigemptyset(&Previous.sa_mask);
+    if (sigaction(SIGSEGV, &Previous, nullptr) != 0)
+      _exit(3);
+    DecisionLog::instance().arm(1024);
+    for (const DecisionRecord &R : crashFixtureRecords())
+      DecisionLog::instance().record(R);
+    if (!FlightRecorder::instance().install(DumpPath, "cham."))
+      _exit(4);
+    std::raise(SIGSEGV);
+    _exit(5); // unreachable: the previous handler exits 42
+  }
+
+  int Status = 0;
+  ASSERT_EQ(waitpid(Child, &Status, 0), Child);
+  ASSERT_TRUE(WIFEXITED(Status))
+      << "child must exit through the previous handler (status " << Status
+      << ")";
+  EXPECT_EQ(WEXITSTATUS(Status), 42);
+
+  std::string Dump = slurp(DumpPath);
+  ASSERT_FALSE(Dump.empty()) << "no dump at " << DumpPath;
+  json::Value Doc;
+  std::string Error;
+  ASSERT_TRUE(json::parse(Dump, Doc, &Error)) << Error;
+  EXPECT_EQ(Doc.numberOr("signal", 0), SIGSEGV);
+  DecisionExport FromDump;
+  ASSERT_TRUE(decisionsFromJson(Dump, FromDump, &Error)) << Error;
+  EXPECT_EQ(FromDump.Events.size(), crashFixtureRecords().size());
   std::remove(DumpPath.c_str());
 }
 

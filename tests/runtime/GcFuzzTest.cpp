@@ -8,7 +8,8 @@
 /// Property test for the collector: a randomized object graph is mutated
 /// alongside a C++-side shadow model; after every collection, the set of
 /// surviving objects must be exactly the shadow model's reachable set,
-/// and the heap's byte accounting must match the model's.
+/// and the heap's byte accounting must match the model's. It runs on the
+/// calling thread and, with a registered mutator, on the worker pool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,8 +61,9 @@ struct ShadowGraph {
   }
 };
 
-TEST(GcFuzz, SurvivorsMatchShadowReachability) {
-  GcHeap Heap;
+/// Mutates a random graph on \p Heap beside its shadow model, collecting
+/// now and then, and checks every cycle's survivors against the model.
+void fuzzAgainstShadow(GcHeap &Heap) {
   TypeId NodeType = registerNodeType(Heap);
   SplitMix64 Rng(20260704);
   ShadowGraph Shadow;
@@ -149,6 +151,23 @@ TEST(GcFuzz, SurvivorsMatchShadowReachability) {
   Heap.collect(true);
   std::set<uint32_t> Expected = Shadow.reachable();
   ASSERT_EQ(Heap.objectsInUse(), Expected.size());
+}
+
+TEST(GcFuzz, SurvivorsMatchShadowReachability) {
+  GcHeap Heap;
+  fuzzAgainstShadow(Heap);
+}
+
+// The same fuzz on the worker pool: a heap collects there only while a
+// mutator thread is registered.
+TEST(GcFuzz, PoolSurvivorsMatchShadowReachability) {
+  GcHeap Heap;
+  Heap.setGcThreads(4);
+  MutatorThread *Mutator = Heap.registerMutatorThread();
+  const uint64_t PoolTasks = metricValue("cham.gc.pool_tasks");
+  fuzzAgainstShadow(Heap);
+  Heap.unregisterMutatorThread(Mutator);
+  EXPECT_GT(metricValue("cham.gc.pool_tasks"), PoolTasks);
 }
 
 } // namespace

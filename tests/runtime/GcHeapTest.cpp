@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 using namespace chameleon;
 using namespace chameleon::testing;
 
@@ -212,6 +215,83 @@ TEST_F(GcHeapTest, VerifyHeapCatchesDanglingReferences) {
   std::string Error;
   EXPECT_FALSE(Heap.verifyHeap(&Error));
   EXPECT_NE(Error.find("dangling reference"), std::string::npos);
+}
+
+/// The slots of every object in \p Heap.
+std::set<uint32_t> occupiedSlots(GcHeap &Heap) {
+  std::set<uint32_t> Slots;
+  Heap.forEachObject(
+      [&](HeapObject &Obj) { Slots.insert(Obj.self().slot()); });
+  return Slots;
+}
+
+/// Fills \p Heap with \p NumSlots objects, one per slot, roots all but
+/// those at slots 63, 64, 127, 128 and the last one, and collects twice:
+/// first with every root, then without the roots at even slots.
+void sweepAtWordBoundaries(GcHeap &Heap, uint32_t NumSlots) {
+  TypeId Type = registerNodeType(Heap);
+  std::set<uint32_t> Dead;
+  for (uint32_t Slot : {63u, 64u, 127u, 128u, NumSlots - 1})
+    if (Slot < NumSlots)
+      Dead.insert(Slot);
+  std::vector<Handle> Roots;
+  std::set<uint32_t> Live;
+  for (uint32_t Slot = 0; Slot < NumSlots; ++Slot) {
+    ObjectRef Ref = allocNode(Heap, Type, 0);
+    ASSERT_EQ(Ref.slot(), Slot);
+    if (!Dead.count(Slot)) {
+      Roots.emplace_back(Heap, Ref);
+      Live.insert(Slot);
+    }
+  }
+
+  EXPECT_EQ(Heap.collect(true).FreedObjects, Dead.size());
+  EXPECT_EQ(occupiedSlots(Heap), Live);
+
+  // The sweep hands freed slots back in ascending order and allocation
+  // pops the highest first.
+  std::vector<uint32_t> Reused;
+  for (size_t I = 0; I < Dead.size(); ++I)
+    Reused.push_back(allocNode(Heap, Type, 0).slot());
+  EXPECT_EQ(Reused, std::vector<uint32_t>(Dead.rbegin(), Dead.rend()));
+
+  // The first cycle's marks do not carry over: survivors that lost their
+  // root die, and so do the unrooted objects in the reused slots.
+  std::set<uint32_t> StillLive;
+  std::vector<Handle> OddRoots;
+  for (const Handle &Root : Roots)
+    if (Root.ref().slot() % 2 == 1) {
+      OddRoots.push_back(Root);
+      StillLive.insert(Root.ref().slot());
+    }
+  Roots.clear();
+  EXPECT_EQ(Heap.collect(true).FreedObjects,
+            Live.size() - StillLive.size() + Dead.size());
+  EXPECT_EQ(occupiedSlots(Heap), StillLive);
+  std::string Error;
+  EXPECT_TRUE(Heap.verifyHeap(&Error)) << Error;
+}
+
+// The sweeps walk the mark bits one 64-slot word at a time; dead objects
+// at the ends of a word, in a partial last word and in the table's last
+// slot are freed, and only they, on the calling thread and on the pool.
+TEST_F(GcHeapTest, SweepAtMarkWordBoundaries) {
+  for (uint32_t NumSlots : {63u, 64u, 65u, 129u}) {
+    SCOPED_TRACE("slots " + std::to_string(NumSlots));
+    {
+      SCOPED_TRACE("serial");
+      GcHeap Serial;
+      sweepAtWordBoundaries(Serial, NumSlots);
+    }
+    SCOPED_TRACE("pool");
+    GcHeap Pooled;
+    Pooled.setGcThreads(4);
+    MutatorThread *Mutator = Pooled.registerMutatorThread();
+    const uint64_t PoolTasks = metricValue("cham.gc.pool_tasks");
+    sweepAtWordBoundaries(Pooled, NumSlots);
+    Pooled.unregisterMutatorThread(Mutator);
+    EXPECT_GT(metricValue("cham.gc.pool_tasks"), PoolTasks);
+  }
 }
 
 TEST_F(GcHeapTest, CycleRecordFractionsComputed) {
