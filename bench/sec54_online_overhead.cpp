@@ -77,9 +77,9 @@ int main() {
     const AppSpec &App = getApp(R.Name);
     // Emulate the expensive Throwable-based context capture of §4.2 in
     // the online runs; the plain run has profiling off entirely.
-    ChameleonConfig OnlineConfig;
-    OnlineConfig.Runtime.Profiler.ExpensiveContextCapture = true;
-    Chameleon OnlineTool(OnlineConfig);
+    ChameleonConfig OnlineToolConfig;
+    OnlineToolConfig.Runtime.Profiler.ExpensiveContextCapture = true;
+    Chameleon OnlineTool(OnlineToolConfig);
 
     ChameleonConfig PlainConfig;
     PlainConfig.Runtime.Profiler.Enabled = false;

@@ -16,6 +16,7 @@
 #include "support/Diagnostics.h"
 
 #include <cstdio>
+#include <vector>
 
 using namespace chameleon;
 
@@ -58,9 +59,7 @@ int main() {
   // Second: a custom policy. Pieces that exist only to be poured into an
   // aggregate should be ArraySets sized to their content (they are tiny
   // and never queried), and the aggregates deserve a tuned capacity.
-  ChameleonConfig Config;
-  Config.UseBuiltinRules = false; // only our rules, for a clean demo
-  Chameleon Tool(Config);
+  Chameleon Tool;
   rules::ParseResult P = Tool.engine().addRules(R"(
     // Pieces: copied into aggregates, never searched.
     [tiny-pieces] HashSet : #copied > 0 && #contains == 0 && maxSize <= 8
@@ -76,11 +75,18 @@ int main() {
     return 1;
   }
 
+  // The built-in Table-2 rules fire too; keep only our two, for a clean
+  // demo, and build the report and the plan from them alone.
   RunResult R = Tool.profile(aggregatorProgram);
+  std::vector<rules::Suggestion> Ours;
+  for (const rules::Suggestion &S : R.Suggestions)
+    if (S.RuleName == "tiny-pieces" || S.RuleName == "aggregates")
+      Ours.push_back(S);
   std::printf("-- suggestions from the custom rules --\n%s\n",
-              R.Report.c_str());
+              rules::RuleEngine::renderReport(Ours).c_str());
 
-  RunResult After = Tool.run(aggregatorProgram, &R.Plan, 0,
+  ReplacementPlan Plan = rules::RuleEngine::buildPlan(Ours);
+  RunResult After = Tool.run(aggregatorProgram, &Plan, 0,
                              /*EvaluateRules=*/true);
   std::printf("allocated bytes: %llu -> %llu\n",
               static_cast<unsigned long long>(R.TotalAllocatedBytes),

@@ -470,7 +470,7 @@ ServerSimResult chameleon::apps::runServerSim(CollectionRuntime &RT,
   if (Config.Chaos) {
     ChaosEngine.emplace();
     ChaosEngine->addBuiltinRules();
-    ChaosAdaptor.emplace(*ChaosEngine, Prof, OnlineConfig());
+    ChaosAdaptor.emplace(*ChaosEngine, Prof);
     Chaos.emplace(RT, *ChaosAdaptor, Config);
   }
 

@@ -115,11 +115,11 @@ private:
 struct ReplayConfig {
   /// Worker threads; the report is byte-identical at any count.
   uint32_t MutatorThreads = 4;
-  /// Install the builtin rule engine behind an OnlineAdaptor (default
-  /// OnlineConfig) for the run, so the replayed workload drives live
-  /// migrations (backoff/pinning included). Report byte-identity across
-  /// thread counts is not guaranteed in this mode — migration timing
-  /// depends on interleaving.
+  /// Install the builtin rule engine behind an OnlineAdaptor (its fixed
+  /// warm-up and backoff schedule) for the run, so the replayed workload
+  /// drives live migrations (backoff/pinning included). Report
+  /// byte-identity across thread counts is not guaranteed in this mode —
+  /// migration timing depends on interleaving.
   bool OnlineAdapt = false;
   /// RuntimeConfig::OnlineRevisePeriod for the replay runtime (see
   /// traceReplayRuntimeConfig). Replay defaults low so the generated

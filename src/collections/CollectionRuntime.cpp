@@ -168,25 +168,7 @@ ObjectRef CollectionRuntime::allocLinkedHashEntry(Value Item,
       Types.LinkedHashEntry, Heap.model().objectBytes(5), Item, Chain));
 }
 
-ObjectRef CollectionRuntime::allocIterator(ObjectRef Coll,
-                                           bool CollectionIsEmpty) {
-  if (CollectionIsEmpty && Config.ShareEmptyIterators) {
-    // §5.4: "the creation of a new iterator object can be avoided in
-    // this case in favor of returning a fixed static empty iterator."
-    // Park while waiting for the flyweight lock: the holder allocates
-    // (and may therefore initiate a stop-the-world) with it held.
-    std::unique_lock<std::mutex> L(FlyweightMu, std::defer_lock);
-    {
-      GcSafeRegion Region(Heap);
-      L.lock();
-    }
-    if (SharedEmptyIterator.isNull())
-      SharedEmptyIterator.set(
-          Heap, Heap.allocate(std::make_unique<IteratorObject>(
-                    Types.Iterator, Heap.model().objectBytes(2),
-                    ObjectRef::null())));
-    return SharedEmptyIterator.ref();
-  }
+ObjectRef CollectionRuntime::allocIterator(ObjectRef Coll) {
   TempRootScope Guard(Heap, Coll);
   return Heap.allocate(std::make_unique<IteratorObject>(
       Types.Iterator, Heap.model().objectBytes(2), Coll));

@@ -60,19 +60,13 @@ struct RuntimeConfig {
   /// Force a statistics-sampling GC every this many allocated bytes
   /// (0 = only allocation-pressure GCs).
   uint64_t GcSampleEveryBytes = 0;
-  /// Return one shared iterator object for iterations over empty
-  /// collections instead of allocating a fresh one — the optimisation
-  /// §5.4 proposes for the "massive creation of iterator objects" it
-  /// observes (safe here: iterators cannot insert). Off by default, which
-  /// matches java.util semantics.
-  bool ShareEmptyIterators = false;
   /// Parallel collector threads (§4.3.2): the worker-pool size that marks
   /// and sweeps a cycle run while mutator threads are registered
   /// (`MutatorScope`). A cycle with no registered mutator runs on the
   /// calling thread at any count, because that thread finds the heap warm
-  /// in its cache: 2.1 ms a cycle against 3.8 ms on 4 workers for the
-  /// single-threaded §5.2 loop on a 4-core host (GcHeap::setGcThreads).
-  /// Statistics are identical at any count, only GC wall time changes.
+  /// in its cache and pool workers would find it cold
+  /// (GcHeap::setGcThreads). Statistics are identical at any count, only
+  /// GC wall time changes.
   /// Threads > 1 starts a persistent worker pool on the heap's first pool
   /// cycle.
   unsigned GcThreads = 1;
@@ -290,9 +284,9 @@ public:
   ObjectRef allocMapEntry(Value Key, Value Val, ObjectRef Next);
   ObjectRef allocLinkedEntry(Value Item, ObjectRef Prev, ObjectRef Next);
   ObjectRef allocLinkedHashEntry(Value Item, ObjectRef Chain);
-  /// Allocates the per-iteration iterator object; when the collection is
-  /// empty and ShareEmptyIterators is on, returns the shared instance.
-  ObjectRef allocIterator(ObjectRef Coll, bool CollectionIsEmpty = false);
+  /// Allocates the per-iteration iterator object, an empty iteration's
+  /// too, as java.util does (§5.4).
+  ObjectRef allocIterator(ObjectRef Coll);
 
   /// Allocates a bare implementation object of \p Kind. The caller roots
   /// it and then calls its `initEager()`.
@@ -377,18 +371,15 @@ private:
   ReplacementPlan Plan;
   OnlineSelector *Selector = nullptr;
   std::array<std::atomic<uint64_t>, NumImplKinds> ImplAllocCounts{};
-  /// Guards the lazy creation of the two shared flyweights below. Waiters
-  /// park in a GcSafeRegion, because the holder allocates (and so may
-  /// initiate a stop-the-world) with the lock held.
+  /// Guards the lazy creation of the shared flyweight below. Waiters park
+  /// in a GcSafeRegion, because the holder allocates (and so may initiate a
+  /// stop-the-world) with the lock held.
   std::mutex FlyweightMu;
   /// EmptyList is immutable and stateless, so all wrappers backed by it
   /// share one flyweight implementation object — this is what makes the
   /// "collection never used" fix eliminate nearly the whole per-instance
   /// cost, like the paper's manual lazy-allocation fix for bloat.
   Handle SharedEmptyList;
-  /// The shared iterator returned for empty iterations when
-  /// ShareEmptyIterators is on (§5.4).
-  Handle SharedEmptyIterator;
   std::vector<CustomImpl> CustomImpls;
   /// Deque of atomics: stable addresses under growth, lock-free bumps.
   std::deque<std::atomic<uint64_t>> CustomAllocCounts;

@@ -68,9 +68,8 @@ void CollectionHandleBase::clear() {
 }
 
 template <typename IterT> IterT CollectionHandleBase::iterateAs() const {
-  bool Empty = implBase().size() == 0;
-  countOp(Empty ? OpKind::IterateEmpty : OpKind::Iterate);
-  ObjectRef IterObj = RT->allocIterator(wrapperRef(), Empty);
+  countOp(implBase().size() == 0 ? OpKind::IterateEmpty : OpKind::Iterate);
+  ObjectRef IterObj = RT->allocIterator(wrapperRef());
   return IterT(*RT, wrapperRef(), IterObj, implBase().modCount(),
                obj().MigrationEpoch);
 }

@@ -16,8 +16,7 @@ using namespace chameleon;
 
 Chameleon::Chameleon(ChameleonConfig Config)
     : Config(Config) {
-  if (Config.UseBuiltinRules)
-    Engine.addBuiltinRules();
+  Engine.addBuiltinRules();
 }
 
 RunResult Chameleon::runInternal(const Workload &Run,

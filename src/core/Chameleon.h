@@ -35,9 +35,6 @@ namespace chameleon {
 /// Tool-level configuration.
 struct ChameleonConfig {
   RuntimeConfig Runtime;
-  /// Install the Table-2 built-in rules (custom rules can be added on top
-  /// through `engine()`).
-  bool UseBuiltinRules = true;
   /// In profiled runs, force a statistics-sampling GC every this many
   /// allocated bytes so the Table-3 heap statistics accumulate (0 = rely
   /// on allocation pressure only).
@@ -100,7 +97,8 @@ public:
 
   const ChameleonConfig &config() const { return Config; }
 
-  /// The rule engine (add custom rules before profiling).
+  /// The rule engine: the Table-2 built-in rules, then any custom rules
+  /// added here before profiling.
   rules::RuleEngine &engine() { return Engine; }
   const rules::RuleEngine &engine() const { return Engine; }
 

@@ -9,8 +9,6 @@
 #include "obs/DecisionLog.h"
 #include "obs/Trace.h"
 
-#include <algorithm>
-
 using namespace chameleon;
 
 namespace {
@@ -36,7 +34,7 @@ OnlineAdaptor::evaluateLocked(const ContextInfo *Info) {
   bool NeedEval =
       It == Cache.end() || !It->second.Evaluated
       || Info->allocations() - It->second.AtAllocationCount
-             >= Config.ReevaluatePeriod;
+             >= ReevaluatePeriod;
   if (!NeedEval)
     return It->second;
 
@@ -72,7 +70,7 @@ ImplKind OnlineAdaptor::chooseImpl(const ContextInfo *Info, AdtKind Adt,
                                    ImplKind Requested, uint32_t &Capacity) {
   if (!Info)
     return Requested;
-  if (Info->foldedInstances() < Config.WarmupDeaths)
+  if (Info->foldedInstances() < WarmupDeaths)
     return Requested;
 
   std::lock_guard<std::mutex> Lock(Mu);
@@ -91,7 +89,7 @@ std::optional<ImplKind> OnlineAdaptor::reviseImpl(const ContextInfo *Info,
                                                   uint32_t &Capacity) {
   if (!Info)
     return std::nullopt;
-  if (Info->foldedInstances() < Config.WarmupDeaths)
+  if (Info->foldedInstances() < WarmupDeaths)
     return std::nullopt;
 
   std::lock_guard<std::mutex> Lock(Mu);
@@ -123,7 +121,7 @@ void OnlineAdaptor::onMigrationResult(const ContextInfo *Info,
   CHAM_TRACE_INSTANT_ARG("online", "migrate_abort", "ctx", ctxArg(Info));
   ++D.Aborts;
   obs::DecisionLog &Ledger = obs::DecisionLog::instance();
-  if (D.Aborts >= Config.MaxMigrationAborts) {
+  if (D.Aborts >= MaxMigrationAborts) {
     if (!D.Pinned) {
       D.Pinned = true;
       PinnedContexts.inc();
@@ -137,10 +135,13 @@ void OnlineAdaptor::onMigrationResult(const ContextInfo *Info,
     }
     return;
   }
-  uint64_t Shift = D.Aborts - 1;
-  uint64_t Delay = Shift >= 63 ? Config.MigrationBackoffCap
-                               : Config.MigrationBackoffBase << Shift;
-  Delay = std::min(Delay, Config.MigrationBackoffCap);
+  // Fewer than MaxMigrationAborts aborts reach here, so the shift is at
+  // most MaxMigrationAborts - 2.
+  static_assert((MigrationBackoffBase << (MaxMigrationAborts - 2))
+                        >> (MaxMigrationAborts - 2)
+                    == MigrationBackoffBase,
+                "the longest backoff delay overflows");
+  const uint64_t Delay = MigrationBackoffBase << (D.Aborts - 1);
   D.RetryAtAllocations = (Info ? Info->allocations() : 0) + Delay;
   if (Ledger.enabled()) {
     obs::DecisionRecord Rec = ledgerRecord(Info, obs::DecisionKind::Backoff);

@@ -32,36 +32,30 @@
 
 namespace chameleon {
 
-/// Online-mode configuration.
-struct OnlineConfig {
-  /// Do not decide before this many instances have died at the context
-  /// (partial-information guard: "at what point of the execution can we
-  /// decide", §3.3.2).
-  uint64_t WarmupDeaths = 8;
-  /// Re-evaluate a cached decision after this many further allocations.
-  uint64_t ReevaluatePeriod = 256;
-  /// After an aborted migration, wait this many further allocations from
-  /// the context before proposing another one (doubled per consecutive
-  /// abort: Base, 2*Base, 4*Base, ... capped at MigrationBackoffCap).
-  uint64_t MigrationBackoffBase = 16;
-  /// Upper bound on the migration retry delay (in allocations).
-  uint64_t MigrationBackoffCap = 1024;
-  /// After this many consecutive aborted migrations, permanently pin the
-  /// context to its current implementation (give up on live replacement;
-  /// allocation-time redirection still applies to *new* instances).
-  unsigned MaxMigrationAborts = 5;
-};
-
 /// Rule-engine-backed online selector. Install on a CollectionRuntime via
 /// `setOnlineSelector`; the profiler it reads must be that runtime's.
 /// Thread-safe: the decision cache is mutex-guarded so concurrent mutators
 /// can allocate and revise simultaneously.
 class OnlineAdaptor : public OnlineSelector {
 public:
+  /// Do not decide before this many instances have died at the context
+  /// (partial-information guard: "at what point of the execution can we
+  /// decide", §3.3.2).
+  static constexpr uint64_t WarmupDeaths = 8;
+  /// Re-evaluate a cached decision after this many further allocations.
+  static constexpr uint64_t ReevaluatePeriod = 256;
+  /// After an aborted migration, wait this many further allocations from
+  /// the context before proposing another one (doubled per consecutive
+  /// abort: Base, 2*Base, 4*Base, ... until MaxMigrationAborts pins it).
+  static constexpr uint64_t MigrationBackoffBase = 16;
+  /// After this many consecutive aborted migrations, permanently pin the
+  /// context to its current implementation (give up on live replacement;
+  /// allocation-time redirection still applies to *new* instances).
+  static constexpr unsigned MaxMigrationAborts = 5;
+
   OnlineAdaptor(const rules::RuleEngine &Engine,
-                const SemanticProfiler &Profiler,
-                OnlineConfig Config = OnlineConfig())
-      : Engine(Engine), Profiler(Profiler), Config(Config) {}
+                const SemanticProfiler &Profiler)
+      : Engine(Engine), Profiler(Profiler) {}
 
   ImplKind chooseImpl(const ContextInfo *Info, AdtKind Adt,
                       ImplKind Requested, uint32_t &Capacity) override;
@@ -119,7 +113,6 @@ private:
 
   const rules::RuleEngine &Engine;
   const SemanticProfiler &Profiler;
-  OnlineConfig Config;
   mutable std::mutex Mu;
   std::unordered_map<const ContextInfo *, Decision> Cache;
   obs::Counter Replacements{"cham.online.replacements"};

@@ -32,6 +32,21 @@ ExprPrec exprPrec(const Expr &E) {
   CHAM_UNREACHABLE("unknown binary operator");
 }
 
+/// The spaced source text of a binary operator.
+const char *binaryOpText(BinaryExpr::Operator Op) {
+  switch (Op) {
+  case BinaryExpr::Operator::Add:
+    return " + ";
+  case BinaryExpr::Operator::Sub:
+    return " - ";
+  case BinaryExpr::Operator::Mul:
+    return " * ";
+  case BinaryExpr::Operator::Div:
+    return " / ";
+  }
+  CHAM_UNREACHABLE("unknown binary operator");
+}
+
 std::string printExprAt(const Expr &E, ExprPrec Min) {
   std::string Out;
   bool Paren = exprPrec(E) < Min;
@@ -73,24 +88,9 @@ std::string printExprAt(const Expr &E, ExprPrec Min) {
   case Expr::Kind::Binary: {
     const auto &B = static_cast<const BinaryExpr &>(E);
     ExprPrec Here = exprPrec(E);
-    const char *Op;
-    switch (B.Op) {
-    case BinaryExpr::Operator::Add:
-      Op = " + ";
-      break;
-    case BinaryExpr::Operator::Sub:
-      Op = " - ";
-      break;
-    case BinaryExpr::Operator::Mul:
-      Op = " * ";
-      break;
-    case BinaryExpr::Operator::Div:
-      Op = " / ";
-      break;
-    }
     // Left-associative: the right child needs one level tighter.
     Out += printExprAt(*B.Lhs, Here);
-    Out += Op;
+    Out += binaryOpText(B.Op);
     Out += printExprAt(*B.Rhs,
                        static_cast<ExprPrec>(
                            static_cast<uint8_t>(Here) + 1));
@@ -118,6 +118,25 @@ CondPrec condPrec(const Cond &C) {
   CHAM_UNREACHABLE("unknown condition kind");
 }
 
+/// The spaced source text of a comparison operator.
+const char *compareOpText(CompareCond::Operator Op) {
+  switch (Op) {
+  case CompareCond::Operator::Lt:
+    return " < ";
+  case CompareCond::Operator::Le:
+    return " <= ";
+  case CompareCond::Operator::Gt:
+    return " > ";
+  case CompareCond::Operator::Ge:
+    return " >= ";
+  case CompareCond::Operator::Eq:
+    return " == ";
+  case CompareCond::Operator::Ne:
+    return " != ";
+  }
+  CHAM_UNREACHABLE("unknown comparison operator");
+}
+
 std::string printCondAt(const Cond &C, CondPrec Min) {
   std::string Out;
   bool Paren = condPrec(C) < Min;
@@ -126,29 +145,8 @@ std::string printCondAt(const Cond &C, CondPrec Min) {
   switch (C.kind()) {
   case Cond::Kind::Compare: {
     const auto &Cmp = static_cast<const CompareCond &>(C);
-    const char *Op;
-    switch (Cmp.Op) {
-    case CompareCond::Operator::Lt:
-      Op = " < ";
-      break;
-    case CompareCond::Operator::Le:
-      Op = " <= ";
-      break;
-    case CompareCond::Operator::Gt:
-      Op = " > ";
-      break;
-    case CompareCond::Operator::Ge:
-      Op = " >= ";
-      break;
-    case CompareCond::Operator::Eq:
-      Op = " == ";
-      break;
-    case CompareCond::Operator::Ne:
-      Op = " != ";
-      break;
-    }
     Out += printExprAt(*Cmp.Lhs, ExprPrec::Additive);
-    Out += Op;
+    Out += compareOpText(Cmp.Op);
     Out += printExprAt(*Cmp.Rhs, ExprPrec::Additive);
     break;
   }

@@ -256,14 +256,14 @@ ObjectRef GcHeap::allocate(std::unique_ptr<HeapObject> Obj) {
 
 bool GcHeap::allocTriggersPending(const MutatorThread &M,
                                   uint64_t Bytes) const {
-  // Each of the four conditions needs a sample cadence, a soft limit or a
+  // Each of the four triggers needs a sample cadence, a soft limit or a
   // hard limit; the replays configure none.
   if ((GcSampleEveryBytes | SoftLimitBytes | HeapLimitBytes) == 0)
     return false;
-  // The conditions of allocateLocked, evaluated on what this thread can see
-  // without touching another thread's record: the folded totals plus its
-  // own unfolded volume. With no other thread allocating that is exactly
-  // what allocateLocked sees after its fold; otherwise each other running
+  // The triggers evaluated on what this thread can see without touching
+  // another thread's record: the folded totals plus its own unfolded
+  // volume. With no other thread allocating that is exactly what
+  // allocateLocked sees after its fold; otherwise each other running
   // mutator holds back less than AllocFoldChunkBytes, so a collection
   // trigger can fire that much late, never early (DESIGN.md §12.3).
   const uint64_t Total =
@@ -271,20 +271,8 @@ bool GcHeap::allocTriggersPending(const MutatorThread &M,
   const uint64_t InUse =
       BytesInUse.load(std::memory_order_relaxed) + M.UnfoldedBytes;
   const bool Oom = OomFlag.load(std::memory_order_relaxed);
-  if (GcSampleEveryBytes != 0
-      && Total - LastSampleAt.load(std::memory_order_relaxed)
-             >= GcSampleEveryBytes)
-    return true;
-  if (SoftLimitBytes != 0 && !Oom && InUse + Bytes > SoftLimitBytes
-      && Total - LastEmergencyAt.load(std::memory_order_relaxed)
-             >= std::max<uint64_t>(SoftLimitBytes / 16, 1))
-    return true;
-  if (UnderPressure.load(std::memory_order_relaxed) && SoftLimitBytes != 0
-      && InUse + Bytes <= SoftLimitBytes - SoftLimitBytes / 8)
-    return true;
-  if (!Oom && HeapLimitBytes != 0 && InUse + Bytes > HeapLimitBytes)
-    return true;
-  return false;
+  return sampleDue(Total) || emergencyDue(Total, InUse, Bytes, Oom)
+         || pressureCleared(InUse, Bytes) || overHeapLimit(InUse, Bytes, Oom);
 }
 
 bool GcHeap::allocateFast(std::unique_ptr<HeapObject> &Obj,
@@ -420,9 +408,7 @@ ObjectRef GcHeap::allocateLocked(std::unique_ptr<HeapObject> Obj) {
   foldAllocations(rootOwner());
 
   uint64_t Bytes = Obj->shallowBytes();
-  if (GcSampleEveryBytes != 0
-      && totalAllocatedBytes() - LastSampleAt.load(std::memory_order_relaxed)
-             >= GcSampleEveryBytes) {
+  if (sampleDue(totalAllocatedBytes())) {
     // collectStopped restarts the cadence at the stop (PendingSample).
     PendingSample = true;
     collect(/*Forced=*/true);
@@ -431,11 +417,8 @@ ObjectRef GcHeap::allocateLocked(std::unique_ptr<HeapObject> Obj) {
   // collect-then-shrink pass, rate-limited by allocation volume so a long
   // over-limit plateau does not collect on every allocation. Staying over
   // even after that tells the profiler hooks to start shedding.
-  if (SoftLimitBytes != 0 && !outOfMemory()
-      && bytesInUse() + Bytes > SoftLimitBytes
-      && totalAllocatedBytes()
-                 - LastEmergencyAt.load(std::memory_order_relaxed)
-             >= std::max<uint64_t>(SoftLimitBytes / 16, 1)) {
+  if (emergencyDue(totalAllocatedBytes(), bytesInUse(), Bytes,
+                   outOfMemory())) {
     ++EmergencyCollects;
     GcEmergencyCollects.inc();
     CHAM_TRACE_INSTANT_ARG("gc", "emergency_collect", "bytes",
@@ -453,8 +436,7 @@ ObjectRef GcHeap::allocateLocked(std::unique_ptr<HeapObject> Obj) {
         Hooks->onHeapPressure(bytesInUse(), SoftLimitBytes);
     }
   }
-  if (underPressure() && SoftLimitBytes != 0
-      && bytesInUse() + Bytes <= SoftLimitBytes - SoftLimitBytes / 8) {
+  if (pressureCleared(bytesInUse(), Bytes)) {
     UnderPressure.store(false, std::memory_order_relaxed);
     CHAM_TRACE_INSTANT("gc", "heap_pressure_cleared");
     if (Hooks)
@@ -463,16 +445,13 @@ ObjectRef GcHeap::allocateLocked(std::unique_ptr<HeapObject> Obj) {
   // Once out of memory the run is already failed; collecting on every
   // further allocation would only slow the program's (short) path to
   // noticing the flag.
-  if (!outOfMemory() && HeapLimitBytes != 0
-      && bytesInUse() + Bytes > HeapLimitBytes) {
+  if (overHeapLimit(bytesInUse(), Bytes, outOfMemory())) {
     const GcCycleRecord &Rec = collect(/*Forced=*/false);
     if (bytesInUse() + Bytes > HeapLimitBytes) {
       OomFlag.store(true, std::memory_order_relaxed);
-    } else if (MinFreeFraction > 0.0
-               && HeapLimitBytes - (bytesInUse() + Bytes)
-                      < static_cast<uint64_t>(MinFreeFraction
-                                              * static_cast<double>(
-                                                  HeapLimitBytes))) {
+    } else if (HeapLimitBytes - (bytesInUse() + Bytes)
+               < static_cast<uint64_t>(
+                   MinFreeFraction * static_cast<double>(HeapLimitBytes))) {
       // Too little breathing room: the program would spend its remaining
       // life collecting. Fail fast, as HotSpot's overhead criterion does.
       OomFlag.store(true, std::memory_order_relaxed);

@@ -15,11 +15,12 @@
 /// The collector follows the paper's base parallel mark-and-sweep design
 /// (§4.3.2), and like J9's it keeps the mark state in a side bitmap: one
 /// bit per slot, beside the slot table, cleared at the start of every
-/// cycle. On a heap with registered mutator threads, tracing runs on
-/// `gcThreads()` workers (1 by default) that claim an object by the atomic
-/// OR that sets its bit, and sweeping partitions the bitmap into one
-/// contiguous range of 64-slot words per worker. A heap with no registered
-/// mutator marks and sweeps on the calling thread at any `gcThreads()`.
+/// cycle. On a heap with registered mutator threads, tracing runs on the
+/// `setGcThreads` collector threads (1 by default), which claim an object
+/// by the atomic OR that sets its bit, and sweeping partitions the bitmap
+/// into one contiguous range of 64-slot words per worker. A heap with no
+/// registered mutator marks and sweeps on the calling thread at any thread
+/// count.
 /// Either sweep walks the bit words and loads only the objects of
 /// unmarked, occupied slots: a live object is never read. The workers live
 /// in a persistent `GcWorkerPool` owned by the heap (created lazily on the
@@ -61,6 +62,7 @@
 #include "support/Annotations.h"
 #include "support/SpinLock.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <condition_variable>
@@ -158,10 +160,6 @@ public:
   /// Installs (or clears) the profiler callback sink.
   void setProfilerHooks(HeapProfilerHooks *NewHooks) { Hooks = NewHooks; }
 
-  /// Changes the heap limit (0 = unlimited). Does not trigger a collection.
-  void setHeapLimit(uint64_t Bytes) { HeapLimitBytes = Bytes; }
-  uint64_t heapLimit() const { return HeapLimitBytes; }
-
   /// Soft heap limit (0 = none), the graceful-degradation threshold below
   /// the hard limit: an allocation that would cross it triggers an
   /// emergency collect-then-shrink pass (rate-limited by allocation
@@ -171,7 +169,6 @@ public:
   /// `onHeapPressureCleared`. Unlike the hard limit, crossing the soft
   /// limit is never an error.
   void setSoftHeapLimit(uint64_t Bytes) { SoftLimitBytes = Bytes; }
-  uint64_t softHeapLimit() const { return SoftLimitBytes; }
 
   /// Number of emergency (soft-limit) collections so far.
   uint64_t emergencyCollects() const { return EmergencyCollects; }
@@ -181,12 +178,6 @@ public:
   bool underPressure() const {
     return UnderPressure.load(std::memory_order_relaxed);
   }
-
-  /// Minimum fraction of the heap limit that must be free after a
-  /// pressure collection; less means the program is effectively spending
-  /// its time collecting, and the heap declares OutOfMemory (HotSpot's
-  /// GC-overhead criterion). 0 disables the check.
-  void setMinFreeFraction(double Fraction) { MinFreeFraction = Fraction; }
 
   /// When nonzero, forces a (statistics-sampling) collection every time
   /// this many bytes have been allocated. Profiled runs use it so that the
@@ -212,7 +203,6 @@ public:
   /// existing worker pool; the next pool cycle re-creates it at the new
   /// size.
   void setGcThreads(unsigned Threads);
-  unsigned gcThreads() const { return GcThreads; }
 
   /// When true (default), each mutator thread allocates slot ids out of a
   /// per-thread cache refilled in batches under a spinlock, so the hot
@@ -244,7 +234,7 @@ public:
   /// refills take the heap's slot spinlock, an allocation takes its
   /// allocation mutex only when a collection trigger is pending or the
   /// thread caches are off, and collections stop the world and run on the
-  /// worker pool when `gcThreads() > 1`; the
+  /// worker pool when there is more than one GC thread; the
   /// *unregistered* threads (typically the coordinating main thread) must
   /// stay quiescent except while every registered mutator is parked.
   bool concurrentMutatorsActive() const {
@@ -378,6 +368,12 @@ public:
   /// thrashing when the limit sits just above the live size.
   static constexpr unsigned GcOverheadLimit = 8;
 
+  /// Minimum fraction of the heap limit that must be free after a
+  /// pressure collection; less means the program is effectively spending
+  /// its time collecting, and the heap declares OutOfMemory (HotSpot's
+  /// GC-overhead criterion).
+  static constexpr double MinFreeFraction = 0.10;
+
   /// Allocation volume a registered mutator counts in its own record before
   /// folding it into the heap's totals: the most any one thread holds back
   /// from the accessors below, and how late it can make another thread's
@@ -454,15 +450,47 @@ private:
   /// rarely un-bumps much; large enough that SlotMu is cold.
   static constexpr uint32_t SlotCacheBatch = 32;
 
+  /// The four allocation triggers, each stated once: allocateLocked tests
+  /// them on the exact totals under AllocMu, allocTriggersPending on what
+  /// the calling thread can see. \p Total is the cumulative allocation
+  /// volume, \p InUse the bytes in use, \p Bytes the new object's size and
+  /// \p Oom the out-of-memory flag.
+  ///
+  /// Sample cadence: GcSampleEveryBytes allocated since the last sample.
+  bool sampleDue(uint64_t Total) const {
+    return GcSampleEveryBytes != 0
+           && Total - LastSampleAt.load(std::memory_order_relaxed)
+                  >= GcSampleEveryBytes;
+  }
+  /// Soft-limit emergency: the allocation crosses the soft limit, and a
+  /// sixteenth of that limit has been allocated since the last emergency
+  /// pass.
+  bool emergencyDue(uint64_t Total, uint64_t InUse, uint64_t Bytes,
+                    bool Oom) const {
+    return SoftLimitBytes != 0 && !Oom && InUse + Bytes > SoftLimitBytes
+           && Total - LastEmergencyAt.load(std::memory_order_relaxed)
+                  >= std::max<uint64_t>(SoftLimitBytes / 16, 1);
+  }
+  /// Pressure cleared: under pressure, and back below the soft limit with
+  /// 1/8 hysteresis headroom.
+  bool pressureCleared(uint64_t InUse, uint64_t Bytes) const {
+    return UnderPressure.load(std::memory_order_relaxed)
+           && SoftLimitBytes != 0
+           && InUse + Bytes <= SoftLimitBytes - SoftLimitBytes / 8;
+  }
+  /// Hard limit: the allocation would push the heap past it.
+  bool overHeapLimit(uint64_t InUse, uint64_t Bytes, bool Oom) const {
+    return !Oom && HeapLimitBytes != 0 && InUse + Bytes > HeapLimitBytes;
+  }
+
   /// True when allocating \p Bytes on \p M, the calling thread's record,
-  /// must take the locked path because one of allocateLocked's trigger
-  /// conditions holds (sample cadence, soft limit, pressure clearing, hard
-  /// limit). False at once when no trigger is configured. Otherwise it tests
-  /// the folded totals plus M's own unfolded volume: the totals exactly when
+  /// must take the locked path because one of the four triggers holds.
+  /// False at once when no trigger is configured. Otherwise it tests the
+  /// folded totals plus M's own unfolded volume: the totals exactly when
   /// one thread allocates, and short of them by less than one
   /// AllocFoldChunkBytes per other running registered mutator, so a
   /// collection trigger is never early and at most that late (DESIGN.md
-  /// §12.3). allocateLocked re-evaluates every condition under AllocMu.
+  /// §12.3). allocateLocked re-evaluates every trigger under AllocMu.
   bool allocTriggersPending(const MutatorThread &M, uint64_t Bytes) const;
 
   /// Adds M's unfolded allocation volume to the four totals and zeroes it.
@@ -534,7 +562,6 @@ private:
 
   MemoryModel Model;
   uint64_t HeapLimitBytes;
-  double MinFreeFraction = 0.10;
   uint64_t GcSampleEveryBytes = 0;
   std::atomic<uint64_t> LastSampleAt{0};
   uint64_t SoftLimitBytes = 0;

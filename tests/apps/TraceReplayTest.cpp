@@ -164,9 +164,10 @@ TEST(TraceReplay, LoadPartitionKeepsSessionsWholeAndBalancesZipf) {
     for (size_t W = 0; W < Four.size(); ++W) {
       for (size_t K = 0; K < Four[W].size(); ++K) {
         const TraceTask &Task = Tasks[Four[W][K]];
-        if (K != 0)
+        if (K != 0) {
           ASSERT_LT(Tasks[Four[W][K - 1]].Id, Task.Id)
               << "worker " << W << " runs its tasks out of id order";
+        }
         auto [It, New] = WorkerOfSession.emplace(Task.Session, W);
         ASSERT_EQ(It->second, W)
             << "session " << Task.Session << " split across workers";

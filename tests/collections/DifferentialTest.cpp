@@ -136,8 +136,9 @@ void runListSequence(List L, uint64_t Seed, int Ops, bool Ordered) {
     }
     ASSERT_EQ(L.size(), Model.size());
     ASSERT_EQ(L.isEmpty(), Model.empty());
-    if (Op % 16 == 15)
+    if (Op % 16 == 15) {
       ASSERT_EQ(iterateList(L), Model);
+    }
   }
   ASSERT_EQ(iterateList(L), Model);
 }
@@ -255,8 +256,9 @@ void runSingletonMapSequence(Map M, uint64_t Seed, int Ops) {
       Value Got = M.get(Value::ofInt(K));
       auto It = Model.find(K);
       ASSERT_EQ(Got.isNull(), It == Model.end());
-      if (It != Model.end())
+      if (It != Model.end()) {
         ASSERT_EQ(Got.asInt(), It->second);
+      }
     } else if (Roll < 80) {
       ASSERT_EQ(M.remove(Value::ofInt(K)), Model.erase(K) > 0);
     } else {
@@ -412,9 +414,7 @@ TEST(Differential, BehaviourIdenticalAcrossOnlineAdaptorReplacement) {
   rules::RuleEngine Engine;
   Engine.addBuiltinRules();
   CollectionRuntime RT;
-  OnlineConfig Config;
-  Config.WarmupDeaths = 8;
-  OnlineAdaptor Adaptor(Engine, RT.profiler(), Config);
+  OnlineAdaptor Adaptor(Engine, RT.profiler());
   RT.setOnlineSelector(&Adaptor);
   FrameId Site = RT.site("diff.online.map:1");
 
@@ -440,8 +440,9 @@ TEST(Differential, BehaviourIdenticalAcrossOnlineAdaptorReplacement) {
       Value Got = M.get(Value::ofInt(K));
       auto It = Model.find(K);
       ASSERT_EQ(Got.isNull(), It == Model.end());
-      if (It != Model.end())
+      if (It != Model.end()) {
         ASSERT_EQ(Got.asInt(), It->second);
+      }
     }
     ASSERT_EQ(M.size(), Model.size());
     if (I % 16 == 15)

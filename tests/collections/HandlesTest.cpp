@@ -135,34 +135,12 @@ TEST_F(HandlesTest, IteratorsCountAndDistinguishEmpty) {
 }
 
 TEST_F(HandlesTest, IteratorAllocatesAHeapObject) {
-  // §5.4: iterator objects are real allocations.
+  // §5.4: iterator objects are real allocations, an empty iteration's
+  // too.
   List L = RT.newArrayList(Site);
   uint64_t Before = RT.heap().totalAllocatedObjects();
   ValueIter It = L.iterate();
   EXPECT_EQ(RT.heap().totalAllocatedObjects(), Before + 1);
-}
-
-TEST_F(HandlesTest, SharedEmptyIteratorAvoidsAllocations) {
-  // §5.4: returning a fixed empty iterator avoids the per-call object.
-  RuntimeConfig Config;
-  Config.ShareEmptyIterators = true;
-  CollectionRuntime Shared(Config);
-  FrameId S = Shared.site("t:1");
-  List L = Shared.newArrayList(S);
-  uint64_t Before = Shared.heap().totalAllocatedObjects();
-  for (int I = 0; I < 10; ++I) {
-    ValueIter It = L.iterate();
-    Value V;
-    EXPECT_FALSE(It.next(V));
-  }
-  // Only the one shared iterator object was ever allocated.
-  EXPECT_EQ(Shared.heap().totalAllocatedObjects(), Before + 1);
-  // Non-empty iterations still allocate per call.
-  L.add(Value::ofInt(1));
-  uint64_t Mid = Shared.heap().totalAllocatedObjects();
-  { ValueIter It = L.iterate(); }
-  { ValueIter It = L.iterate(); }
-  EXPECT_EQ(Shared.heap().totalAllocatedObjects(), Mid + 2);
 }
 
 TEST_F(HandlesTest, UnprofiledAllocationsCountNothing) {

@@ -257,7 +257,6 @@ TEST_P(PressureProperty, MapSurvivesPressureCollections) {
   RuntimeConfig Config;
   Config.HeapLimitBytes = 64 * 1024;
   CollectionRuntime RT(Config);
-  RT.heap().setMinFreeFraction(0.0);
   FrameId Site = RT.site("prop:1");
   FrameId TmpSite = RT.site("prop:tmp");
   Map M = RT.newMapOf(GetParam(), Site);

@@ -44,9 +44,7 @@ TEST(OnlineAdaptor, RedirectsAfterWarmup) {
   rules::RuleEngine Engine;
   Engine.addBuiltinRules();
   CollectionRuntime RT;
-  OnlineConfig Config;
-  Config.WarmupDeaths = 8;
-  OnlineAdaptor Adaptor(Engine, RT.profiler(), Config);
+  OnlineAdaptor Adaptor(Engine, RT.profiler());
   RT.setOnlineSelector(&Adaptor);
 
   std::vector<ImplKind> Log;
@@ -80,12 +78,11 @@ TEST(OnlineAdaptor, DecisionsAreCachedBetweenReevaluations) {
   rules::RuleEngine Engine;
   Engine.addBuiltinRules();
   CollectionRuntime RT;
-  OnlineConfig Config;
-  Config.WarmupDeaths = 8;
-  Config.ReevaluatePeriod = 1000; // effectively once
-  OnlineAdaptor Adaptor(Engine, RT.profiler(), Config);
+  OnlineAdaptor Adaptor(Engine, RT.profiler());
   RT.setOnlineSelector(&Adaptor);
 
+  // 300 allocations: one evaluation after warm-up, at most one more
+  // ReevaluatePeriod (256) allocations later.
   churnSmallMaps(RT, 300);
   EXPECT_LE(Adaptor.evaluations(), 3u);
 }
@@ -96,10 +93,7 @@ TEST(OnlineAdaptor, DriftingContextsAreReevaluated) {
   rules::RuleEngine Engine;
   Engine.addBuiltinRules();
   CollectionRuntime RT;
-  OnlineConfig Config;
-  Config.WarmupDeaths = 8;
-  Config.ReevaluatePeriod = 32;
-  OnlineAdaptor Adaptor(Engine, RT.profiler(), Config);
+  OnlineAdaptor Adaptor(Engine, RT.profiler());
   RT.setOnlineSelector(&Adaptor);
 
   FrameId Site = RT.site("Drift.makeMap:1");

@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 using namespace chameleon;
@@ -210,76 +211,76 @@ TEST(OnlineRollback, AdaptorBacksOffAndPins) {
   rules::RuleEngine Engine;
   Engine.addBuiltinRules();
   CollectionRuntime RT;
-  OnlineConfig Config;
-  Config.WarmupDeaths = 4;
-  Config.MigrationBackoffBase = 4;
-  Config.MigrationBackoffCap = 8;
-  Config.MaxMigrationAborts = 2;
-  OnlineAdaptor Adaptor(Engine, RT.profiler(), Config);
+  OnlineAdaptor Adaptor(Engine, RT.profiler());
 
-  // Warm the context: small get-dominated HashMaps that die quickly make
-  // the builtin small-hashmap rule fire.
+  // Small get-dominated HashMaps that die quickly: the builtin
+  // small-hashmap rule fires on their context, before and after any
+  // re-evaluation.
   FrameId Site = RT.site("Rollback.adaptor:1");
   ContextInfo *Ctx = nullptr;
-  for (int I = 0; I < 32; ++I) {
-    Map M = RT.newHashMap(Site);
-    for (int64_t E = 0; E < 3; ++E)
-      M.put(Value::ofInt(E), Value::ofInt(E));
-    (void)M.get(Value::ofInt(0));
-    Ctx = M.context();
-    M.retire();
-  }
-  ASSERT_NE(Ctx, nullptr);
-  ASSERT_GE(Ctx->foldedInstances(), 4u);
+  auto AllocateFromContext = [&](uint64_t Count) {
+    for (uint64_t I = 0; I < Count; ++I) {
+      Map M = RT.newHashMap(Site);
+      for (int64_t E = 0; E < 3; ++E)
+        M.put(Value::ofInt(E), Value::ofInt(E));
+      (void)M.get(Value::ofInt(0));
+      Ctx = M.context();
+      M.retire();
+    }
+  };
+  auto Propose = [&] {
+    uint32_t Capacity = 0;
+    return Adaptor.reviseImpl(Ctx, AdtKind::Map, ImplKind::HashMap,
+                              Capacity);
+  };
 
-  uint32_t Capacity = 0;
-  std::optional<ImplKind> First =
-      Adaptor.reviseImpl(Ctx, AdtKind::Map, ImplKind::HashMap, Capacity);
+  AllocateFromContext(32);
+  ASSERT_NE(Ctx, nullptr);
+  ASSERT_GE(Ctx->foldedInstances(), OnlineAdaptor::WarmupDeaths);
+  std::optional<ImplKind> First = Propose();
   ASSERT_TRUE(First.has_value());
   EXPECT_EQ(*First, ImplKind::ArrayMap);
   EXPECT_EQ(Adaptor.migrationsRequested(), 1u);
 
-  // First abort: backed off until 4 more allocations from this context.
-  Adaptor.onMigrationResult(Ctx, /*Committed=*/false);
-  EXPECT_EQ(Adaptor.migrationsAborted(), 1u);
-  EXPECT_FALSE(
-      Adaptor.reviseImpl(Ctx, AdtKind::Map, ImplKind::HashMap, Capacity)
-          .has_value())
-      << "must not re-propose before the backoff deadline";
-
-  // Allocations from the context advance past the deadline: proposed again.
-  for (int I = 0; I < 8; ++I) {
-    Map M = RT.newHashMap(Site);
-    M.put(Value::ofInt(0), Value::ofInt(0));
-    M.retire();
+  // Each of the first MaxMigrationAborts - 1 aborts backs the context off
+  // for Base, 2*Base, 4*Base, ... further allocations: nothing is proposed
+  // one allocation before the deadline, and a proposal comes at it.
+  for (unsigned Abort = 1; Abort < OnlineAdaptor::MaxMigrationAborts;
+       ++Abort) {
+    SCOPED_TRACE("abort " + std::to_string(Abort));
+    Adaptor.onMigrationResult(Ctx, /*Committed=*/false);
+    EXPECT_EQ(Adaptor.migrationsAborted(), Abort);
+    const uint64_t Delay = OnlineAdaptor::MigrationBackoffBase
+                           << (Abort - 1);
+    AllocateFromContext(Delay - 1);
+    EXPECT_FALSE(Propose().has_value())
+        << "must not re-propose before the backoff deadline";
+    EXPECT_EQ(Adaptor.migrationsRequested(), Abort);
+    AllocateFromContext(1);
+    EXPECT_TRUE(Propose().has_value())
+        << "must re-propose at the backoff deadline";
+    EXPECT_EQ(Adaptor.migrationsRequested(), 1u + Abort);
   }
-  EXPECT_TRUE(
-      Adaptor.reviseImpl(Ctx, AdtKind::Map, ImplKind::HashMap, Capacity)
-          .has_value());
+  EXPECT_EQ(Adaptor.pinnedContexts(), 0u);
 
-  // Second consecutive abort reaches MaxMigrationAborts: pinned for good.
+  // The next consecutive abort reaches MaxMigrationAborts: pinned for
+  // good, though re-evaluations keep choosing ArrayMap.
   Adaptor.onMigrationResult(Ctx, /*Committed=*/false);
   EXPECT_EQ(Adaptor.pinnedContexts(), 1u);
-  for (int I = 0; I < 32; ++I) {
-    Map M = RT.newHashMap(Site);
-    M.put(Value::ofInt(0), Value::ofInt(0));
-    M.retire();
-  }
-  EXPECT_FALSE(
-      Adaptor.reviseImpl(Ctx, AdtKind::Map, ImplKind::HashMap, Capacity)
-          .has_value())
+  const uint64_t Requested = Adaptor.migrationsRequested();
+  AllocateFromContext(2 * OnlineAdaptor::ReevaluatePeriod);
+  EXPECT_FALSE(Propose().has_value())
       << "a pinned context never migrates again";
+  EXPECT_EQ(Adaptor.migrationsRequested(), Requested);
+  EXPECT_EQ(Adaptor.describeContext(Ctx).rfind("online: plan=ArrayMap", 0),
+            0u);
 }
 
 TEST(OnlineRollback, CommitResetsBackoff) {
   rules::RuleEngine Engine;
   Engine.addBuiltinRules();
   CollectionRuntime RT;
-  OnlineConfig Config;
-  Config.WarmupDeaths = 4;
-  Config.MigrationBackoffBase = 1024; // one abort blocks for a long time
-  Config.MaxMigrationAborts = 5;
-  OnlineAdaptor Adaptor(Engine, RT.profiler(), Config);
+  OnlineAdaptor Adaptor(Engine, RT.profiler());
 
   FrameId Site = RT.site("Rollback.commit:1");
   ContextInfo *Ctx = nullptr;

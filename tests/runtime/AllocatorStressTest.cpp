@@ -57,8 +57,9 @@ TEST(AllocatorStress, SizeClassTableInvariants) {
   // 16-aligned types always land on 16-aligned blocks.
   for (uint32_t C = 0; C < kNumClasses; ++C) {
     EXPECT_EQ(classSize(C) % 8, 0u) << "class " << C;
-    if (classSize(C) > 128)
+    if (classSize(C) > 128) {
       EXPECT_EQ(classSize(C) % 16, 0u) << "class " << C;
+    }
   }
 
   // classIndexFor is the exact inverse on class sizes and picks the
@@ -69,8 +70,9 @@ TEST(AllocatorStress, SizeClassTableInvariants) {
     const uint32_t C = classIndexFor(Size);
     ASSERT_LT(C, kNumClasses) << "size " << Size;
     EXPECT_GE(classSize(C), Size) << "size " << Size;
-    if (C > 0)
+    if (C > 0) {
       EXPECT_LT(classSize(C - 1), Size) << "size " << Size;
+    }
   }
 
   // Transfer batches amortise the central lock without hoarding pages.
@@ -712,9 +714,10 @@ TEST(AllocatorDifferential, TvlaCachesOnOffIdentical) {
   for (unsigned GcThreads : {1u, 2u, 8u}) {
     EXPECT_EQ(Run(GcThreads, false), Baseline)
         << "locked path diverged at GcThreads=" << GcThreads;
-    if (GcThreads != 1)
+    if (GcThreads != 1) {
       EXPECT_EQ(Run(GcThreads, true), Baseline)
           << "cached path diverged at GcThreads=" << GcThreads;
+    }
   }
 }
 

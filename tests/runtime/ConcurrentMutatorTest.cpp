@@ -385,7 +385,7 @@ TEST(ConcurrentMutator, ConcurrentForcedCollections) {
     for (int I = 0; I < 40; ++I) {
       List L = RT.newArrayList(Site, 2);
       L.add(Value::ofInt(I));
-      if (I % 8 == Tid % 8)
+      if (static_cast<unsigned>(I) % 8 == Tid % 8)
         RT.heap().collect(/*Forced=*/true);
       ASSERT_EQ(L.get(0).asInt(), I);
       L.retire();

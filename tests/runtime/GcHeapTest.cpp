@@ -23,6 +23,12 @@ struct GcHeapTest : ::testing::Test {
   TypeId NodeType = registerNodeType(Heap);
 };
 
+/// A heap with a 1024-byte limit, and its node type.
+struct LimitedHeap {
+  GcHeap Heap{MemoryModel::jvm32(), /*HeapLimitBytes=*/1024};
+  TypeId NodeType = registerNodeType(Heap);
+};
+
 TEST_F(GcHeapTest, AllocateTracksBytesAndObjects) {
   EXPECT_EQ(Heap.bytesInUse(), 0u);
   ObjectRef A = allocNode(Heap, NodeType, 0, 24);
@@ -116,37 +122,46 @@ TEST_F(GcHeapTest, TempRootsProtectAcrossCollections) {
 }
 
 TEST_F(GcHeapTest, PressureCollectionTriggersAtTheLimit) {
-  Heap.setHeapLimit(1024);
-  Heap.setMinFreeFraction(0.0);
+  LimitedHeap L;
   // Allocate garbage past the limit; pressure GCs keep reclaiming it.
   for (int I = 0; I < 100; ++I)
-    allocNode(Heap, NodeType, 0, 64);
-  EXPECT_FALSE(Heap.outOfMemory());
-  EXPECT_GT(Heap.cycleCount(), 0u);
+    allocNode(L.Heap, L.NodeType, 0, 64);
+  EXPECT_FALSE(L.Heap.outOfMemory());
+  EXPECT_GT(L.Heap.cycleCount(), 0u);
 }
 
 TEST_F(GcHeapTest, OutOfMemoryWhenLiveExceedsLimit) {
-  Heap.setHeapLimit(1024);
-  Heap.setMinFreeFraction(0.0);
+  LimitedHeap L;
   std::vector<Handle> Roots;
-  for (int I = 0; I < 100 && !Heap.outOfMemory(); ++I)
-    Roots.emplace_back(Heap, allocNode(Heap, NodeType, 0, 64));
-  EXPECT_TRUE(Heap.outOfMemory());
+  for (int I = 0; I < 100 && !L.Heap.outOfMemory(); ++I)
+    Roots.emplace_back(L.Heap, allocNode(L.Heap, L.NodeType, 0, 64));
+  EXPECT_TRUE(L.Heap.outOfMemory());
 }
 
 TEST_F(GcHeapTest, MinFreeFractionFailsTightHeapsFast) {
-  // With a 50% headroom requirement, live data over half the limit is
-  // already out-of-memory at the first pressure collection.
-  Heap.setHeapLimit(1024);
-  Heap.setMinFreeFraction(0.5);
-  std::vector<Handle> Roots;
-  for (int I = 0; I < 12; ++I)
-    Roots.emplace_back(Heap, allocNode(Heap, NodeType, 0, 64));
-  // 768 live bytes; the next allocation exceeds 1024 and collects, but
-  // headroom after GC is < 512.
-  for (int I = 0; I < 8; ++I)
-    allocNode(Heap, NodeType, 0, 64);
-  EXPECT_TRUE(Heap.outOfMemory());
+  // After a pressure collection, the allocation it serves must leave
+  // MinFreeFraction of the limit free: 102 of 1024 bytes.
+  EXPECT_EQ(static_cast<uint64_t>(GcHeap::MinFreeFraction * 1024), 102u);
+  // Roots \p Rooted 64-byte nodes, then allocates 64-byte garbage until
+  // the first pressure collection, which keeps exactly the rooted nodes.
+  auto OomAfterPressureCollection = [](unsigned Rooted) {
+    LimitedHeap L;
+    std::vector<Handle> Roots;
+    for (unsigned I = 0; I < Rooted; ++I)
+      Roots.emplace_back(L.Heap, allocNode(L.Heap, L.NodeType, 0, 64));
+    for (int I = 0; I < 16 && L.Heap.cycleCount() == 0; ++I)
+      allocNode(L.Heap, L.NodeType, 0, 64);
+    EXPECT_EQ(L.Heap.cycleCount(), 1u);
+    if (!L.Heap.cycles().empty()) {
+      EXPECT_EQ(L.Heap.cycles().back().LiveObjects, Rooted);
+    }
+    return L.Heap.outOfMemory();
+  };
+  // 13 live nodes plus the new one leave 1024 - 14 * 64 = 128 bytes free.
+  EXPECT_FALSE(OomAfterPressureCollection(13));
+  // 14 live nodes plus the new one leave 64 bytes, under 102: out of
+  // memory although the live data fits.
+  EXPECT_TRUE(OomAfterPressureCollection(14));
 }
 
 TEST_F(GcHeapTest, ForcedCyclesAreMarkedForced) {

@@ -12,8 +12,10 @@
 /// chameleon-aggd listening on an AF_UNIX socket.
 ///
 ///   chameleon-aggd   --listen /tmp/fleet.sock --snapshot /tmp/fleet.snap &
-///   chameleon-agentd --connect /tmp/fleet.sock --agent-id a0 \
+///   chameleon-agentd --connect /tmp/fleet.sock --agent-id a0
 ///                    --wal /tmp/a0.wal --gen burst --scale ci
+///
+/// (the second command is one line, wrapped here).
 ///
 /// Exit 0 = the replay completed and every committed epoch is durable at
 /// the aggregator. Exit 1 = drain budget exhausted first (the WAL still

@@ -10,8 +10,10 @@
 /// state, persists crash-safe snapshots, and on exit renders the merged
 /// profile and the fleet-wide rule evaluation.
 ///
-///   chameleon-aggd --listen /tmp/fleet.sock --snapshot /tmp/fleet.snap \
+///   chameleon-aggd --listen /tmp/fleet.sock --snapshot /tmp/fleet.snap
 ///                  --persist-every 4 --idle-exit 500 --report --evaluate
+///
+/// (one command line, wrapped here).
 ///
 /// Restart semantics: on startup the previous snapshot is loaded (a
 /// corrupt one is quarantined aside, never fatal), so reconnecting agents
