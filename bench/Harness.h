@@ -341,8 +341,12 @@ public:
 
 private:
   static std::string jsonValue(const Cell &V) {
-    if (!V.IsNumber)
-      return "\"" + obs::json::escape(V.Label) + "\"";
+    if (!V.IsNumber) {
+      std::string Quoted = "\"";
+      Quoted += obs::json::escape(V.Label);
+      Quoted += '"';
+      return Quoted;
+    }
     if (!std::isfinite(V.Number))
       return "null";
     char Buf[32];

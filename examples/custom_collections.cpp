@@ -46,7 +46,6 @@ public:
     Capacity = InitialCapacity;
   }
 
-  ImplKind kind() const override { return ImplKind::HashMap; } // display
   uint32_t size() const override { return Count; }
 
   void clear() override {

@@ -538,27 +538,10 @@ bool chameleon::apps::readTraceFile(const std::string &Path, Trace &Out,
 namespace {
 
 /// Implementations a trace may request at an Alloc op. Conservative: the
-/// capacity-restricted backings (Singleton*, Empty*) and the
-/// representation-restricted ones (IntArrayList, HashedList) are only
-/// reachable through migration, never through a recorded allocation.
+/// bounded backings (Singleton*, EmptyList) and the ones that restrict their
+/// contents (IntArrayList, HashedList) are never recorded allocations.
 bool traceAllocatable(ImplKind Impl) {
-  switch (Impl) {
-  case ImplKind::ArrayList:
-  case ImplKind::LinkedList:
-  case ImplKind::LazyArrayList:
-  case ImplKind::HashSet:
-  case ImplKind::ArraySet:
-  case ImplKind::LazySet:
-  case ImplKind::LinkedHashSet:
-  case ImplKind::SizeAdaptingSet:
-  case ImplKind::HashMap:
-  case ImplKind::ArrayMap:
-  case ImplKind::LazyMap:
-  case ImplKind::SizeAdaptingMap:
-    return true;
-  default:
-    return false;
-  }
+  return !implIsBounded(Impl) && !implRestrictsContents(Impl);
 }
 
 /// Which ADT an opcode requires (nullopt: any ADT).

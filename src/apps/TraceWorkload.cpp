@@ -356,7 +356,7 @@ std::string buildAdaptReport(CollectionRuntime &RT,
                              const ReplayResult &Result) {
   std::string Out;
   appendf(Out, "adapt: revise=%u chaos=%d chaosSeed=0x%llx softLimit=%llu\n",
-          Config.OnlineRevisePeriod, Config.Chaos ? 1 : 0,
+          RT.config().OnlineRevisePeriod, Config.Chaos ? 1 : 0,
           static_cast<unsigned long long>(Config.ChaosSeed),
           static_cast<unsigned long long>(Config.ChaosSoftHeapLimitBytes));
   if (Adaptor)
@@ -425,10 +425,10 @@ chameleon::apps::partitionEpochByLoad(const std::vector<TraceTask> &Tasks,
   return P;
 }
 
-RuntimeConfig chameleon::apps::traceReplayRuntimeConfig(
-    const ReplayConfig &Config) {
+RuntimeConfig
+chameleon::apps::traceReplayRuntimeConfig(const ReplayConfig &) {
   RuntimeConfig RC = serverSimRuntimeConfig();
-  RC.OnlineRevisePeriod = Config.OnlineRevisePeriod;
+  RC.OnlineRevisePeriod = 8;
   return RC;
 }
 

@@ -121,10 +121,6 @@ struct ReplayConfig {
   /// byte-identity across thread counts is not guaranteed in this mode —
   /// migration timing depends on interleaving.
   bool OnlineAdapt = false;
-  /// RuntimeConfig::OnlineRevisePeriod for the replay runtime (see
-  /// traceReplayRuntimeConfig). Replay defaults low so the generated
-  /// workloads revise — and thus migrate — frequently.
-  uint32_t OnlineRevisePeriod = 8;
   /// Arm the fault injector with a randomized plan for the run (forced
   /// GCs at allocation, failures inside migration transactions).
   bool Chaos = false;
@@ -184,7 +180,9 @@ EpochPartition partitionEpochByLoad(const std::vector<TraceTask> &Tasks,
                                     uint32_t Workers);
 
 /// The RuntimeConfig a replay runtime should be constructed with:
-/// ServerSim's determinism config plus the replay's revise period.
+/// ServerSim's determinism config with an OnlineRevisePeriod of 8, low so
+/// the generated workloads revise (and thus migrate) often. It is the same
+/// for every \p Config.
 RuntimeConfig traceReplayRuntimeConfig(const ReplayConfig &Config);
 
 /// Replays \p T on \p RT. The trace is validated first (see

@@ -11,14 +11,6 @@
 
 using namespace chameleon;
 
-ArrayListImpl::ArrayListImpl(TypeId Type, uint64_t Bytes,
-                             CollectionRuntime &RT, bool Lazy,
-                             uint32_t RequestedCapacity)
-    : SeqImpl(Type, Bytes, RT),
-      InitialCapacity(RequestedCapacity ? RequestedCapacity
-                                        : DefaultCapacity),
-      Lazy(Lazy) {}
-
 void ArrayListImpl::initEager() {
   if (Lazy)
     return;
@@ -33,9 +25,7 @@ ValueArray &ArrayListImpl::array() const {
 void ArrayListImpl::ensureCapacity(uint32_t Needed) {
   if (Needed <= Capacity)
     return;
-  uint32_t NewCap = Capacity == 0 ? InitialCapacity : grow(Capacity);
-  if (NewCap < Needed)
-    NewCap = Needed;
+  uint32_t NewCap = grownCapacity(Capacity, InitialCapacity, Needed);
   // Allocate the replacement array first (may GC; 'this' stays reachable
   // through the wrapper the caller holds), then copy and drop the old one.
   CHAM_FAULT("arraylist.reserve");

@@ -6,12 +6,12 @@
 ///
 /// \file
 /// The resizable-array list (default List backing) and its lazy variant.
-/// Growth follows the policy the paper quotes in §2.2:
-/// `newCapacity = (oldCapacity * 3) / 2 + 1`, and the default capacity of
-/// 10 slots is allocated eagerly at construction (the Java-5-era behaviour
-/// the "set initial capacity" rules exist to correct). The lazy variant
-/// (`LazyArrayList`) defers the backing array to the first update — the
-/// fix the paper applies to bloat's mostly-empty lists.
+/// Growth follows the policy the paper quotes in §2.2 (`grownCapacity`),
+/// and the default capacity is allocated eagerly at construction (the
+/// Java-5-era behaviour the "set initial capacity" rules exist to
+/// correct). The lazy variant (`LazyArrayList`) defers the backing array
+/// to the first update — the fix the paper applies to bloat's mostly-empty
+/// lists.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,24 +26,15 @@ namespace chameleon {
 /// with int-only elements, shares logic with IntArrayListImpl's layout.
 class ArrayListImpl : public SeqImpl {
 public:
-  /// Default eager capacity, as in java.util.ArrayList.
-  static constexpr uint32_t DefaultCapacity = 10;
-
-  /// The growth policy of §2.2.
-  static uint32_t grow(uint32_t OldCapacity) {
-    return (OldCapacity * 3) / 2 + 1;
-  }
-
   ArrayListImpl(TypeId Type, uint64_t Bytes, CollectionRuntime &RT, bool Lazy,
-                uint32_t RequestedCapacity);
+                uint32_t InitialCapacity)
+      : SeqImpl(Type, Bytes, RT), InitialCapacity(InitialCapacity),
+        Lazy(Lazy) {}
 
   /// Allocates the eager backing array; call once the object is rooted.
   /// No-op for the lazy variant.
   void initEager() override;
 
-  ImplKind kind() const override {
-    return Lazy ? ImplKind::LazyArrayList : ImplKind::ArrayList;
-  }
   uint32_t size() const override { return Count; }
   void clear() override;
   CollectionSizes sizes() const override;

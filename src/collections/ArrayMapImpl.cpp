@@ -11,12 +11,6 @@
 
 using namespace chameleon;
 
-ArrayMapImpl::ArrayMapImpl(TypeId Type, uint64_t Bytes, CollectionRuntime &RT,
-                           uint32_t RequestedCapacity)
-    : MapImpl(Type, Bytes, RT),
-      InitialCapacity(RequestedCapacity ? RequestedCapacity
-                                        : DefaultCapacity) {}
-
 ValueArray &ArrayMapImpl::array() const {
   assert(!Backing.isNull() && "no backing array");
   return RT.heap().getAs<ValueArray>(Backing);
@@ -25,10 +19,7 @@ ValueArray &ArrayMapImpl::array() const {
 void ArrayMapImpl::ensureCapacity(uint32_t NeededPairs) {
   if (NeededPairs <= Capacity)
     return;
-  uint32_t NewCap =
-      Capacity == 0 ? InitialCapacity : (Capacity * 3) / 2 + 1;
-  if (NewCap < NeededPairs)
-    NewCap = NeededPairs;
+  uint32_t NewCap = grownCapacity(Capacity, InitialCapacity, NeededPairs);
   CHAM_FAULT("arraymap.reserve");
   ObjectRef NewBacking = RT.allocValueArray(2 * NewCap);
   if (!Backing.isNull()) {

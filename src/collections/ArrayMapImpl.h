@@ -24,16 +24,14 @@ namespace chameleon {
 /// Map over an alternating [k0,v0,k1,v1,...] array.
 class ArrayMapImpl : public MapImpl {
 public:
-  /// Default entry capacity (pairs, not slots).
-  static constexpr uint32_t DefaultCapacity = 4;
-
+  /// \p InitialCapacity counts pairs, not slots.
   ArrayMapImpl(TypeId Type, uint64_t Bytes, CollectionRuntime &RT,
-               uint32_t RequestedCapacity);
+               uint32_t InitialCapacity)
+      : MapImpl(Type, Bytes, RT), InitialCapacity(InitialCapacity) {}
 
   /// Allocates the eager backing array; call once rooted.
   void initEager() override { ensureCapacity(InitialCapacity); }
 
-  ImplKind kind() const override { return ImplKind::ArrayMap; }
   uint32_t size() const override { return Count; }
   void clear() override;
   CollectionSizes sizes() const override;

@@ -189,6 +189,8 @@ Value CollectionRuntime::allocData(uint32_t PointerFields,
 ObjectRef CollectionRuntime::makeImpl(ImplKind Kind, uint32_t Capacity) {
   const MemoryModel &M = Heap.model();
   TypeId Type = Types.Impl[implIndex(Kind)];
+  if (Capacity == 0)
+    Capacity = defaultCapacityOf(Kind);
   switch (Kind) {
   case ImplKind::ArrayList:
     return Heap.allocate(std::make_unique<ArrayListImpl>(
@@ -210,7 +212,7 @@ ObjectRef CollectionRuntime::makeImpl(ImplKind Kind, uint32_t Capacity) {
         Type, M.objectBytes(1, 8), *this, Capacity));
   case ImplKind::HashedList:
     return Heap.allocate(std::make_unique<LinkedHashSetImpl>(
-        Type, M.objectBytes(2, 12), *this, ImplKind::HashedList, Capacity));
+        Type, M.objectBytes(2, 12), *this, Capacity));
   case ImplKind::HashSet:
     return Heap.allocate(std::make_unique<HashSetImpl>(
         Type, M.objectBytes(1), *this, /*Lazy=*/false, Capacity));
@@ -222,8 +224,7 @@ ObjectRef CollectionRuntime::makeImpl(ImplKind Kind, uint32_t Capacity) {
         Type, M.objectBytes(1, 8), *this, Capacity));
   case ImplKind::LinkedHashSet:
     return Heap.allocate(std::make_unique<LinkedHashSetImpl>(
-        Type, M.objectBytes(2, 12), *this, ImplKind::LinkedHashSet,
-        Capacity));
+        Type, M.objectBytes(2, 12), *this, Capacity));
   case ImplKind::SizeAdaptingSet:
     return Heap.allocate(std::make_unique<SizeAdaptingSetImpl>(
         Type, M.objectBytes(1, 8), *this, Capacity));
@@ -309,7 +310,7 @@ ObjectRef CollectionRuntime::allocateCollection(AdtKind Adt,
          && "selected impl does not fit the ADT");
 
   uint32_t EffectiveCapacity =
-      Capacity ? Capacity : (UseCustom ? Capacity : defaultCapacityOf(Kind));
+      Capacity || UseCustom ? Capacity : defaultCapacityOf(Kind);
 
   // Build impl, then wrapper; temp-root the impl across the wrapper
   // allocation. EmptyList is a shared flyweight (immutable, stateless).
@@ -319,7 +320,7 @@ ObjectRef CollectionRuntime::allocateCollection(AdtKind Adt,
   } else if (Kind == ImplKind::EmptyList) {
     ImplRef = sharedEmptyListRef();
   } else {
-    ImplRef = makeImpl(Kind, Capacity);
+    ImplRef = makeImpl(Kind, EffectiveCapacity);
   }
   TempRootScope Guard(Heap, ImplRef);
   Heap.getAs<CollectionImplBase>(ImplRef).initEager();
@@ -508,20 +509,11 @@ void CollectionRuntime::retireCollection(ObjectRef Wrapper) {
 // Transactional live migration (online mode)
 //===----------------------------------------------------------------------===//
 
-/// Built-in kinds a live collection can migrate *to*. The degenerate
-/// shape-specialised kinds work only as allocation-time choices: EmptyList
-/// rejects all mutation and the singleton impls hold at most one element,
-/// so a collection that later outgrows them would be stuck.
-static bool isMigratableTarget(ImplKind Kind) {
-  switch (Kind) {
-  case ImplKind::EmptyList:
-  case ImplKind::SingletonList:
-  case ImplKind::SingletonMap:
-    return false;
-  default:
-    return true;
-  }
-}
+/// Built-in kinds a live collection can migrate *to*. The bounded kinds
+/// work only as allocation-time choices: EmptyList rejects all mutation and
+/// the singleton impls hold at most one element, so a collection that later
+/// outgrows them would be stuck.
+static bool isMigratableTarget(ImplKind Kind) { return !implIsBounded(Kind); }
 
 MigrationOutcome CollectionRuntime::migrateCollection(ObjectRef Wrapper,
                                                       ImplKind Target,

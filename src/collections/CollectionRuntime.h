@@ -288,8 +288,9 @@ public:
   /// too, as java.util does (§5.4).
   ObjectRef allocIterator(ObjectRef Coll);
 
-  /// Allocates a bare implementation object of \p Kind. The caller roots
-  /// it and then calls its `initEager()`.
+  /// Allocates a bare implementation object of \p Kind with initial
+  /// capacity \p Capacity (0: the kind's `defaultCapacityOf`). The caller
+  /// roots it and then calls its `initEager()`.
   ObjectRef makeImpl(ImplKind Kind, uint32_t Capacity);
 
   /// -- Lifecycle -------------------------------------------------------------

@@ -11,13 +11,6 @@
 
 using namespace chameleon;
 
-HashMapImpl::HashMapImpl(TypeId Type, uint64_t Bytes, CollectionRuntime &RT,
-                         bool Lazy, uint32_t RequestedCapacity)
-    : MapImpl(Type, Bytes, RT),
-      InitialCapacity(RequestedCapacity ? RequestedCapacity
-                                        : DefaultCapacity),
-      Lazy(Lazy) {}
-
 void HashMapImpl::initEager() {
   if (Lazy)
     return;

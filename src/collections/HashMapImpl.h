@@ -23,18 +23,14 @@ namespace chameleon {
 /// Chained hash map; also serves as LazyMap (Lazy=true).
 class HashMapImpl : public MapImpl {
 public:
-  /// Default table capacity, as in java.util.HashMap.
-  static constexpr uint32_t DefaultCapacity = 16;
-
   HashMapImpl(TypeId Type, uint64_t Bytes, CollectionRuntime &RT, bool Lazy,
-              uint32_t RequestedCapacity);
+              uint32_t InitialCapacity)
+      : MapImpl(Type, Bytes, RT), InitialCapacity(InitialCapacity),
+        Lazy(Lazy) {}
 
   /// Allocates the eager table; call once rooted. No-op when lazy.
   void initEager() override;
 
-  ImplKind kind() const override {
-    return Lazy ? ImplKind::LazyMap : ImplKind::HashMap;
-  }
   uint32_t size() const override { return Count; }
   void clear() override;
   CollectionSizes sizes() const override;

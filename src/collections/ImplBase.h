@@ -21,7 +21,6 @@
 #define CHAMELEON_COLLECTIONS_IMPLBASE_H
 
 #include "collections/Internals.h"
-#include "collections/Kinds.h"
 #include "collections/Value.h"
 #include "runtime/HeapObject.h"
 #include "runtime/SemanticMap.h"
@@ -38,6 +37,15 @@ struct IterState {
   uint64_t B = 0;
 };
 
+/// The capacity an array-backed implementation reserves so that \p Needed
+/// elements fit: \p Initial for its first array, then the growth policy
+/// the paper quotes in §2.2, and never less than \p Needed.
+inline uint32_t grownCapacity(uint32_t Capacity, uint32_t Initial,
+                              uint32_t Needed) {
+  uint32_t NewCap = Capacity == 0 ? Initial : (Capacity * 3) / 2 + 1;
+  return NewCap < Needed ? Needed : NewCap;
+}
+
 /// Common base of all backing implementations.
 class CollectionImplBase : public HeapObject {
 public:
@@ -49,9 +57,6 @@ public:
 
   /// Structural modification counter; iterators fail fast on staleness.
   uint32_t modCount() const { return ModCount; }
-
-  /// Which interchangeable implementation this is.
-  virtual ImplKind kind() const = 0;
 
   /// Allocates the internals an eager representation sets up front (a
   /// backing array, a table, a sentinel). The factory and live migration

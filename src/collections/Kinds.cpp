@@ -8,47 +8,72 @@
 
 #include "support/Assert.h"
 
+#include <iterator>
+
 using namespace chameleon;
 
-const char *chameleon::implKindName(ImplKind Kind) {
-  switch (Kind) {
-  case ImplKind::ArrayList:
-    return "ArrayList";
-  case ImplKind::LinkedList:
-    return "LinkedList";
-  case ImplKind::LazyArrayList:
-    return "LazyArrayList";
-  case ImplKind::SingletonList:
-    return "SingletonList";
-  case ImplKind::EmptyList:
-    return "EmptyList";
-  case ImplKind::IntArrayList:
-    return "IntArrayList";
-  case ImplKind::HashedList:
-    return "HashedList";
-  case ImplKind::HashSet:
-    return "HashSet";
-  case ImplKind::ArraySet:
-    return "ArraySet";
-  case ImplKind::LazySet:
-    return "LazySet";
-  case ImplKind::LinkedHashSet:
-    return "LinkedHashSet";
-  case ImplKind::SizeAdaptingSet:
-    return "SizeAdaptingSet";
-  case ImplKind::HashMap:
-    return "HashMap";
-  case ImplKind::ArrayMap:
-    return "ArrayMap";
-  case ImplKind::LazyMap:
-    return "LazyMap";
-  case ImplKind::SingletonMap:
-    return "SingletonMap";
-  case ImplKind::SizeAdaptingMap:
-    return "SizeAdaptingMap";
-  }
-  CHAM_UNREACHABLE("unknown ImplKind");
+namespace {
+
+/// Everything the library states about one implementation kind apart from
+/// its code (paper §4.2 "Available Implementations").
+struct ImplKindRow {
+  ImplKind Kind;
+  const char *Name;
+  AdtKind Adt;
+  /// The initial capacity when the source requests none (java.util's 10
+  /// for ArrayList, 16 for HashMap); for the SizeAdapting hybrids, the
+  /// conversion threshold (16 worked for TVLA in §2.3).
+  uint32_t DefaultCapacity;
+  /// Holds at most a fixed number of elements.
+  bool Bounded;
+  /// Accepts only some contents: IntArrayList holds only ints, and
+  /// HashedList drops duplicates.
+  bool Restricted;
+};
+
+using enum ImplKind;
+using enum AdtKind;
+
+/// One row per ImplKind, in enum order.
+constexpr ImplKindRow Rows[] = {
+    // Kind           Name               ADT   Capacity Bounded Restricted
+    {ArrayList,       "ArrayList",       List, 10,      false,  false},
+    {LinkedList,      "LinkedList",      List, 0,       false,  false},
+    {LazyArrayList,   "LazyArrayList",   List, 10,      false,  false},
+    {SingletonList,   "SingletonList",   List, 1,       true,   false},
+    {EmptyList,       "EmptyList",       List, 0,       true,   false},
+    {IntArrayList,    "IntArrayList",    List, 10,      false,  true},
+    {HashedList,      "HashedList",      List, 16,      false,  true},
+    {HashSet,         "HashSet",         Set,  16,      false,  false},
+    {ArraySet,        "ArraySet",        Set,  4,       false,  false},
+    {LazySet,         "LazySet",         Set,  16,      false,  false},
+    {LinkedHashSet,   "LinkedHashSet",   Set,  16,      false,  false},
+    {SizeAdaptingSet, "SizeAdaptingSet", Set,  16,      false,  false},
+    {HashMap,         "HashMap",         Map,  16,      false,  false},
+    {ArrayMap,        "ArrayMap",        Map,  4,       false,  false},
+    {LazyMap,         "LazyMap",         Map,  16,      false,  false},
+    {SingletonMap,    "SingletonMap",    Map,  1,       true,   false},
+    {SizeAdaptingMap, "SizeAdaptingMap", Map,  16,      false,  false},
+};
+
+constexpr bool rowsInEnumOrder() {
+  for (unsigned I = 0; I < NumImplKinds; ++I)
+    if (implIndex(Rows[I].Kind) != I)
+      return false;
+  return true;
 }
+static_assert(std::size(Rows) == NumImplKinds && rowsInEnumOrder(),
+              "one row per ImplKind, in enum order");
+
+const ImplKindRow &row(ImplKind Kind) {
+  if (implIndex(Kind) >= NumImplKinds)
+    CHAM_UNREACHABLE("unknown ImplKind");
+  return Rows[implIndex(Kind)];
+}
+
+} // namespace
+
+const char *chameleon::implKindName(ImplKind Kind) { return row(Kind).Name; }
 
 std::optional<ImplKind> chameleon::parseImplKind(const std::string &Name) {
   for (unsigned I = 0; I < NumImplKinds; ++I) {
@@ -61,31 +86,7 @@ std::optional<ImplKind> chameleon::parseImplKind(const std::string &Name) {
   return std::nullopt;
 }
 
-AdtKind chameleon::adtOfImpl(ImplKind Kind) {
-  switch (Kind) {
-  case ImplKind::ArrayList:
-  case ImplKind::LinkedList:
-  case ImplKind::LazyArrayList:
-  case ImplKind::SingletonList:
-  case ImplKind::EmptyList:
-  case ImplKind::IntArrayList:
-  case ImplKind::HashedList:
-    return AdtKind::List;
-  case ImplKind::HashSet:
-  case ImplKind::ArraySet:
-  case ImplKind::LazySet:
-  case ImplKind::LinkedHashSet:
-  case ImplKind::SizeAdaptingSet:
-    return AdtKind::Set;
-  case ImplKind::HashMap:
-  case ImplKind::ArrayMap:
-  case ImplKind::LazyMap:
-  case ImplKind::SingletonMap:
-  case ImplKind::SizeAdaptingMap:
-    return AdtKind::Map;
-  }
-  CHAM_UNREACHABLE("unknown ImplKind");
-}
+AdtKind chameleon::adtOfImpl(ImplKind Kind) { return row(Kind).Adt; }
 
 const char *chameleon::adtKindName(AdtKind Kind) {
   switch (Kind) {
@@ -104,32 +105,13 @@ bool chameleon::implSupportsAdt(ImplKind Impl, AdtKind Adt) {
 }
 
 uint32_t chameleon::defaultCapacityOf(ImplKind Kind) {
-  switch (Kind) {
-  case ImplKind::ArrayList:
-  case ImplKind::LazyArrayList:
-  case ImplKind::IntArrayList:
-    return 10;
-  case ImplKind::HashMap:
-  case ImplKind::LazyMap:
-  case ImplKind::HashSet:
-  case ImplKind::LazySet:
-  case ImplKind::LinkedHashSet:
-  case ImplKind::HashedList:
-    return 16;
-  case ImplKind::ArrayMap:
-  case ImplKind::ArraySet:
-    return 4;
-  case ImplKind::SingletonList:
-  case ImplKind::SingletonMap:
-    return 1;
-  case ImplKind::EmptyList:
-  case ImplKind::LinkedList:
-    return 0;
-  case ImplKind::SizeAdaptingSet:
-  case ImplKind::SizeAdaptingMap:
-    return 16; // conversion threshold
-  }
-  CHAM_UNREACHABLE("unknown ImplKind");
+  return row(Kind).DefaultCapacity;
+}
+
+bool chameleon::implIsBounded(ImplKind Kind) { return row(Kind).Bounded; }
+
+bool chameleon::implRestrictsContents(ImplKind Kind) {
+  return row(Kind).Restricted;
 }
 
 std::optional<ImplKind> chameleon::adaptImplToAdt(ImplKind Impl,
@@ -158,13 +140,11 @@ std::optional<AdtKind> chameleon::adtOfSourceType(const std::string &Name) {
 
 std::optional<ImplKind>
 chameleon::defaultImplForSourceType(const std::string &Name) {
-  if (Name == "ArrayList" || Name == "List")
+  if (Name == "List")
     return ImplKind::ArrayList;
-  if (Name == "LinkedList")
-    return ImplKind::LinkedList;
-  if (Name == "HashSet" || Name == "Set")
+  if (Name == "Set")
     return ImplKind::HashSet;
-  if (Name == "HashMap" || Name == "Map")
+  if (Name == "Map")
     return ImplKind::HashMap;
   return parseImplKind(Name);
 }

@@ -30,7 +30,7 @@ inline constexpr unsigned NumAdtKinds = 3;
 /// A concrete backing implementation.
 enum class ImplKind : uint8_t {
   // List implementations.
-  ArrayList,     ///< resizable array (growth (c*3)/2+1, eager default 10)
+  ArrayList,     ///< resizable array, eager backing, §2.2 growth
   LinkedList,    ///< doubly-linked with an eager sentinel entry
   LazyArrayList, ///< ArrayList allocating its array on first update
   SingletonList, ///< holds at most one element in an inline field
@@ -46,7 +46,7 @@ enum class ImplKind : uint8_t {
   LinkedHashSet,   ///< hash set with insertion-ordered linked entries
   SizeAdaptingSet, ///< array until a size threshold, then hash (§2.3)
   // Map implementations.
-  HashMap,         ///< chained hash table, default capacity 16, lf 0.75
+  HashMap,         ///< chained hash table, load factor 0.75
   ArrayMap,        ///< parallel key/value array, linear lookup
   LazyMap,         ///< HashMap allocating its table on first update
   SingletonMap,    ///< holds at most one entry inline
@@ -97,6 +97,14 @@ std::optional<AdtKind> adtOfSourceType(const std::string &Name);
 /// requested none (ArrayList 10, HashMap 16, ArrayMap 4, ...). For the
 /// SizeAdapting hybrids this is the conversion threshold.
 uint32_t defaultCapacityOf(ImplKind Kind);
+
+/// True for the kinds that hold at most a fixed number of elements
+/// (EmptyList, SingletonList, SingletonMap).
+bool implIsBounded(ImplKind Kind);
+
+/// True for the kinds that accept only some contents: IntArrayList holds
+/// only ints, and HashedList drops duplicates.
+bool implRestrictsContents(ImplKind Kind);
 
 /// Adapts a suggested implementation to the wrapper's abstract type:
 /// identity when the implementation is native to \p Adt; LinkedHashSet /

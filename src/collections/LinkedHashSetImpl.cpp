@@ -11,17 +11,6 @@
 
 using namespace chameleon;
 
-LinkedHashSetImpl::LinkedHashSetImpl(TypeId Type, uint64_t Bytes,
-                                     CollectionRuntime &RT, ImplKind Kind,
-                                     uint32_t RequestedCapacity)
-    : SeqImpl(Type, Bytes, RT),
-      InitialCapacity(RequestedCapacity ? RequestedCapacity
-                                        : DefaultCapacity),
-      Kind(Kind) {
-  assert((Kind == ImplKind::LinkedHashSet || Kind == ImplKind::HashedList)
-         && "LinkedHashSetImpl backs exactly these two kinds");
-}
-
 void LinkedHashSetImpl::initEager() {
   assert(Table.isNull() && "already initialised");
   CHAM_FAULT("linkedhashset.init.reserve");

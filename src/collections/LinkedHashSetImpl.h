@@ -26,15 +26,13 @@ namespace chameleon {
 /// Insertion-ordered chained hash set.
 class LinkedHashSetImpl : public SeqImpl {
 public:
-  static constexpr uint32_t DefaultCapacity = 16;
-
   LinkedHashSetImpl(TypeId Type, uint64_t Bytes, CollectionRuntime &RT,
-                    ImplKind Kind, uint32_t RequestedCapacity);
+                    uint32_t InitialCapacity)
+      : SeqImpl(Type, Bytes, RT), InitialCapacity(InitialCapacity) {}
 
   /// Allocates the table and the order sentinel; call once rooted.
   void initEager() override;
 
-  ImplKind kind() const override { return Kind; }
   uint32_t size() const override { return Count; }
   void clear() override;
   CollectionSizes sizes() const override;
@@ -70,7 +68,6 @@ private:
   uint32_t Capacity = 0;
   uint32_t UsedBuckets = 0;
   uint32_t InitialCapacity;
-  ImplKind Kind;
 };
 
 } // namespace chameleon

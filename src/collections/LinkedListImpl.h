@@ -27,7 +27,6 @@ public:
   /// Allocates the sentinel; call once the object is rooted.
   void initEager() override;
 
-  ImplKind kind() const override { return ImplKind::LinkedList; }
   uint32_t size() const override { return Count; }
   void clear() override;
   CollectionSizes sizes() const override;

@@ -79,12 +79,6 @@ bool SingletonMapImpl::iterNext(IterState &State, Value &Key,
 // SizeAdaptingMapImpl
 //===----------------------------------------------------------------------===//
 
-SizeAdaptingMapImpl::SizeAdaptingMapImpl(TypeId Type, uint64_t Bytes,
-                                         CollectionRuntime &RT,
-                                         uint32_t Threshold)
-    : MapImpl(Type, Bytes, RT),
-      Threshold(Threshold ? Threshold : DefaultThreshold) {}
-
 void SizeAdaptingMapImpl::initEager() {
   assert(Inner.isNull() && "already initialised");
   Inner = RT.makeImpl(ImplKind::ArrayMap, /*Capacity=*/0);

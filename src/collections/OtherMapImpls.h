@@ -29,7 +29,6 @@ public:
   SingletonMapImpl(TypeId Type, uint64_t Bytes, CollectionRuntime &RT)
       : MapImpl(Type, Bytes, RT) {}
 
-  ImplKind kind() const override { return ImplKind::SingletonMap; }
   uint32_t size() const override { return Has ? 1 : 0; }
   void clear() override;
   CollectionSizes sizes() const override;
@@ -58,16 +57,13 @@ private:
 /// and blames this design for.
 class SizeAdaptingMapImpl : public MapImpl {
 public:
-  /// The conversion threshold that worked for TVLA in §2.3.
-  static constexpr uint32_t DefaultThreshold = 16;
-
   SizeAdaptingMapImpl(TypeId Type, uint64_t Bytes, CollectionRuntime &RT,
-                      uint32_t Threshold);
+                      uint32_t Threshold)
+      : MapImpl(Type, Bytes, RT), Threshold(Threshold) {}
 
   /// Allocates the initial inner ArrayMap; call once rooted.
   void initEager() override;
 
-  ImplKind kind() const override { return ImplKind::SizeAdaptingMap; }
   uint32_t size() const override;
   void clear() override;
   CollectionSizes sizes() const override;

@@ -16,11 +16,6 @@ using namespace chameleon;
 // HashSetImpl
 //===----------------------------------------------------------------------===//
 
-HashSetImpl::HashSetImpl(TypeId Type, uint64_t Bytes, CollectionRuntime &RT,
-                         bool Lazy, uint32_t RequestedCapacity)
-    : SeqImpl(Type, Bytes, RT), InitialCapacity(RequestedCapacity),
-      Lazy(Lazy) {}
-
 void HashSetImpl::initEager() {
   if (Lazy)
     return;
@@ -103,12 +98,6 @@ bool HashSetImpl::iterNext(IterState &State, Value &Out) const {
 // ArraySetImpl
 //===----------------------------------------------------------------------===//
 
-ArraySetImpl::ArraySetImpl(TypeId Type, uint64_t Bytes, CollectionRuntime &RT,
-                           uint32_t RequestedCapacity)
-    : SeqImpl(Type, Bytes, RT),
-      InitialCapacity(RequestedCapacity ? RequestedCapacity
-                                        : DefaultCapacity) {}
-
 ValueArray &ArraySetImpl::array() const {
   assert(!Backing.isNull() && "no backing array");
   return RT.heap().getAs<ValueArray>(Backing);
@@ -117,10 +106,7 @@ ValueArray &ArraySetImpl::array() const {
 void ArraySetImpl::ensureCapacity(uint32_t Needed) {
   if (Needed <= Capacity)
     return;
-  uint32_t NewCap =
-      Capacity == 0 ? InitialCapacity : (Capacity * 3) / 2 + 1;
-  if (NewCap < Needed)
-    NewCap = Needed;
+  uint32_t NewCap = grownCapacity(Capacity, InitialCapacity, Needed);
   CHAM_FAULT("arrayset.reserve");
   ObjectRef NewBacking = RT.allocValueArray(NewCap);
   if (!Backing.isNull()) {
@@ -194,12 +180,6 @@ bool ArraySetImpl::iterNext(IterState &State, Value &Out) const {
 //===----------------------------------------------------------------------===//
 // SizeAdaptingSetImpl
 //===----------------------------------------------------------------------===//
-
-SizeAdaptingSetImpl::SizeAdaptingSetImpl(TypeId Type, uint64_t Bytes,
-                                         CollectionRuntime &RT,
-                                         uint32_t Threshold)
-    : SeqImpl(Type, Bytes, RT),
-      Threshold(Threshold ? Threshold : DefaultThreshold) {}
 
 void SizeAdaptingSetImpl::initEager() {
   assert(Inner.isNull() && "already initialised");

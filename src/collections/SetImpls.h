@@ -30,14 +30,13 @@ class HashMapImpl;
 class HashSetImpl : public SeqImpl {
 public:
   HashSetImpl(TypeId Type, uint64_t Bytes, CollectionRuntime &RT, bool Lazy,
-              uint32_t RequestedCapacity);
+              uint32_t InitialCapacity)
+      : SeqImpl(Type, Bytes, RT), InitialCapacity(InitialCapacity),
+        Lazy(Lazy) {}
 
   /// Allocates the eager backing map; call once rooted. No-op when lazy.
   void initEager() override;
 
-  ImplKind kind() const override {
-    return Lazy ? ImplKind::LazySet : ImplKind::HashSet;
-  }
   uint32_t size() const override;
   void clear() override;
   CollectionSizes sizes() const override;
@@ -61,15 +60,13 @@ private:
 /// Array-backed set: linear membership, no per-element objects.
 class ArraySetImpl : public SeqImpl {
 public:
-  static constexpr uint32_t DefaultCapacity = 4;
-
   ArraySetImpl(TypeId Type, uint64_t Bytes, CollectionRuntime &RT,
-               uint32_t RequestedCapacity);
+               uint32_t InitialCapacity)
+      : SeqImpl(Type, Bytes, RT), InitialCapacity(InitialCapacity) {}
 
   /// Allocates the eager backing array; call once rooted.
   void initEager() override { ensureCapacity(InitialCapacity); }
 
-  ImplKind kind() const override { return ImplKind::ArraySet; }
   uint32_t size() const override { return Count; }
   void clear() override;
   CollectionSizes sizes() const override;
@@ -97,15 +94,13 @@ private:
 /// an inner HashSet (§2.3's second "local knowledge" alternative).
 class SizeAdaptingSetImpl : public SeqImpl {
 public:
-  static constexpr uint32_t DefaultThreshold = 16;
-
   SizeAdaptingSetImpl(TypeId Type, uint64_t Bytes, CollectionRuntime &RT,
-                      uint32_t Threshold);
+                      uint32_t Threshold)
+      : SeqImpl(Type, Bytes, RT), Threshold(Threshold) {}
 
   /// Allocates the initial inner ArraySet; call once rooted.
   void initEager() override;
 
-  ImplKind kind() const override { return ImplKind::SizeAdaptingSet; }
   uint32_t size() const override;
   void clear() override;
   CollectionSizes sizes() const override;

@@ -114,10 +114,7 @@ IntArray &IntArrayListImpl::array() const {
 void IntArrayListImpl::ensureCapacity(uint32_t Needed) {
   if (Needed <= Capacity)
     return;
-  uint32_t NewCap =
-      Capacity == 0 ? InitialCapacity : (Capacity * 3) / 2 + 1;
-  if (NewCap < Needed)
-    NewCap = Needed;
+  uint32_t NewCap = grownCapacity(Capacity, InitialCapacity, Needed);
   CHAM_FAULT("intarraylist.reserve");
   ObjectRef NewBacking = RT.allocIntArray(NewCap);
   if (!Backing.isNull()) {

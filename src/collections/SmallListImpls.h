@@ -28,7 +28,6 @@ public:
   SingletonListImpl(TypeId Type, uint64_t Bytes, CollectionRuntime &RT)
       : SeqImpl(Type, Bytes, RT) {}
 
-  ImplKind kind() const override { return ImplKind::SingletonList; }
   uint32_t size() const override { return Has ? 1 : 0; }
   void clear() override;
   CollectionSizes sizes() const override;
@@ -58,7 +57,6 @@ public:
   EmptyListImpl(TypeId Type, uint64_t Bytes, CollectionRuntime &RT)
       : SeqImpl(Type, Bytes, RT) {}
 
-  ImplKind kind() const override { return ImplKind::EmptyList; }
   uint32_t size() const override { return 0; }
   void clear() override {}
   CollectionSizes sizes() const override;
@@ -77,18 +75,13 @@ public:
 /// Accepts only int values.
 class IntArrayListImpl : public SeqImpl {
 public:
-  static constexpr uint32_t DefaultCapacity = 10;
-
   IntArrayListImpl(TypeId Type, uint64_t Bytes, CollectionRuntime &RT,
-                   uint32_t RequestedCapacity)
-      : SeqImpl(Type, Bytes, RT),
-        InitialCapacity(RequestedCapacity ? RequestedCapacity
-                                          : DefaultCapacity) {}
+                   uint32_t InitialCapacity)
+      : SeqImpl(Type, Bytes, RT), InitialCapacity(InitialCapacity) {}
 
   /// Allocates the eager backing array; call once rooted.
   void initEager() override { ensureCapacity(InitialCapacity); }
 
-  ImplKind kind() const override { return ImplKind::IntArrayList; }
   uint32_t size() const override { return Count; }
   void clear() override;
   CollectionSizes sizes() const override;

@@ -8,6 +8,7 @@
 
 #include "obs/Metrics.h"
 #include "support/FaultInjector.h"
+#include "support/Wire.h"
 
 #include <algorithm>
 
@@ -29,8 +30,14 @@ CHAM_METRIC_COUNTER(FleetReplayedRecords, "cham.fleet.replayed_records");
 CHAM_METRIC_COUNTER(FleetWalCompactions, "cham.fleet.wal_compactions");
 CHAM_METRIC_COUNTER(FleetVersionSkews, "cham.fleet.version_skews");
 
+/// The reconnect-jitter seed of one stream: agents with different ids or
+/// runs draw different jitter, so a fleet does not redial in lockstep.
+static uint64_t jitterSeed(const FleetAgentConfig &Cfg) {
+  return fnv1a(Cfg.AgentId) ^ Cfg.RunSeed;
+}
+
 FleetAgent::FleetAgent(FleetAgentConfig Config, Dialer &D)
-    : Cfg(std::move(Config)), Dial(D), Jitter(Cfg.JitterSeed) {
+    : Cfg(std::move(Config)), Dial(D), Jitter(jitterSeed(Cfg)) {
   if (!Cfg.WalPath.empty())
     Wal = std::make_unique<SpillWal>(Cfg.WalPath);
 }
@@ -122,7 +129,7 @@ uint64_t FleetAgent::commitEpoch(ProcessProfile Profile) {
         --Unsent;
       }
     }
-    SendStride = std::min(SendStride * 2, std::max<uint64_t>(Cfg.MaxSendStride, 1));
+    SendStride = std::min(SendStride * 2, MaxSendStride);
     S.SendStride = SendStride;
   }
   return LastEpoch;
@@ -308,8 +315,8 @@ void FleetAgent::dropConnection(uint64_t NowTick) {
 }
 
 void FleetAgent::backOff(uint64_t NowTick) {
-  Backoff = Backoff == 0 ? Cfg.BackoffBaseTicks
-                         : std::min(Backoff * 2, Cfg.BackoffMaxTicks);
+  Backoff = Backoff == 0 ? BackoffBaseTicks
+                         : std::min(Backoff * 2, BackoffMaxTicks);
   NextDialTick = NowTick + Backoff + Jitter.nextBelow(Backoff / 2 + 1);
 }
 

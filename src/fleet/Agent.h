@@ -28,8 +28,9 @@
 ///
 /// The agent is a deterministic state machine driven by `pump(NowTick)` on
 /// a logical clock — no internal threads, no wall time. Reconnect backoff
-/// is exponential with seeded jitter, so a given (seed, fault schedule)
-/// replays the exact same dial pattern. All fault sites
+/// is exponential with jitter seeded by the stream key (AgentId, RunSeed),
+/// so agents of one fleet spread their redials, and a given (key, fault
+/// schedule) replays the exact same dial pattern. All fault sites
 /// (`fleet.agent.*`) are armed FailScopes internally: an injected fault
 /// converts to a counted, retried step failure, never an escape.
 ///
@@ -63,14 +64,6 @@ struct FleetAgentConfig {
   bool SyncWal = false;
   /// Unsent-record bound before backpressure shedding kicks in.
   size_t MaxQueue = 16;
-  /// Reconnect backoff: base and cap, in pump ticks; doubled per
-  /// consecutive failure (the OnlineAdaptor idiom), plus jitter in
-  /// [0, backoff/2] drawn from JitterSeed.
-  uint64_t BackoffBaseTicks = 1;
-  uint64_t BackoffMaxTicks = 64;
-  uint64_t JitterSeed = 0x5EED;
-  /// AIMD send-stride cap (shed mode sends every Nth epoch, N <= this).
-  uint64_t MaxSendStride = 8;
 };
 
 /// Ledger + liveness accounting. The chaos invariant is
@@ -96,6 +89,14 @@ struct FleetAgentStats {
 
 class FleetAgent {
 public:
+  /// Reconnect backoff: base and cap, in pump ticks; doubled per
+  /// consecutive failure (the OnlineAdaptor idiom), plus jitter in
+  /// [0, backoff/2] drawn from a stream seeded by (AgentId, RunSeed).
+  static constexpr uint64_t BackoffBaseTicks = 1;
+  static constexpr uint64_t BackoffMaxTicks = 64;
+  /// AIMD send-stride cap (shed mode sends every Nth epoch, N <= this).
+  static constexpr uint64_t MaxSendStride = 8;
+
   FleetAgent(FleetAgentConfig Config, Dialer &D);
   ~FleetAgent();
 

@@ -81,6 +81,9 @@ struct ProfilerConfig {
 /// Invariant after a final flush: Noted == Folded + Dropped, per kind.
 struct ProfilerDegradationStats {
   bool ShedActive = false;
+  /// The sampling-period multiplier (1 = full rate). Doubles on every
+  /// pressure event (capped at 64), restores additively — one step per GC
+  /// cycle — once pressure clears.
   uint32_t ShedMultiplier = 1;
   uint64_t HeapPressureEvents = 0;
   uint64_t ShedSampledOut = 0;
@@ -266,13 +269,6 @@ public:
   uint64_t contextCacheMisses() const;
 
   /// -- Graceful degradation under heap pressure ----------------------------
-
-  /// The current sampling-period multiplier (1 = full rate). Doubles on
-  /// every pressure event (capped at 64), restores additively — one step
-  /// per GC cycle — once pressure clears.
-  uint32_t shedMultiplier() const {
-    return ShedMultiplier.load(std::memory_order_relaxed);
-  }
 
   /// Sums the degradation/loss accounting over every thread's state. Call
   /// after a flush (quiescent world) for the Noted == Folded + Dropped

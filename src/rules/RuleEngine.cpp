@@ -49,8 +49,11 @@ std::string Suggestion::fixDescription() const {
   switch (Action) {
   case ActionKind::Replace: {
     std::string Fix = std::string("replace with ") + implKindName(NewImpl);
-    if (Capacity)
-      Fix += "(" + std::to_string(*Capacity) + ")";
+    if (Capacity) {
+      Fix += '(';
+      Fix += std::to_string(*Capacity);
+      Fix += ')';
+    }
     return Fix;
   }
   case ActionKind::SetCapacity:

@@ -173,12 +173,6 @@ public:
   /// Number of emergency (soft-limit) collections so far.
   uint64_t emergencyCollects() const { return EmergencyCollects; }
 
-  /// True while the heap sits over its soft limit even after an emergency
-  /// collection (i.e. the profiler has been told to shed).
-  bool underPressure() const {
-    return UnderPressure.load(std::memory_order_relaxed);
-  }
-
   /// When nonzero, forces a (statistics-sampling) collection every time
   /// this many bytes have been allocated. Profiled runs use it so that the
   /// per-cycle collection statistics of Table 3 accumulate even when the

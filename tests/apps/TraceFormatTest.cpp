@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
 
 using namespace chameleon;
 using namespace chameleon::apps;
@@ -176,6 +177,33 @@ TEST(TraceFormat, ValidatorCatchesReplayUnsafeTraces) {
     Bad.Task.FrameIdx = 0;
     T.Epochs.back().push_back(Bad.Task);
     EXPECT_FALSE(validateTrace(T, &Error));
+  }
+}
+
+TEST(TraceFormat, ValidatorAllocatesOnlyUnrestrictedKinds) {
+  // A recorded Alloc may not name a bounded kind (EmptyList, SingletonList,
+  // SingletonMap) or one that restricts its contents (IntArrayList holds
+  // only ints, HashedList drops duplicates); every other kind is fine.
+  const std::set<ImplKind> Rejected = {
+      ImplKind::EmptyList, ImplKind::SingletonList, ImplKind::SingletonMap,
+      ImplKind::IntArrayList, ImplKind::HashedList};
+  for (unsigned I = 0; I < NumImplKinds; ++I) {
+    const ImplKind Impl = static_cast<ImplKind>(I);
+    SCOPED_TRACE(implKindName(Impl));
+    Trace T = generateBurstTrace(smallConfig());
+    TaskTrace Task;
+    Task.alloc(traceTempReg(0), adtOfImpl(Impl), Impl, 0, 0);
+    Task.op0(TraceOpCode::Retire, traceTempReg(0));
+    Task.Task.Id = 1u << 20;
+    Task.Task.Session = 0;
+    Task.Task.FrameIdx = 0;
+    T.Epochs.back().push_back(Task.Task);
+    std::string Error;
+    const bool Allocatable = Rejected.count(Impl) == 0;
+    EXPECT_EQ(validateTrace(T, &Error), Allocatable) << Error;
+    if (!Allocatable) {
+      EXPECT_NE(Error.find("is not allocatable"), std::string::npos) << Error;
+    }
   }
 }
 

@@ -160,7 +160,6 @@ TEST(FleetChaosTest, StormThenEveryCommittedEpochConverges) {
     AC.RunSeed = Seed;
     AC.WalPath = (Dir.Path / (AC.AgentId + ".wal")).string();
     AC.MaxQueue = 64; // no backpressure shedding: every epoch travels
-    AC.JitterSeed = Seed ^ (I * 0x9E3779B97F4A7C15ULL);
     Agents.push_back(std::make_unique<FleetAgent>(AC, Hub));
     std::string Err;
     ASSERT_TRUE(Agents.back()->recover(Err)) << Err;

@@ -30,7 +30,6 @@ public:
                 uint32_t Chunk)
       : SeqImpl(Type, Bytes, RT), Chunk(Chunk ? Chunk : 7) {}
 
-  ImplKind kind() const override { return ImplKind::ArrayList; } // display
   uint32_t size() const override { return Count; }
 
   void clear() override {

@@ -151,6 +151,35 @@ TEST(OnlineRollback, VerificationAbortsSemanticsChangingMigration) {
   EXPECT_EQ(L.get(2).asInt(), 8);
 }
 
+TEST(OnlineRollback, BoundedTargetsAreNoOps) {
+  // EmptyList and the singletons hold at most a fixed number of elements,
+  // so a live collection never migrates to one, even while its contents
+  // would fit: the call is a no-op and not counted as an attempt.
+  CollectionRuntime RT;
+  List L = RT.newArrayList(RT.site("Rollback.bounded:1"));
+  L.add(Value::ofInt(1));
+  Map M = RT.newHashMap(RT.site("Rollback.bounded:2"));
+  M.put(Value::ofInt(1), Value::ofInt(2));
+  const uint64_t Attempts = RT.migrationAttempts();
+  for (ImplKind Target : {ImplKind::EmptyList, ImplKind::SingletonList}) {
+    SCOPED_TRACE(implKindName(Target));
+    EXPECT_EQ(RT.migrateCollection(L.wrapperRef(), Target),
+              MigrationOutcome::NoOp);
+    EXPECT_EQ(L.backing(), ImplKind::ArrayList);
+  }
+  EXPECT_EQ(RT.migrateCollection(M.wrapperRef(), ImplKind::SingletonMap),
+            MigrationOutcome::NoOp);
+  EXPECT_EQ(M.backing(), ImplKind::HashMap);
+  EXPECT_EQ(RT.migrationAttempts(), Attempts);
+
+  // The same collections still migrate to unbounded kinds.
+  EXPECT_EQ(RT.migrateCollection(L.wrapperRef(), ImplKind::LinkedList),
+            MigrationOutcome::Committed);
+  EXPECT_EQ(RT.migrateCollection(M.wrapperRef(), ImplKind::ArrayMap),
+            MigrationOutcome::Committed);
+  EXPECT_EQ(RT.migrationAttempts(), Attempts + 2);
+}
+
 TEST(OnlineRollback, MigrationEpochFailsIteratorsFast) {
   CollectionRuntime RT;
   Map M = RT.newHashMap(RT.site("Rollback.epoch:1"));

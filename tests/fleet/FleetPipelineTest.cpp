@@ -110,11 +110,10 @@ TEST(FleetPipelineTest, BackoffIsExponentialAndSeedDeterministic) {
   InMemoryHub Hub;
   Hub.stopServer(); // nothing listening: every dial fails
 
-  auto runSchedule = [&](uint64_t Seed) {
+  auto runSchedule = [&](const std::string &AgentId, uint64_t RunSeed) {
     FleetAgentConfig AC;
-    AC.JitterSeed = Seed;
-    AC.BackoffBaseTicks = 1;
-    AC.BackoffMaxTicks = 16;
+    AC.AgentId = AgentId;
+    AC.RunSeed = RunSeed;
     FleetAgent Agent(AC, Hub);
     Agent.commitEpoch(tinyProfile(1)); // give it a reason to dial
     std::vector<uint64_t> FailTicks;
@@ -130,11 +129,13 @@ TEST(FleetPipelineTest, BackoffIsExponentialAndSeedDeterministic) {
     return FailTicks;
   };
 
-  std::vector<uint64_t> A = runSchedule(0x5EED);
-  std::vector<uint64_t> B = runSchedule(0x5EED);
-  std::vector<uint64_t> C = runSchedule(0xF00D);
-  EXPECT_EQ(A, B) << "same seed must replay the same dial schedule";
-  EXPECT_NE(A, C) << "different jitter seeds must differ";
+  std::vector<uint64_t> A = runSchedule("a0", 1);
+  std::vector<uint64_t> B = runSchedule("a0", 1);
+  std::vector<uint64_t> C = runSchedule("a0", 2);
+  std::vector<uint64_t> D = runSchedule("a1", 1);
+  EXPECT_EQ(A, B) << "same stream must replay the same dial schedule";
+  EXPECT_NE(A, C) << "different runs must draw different jitter";
+  EXPECT_NE(A, D) << "different agents must draw different jitter";
 
   // Gaps grow (geometrically, up to cap + jitter): the last gap must be
   // several times the first, and attempts must be far sparser than ticks.
@@ -180,7 +181,6 @@ TEST(FleetPipelineTest, BackpressureShedsCountedAndLosslessly) {
   FleetAgentConfig AC;
   AC.AgentId = "a0";
   AC.MaxQueue = 4;
-  AC.MaxSendStride = 8;
   FleetAgent Agent(AC, Hub);
 
   for (uint64_t E = 1; E <= 64; ++E) {
